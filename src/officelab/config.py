@@ -206,6 +206,13 @@ def _parse_sensor(doc: dict, plan: FloorPlan) -> SensorSpec:
 
 def parse_config(doc: dict) -> WorldConfig:
     """Validate a config tree; raise ValidationError naming the first violation."""
+    try:
+        return _parse_document(doc)
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise ValidationError(f"config is structurally invalid: {exc!r}") from exc
+
+
+def _parse_document(doc: dict) -> WorldConfig:
     if not isinstance(doc, dict):
         raise ValidationError("config document must be a JSON object")
     for key in ("floor_plan", "agents", "ticks_per_day", "days", "rng_seed"):
@@ -300,10 +307,7 @@ def load_config(path: str | Path) -> WorldConfig:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed config {path}: {exc}") from exc
-    try:
-        return parse_config(doc)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise ValidationError(f"config {path} is structurally invalid: {exc!r}") from exc
+    return parse_config(doc)
 
 
 def dump_config(config: WorldConfig) -> dict:

@@ -1,9 +1,11 @@
-"""Bayesian location tracking: per-agent predict/update over sensor events.
+"""Bayesian location tracking: stacked predict/update over one evidence block per day.
 
-Beliefs are per-agent categorical distributions over location bins, advanced
-each tick by a motion kernel (predict) and reweighted by the likelihood of
-that tick's sensor reports (update). Each day starts from a point mass at
-the agent's home; tick 0 is update-only, prediction applies from tick 1.
+Beliefs are per-agent categorical distributions over location bins. Each
+day's sensor reports become one (ticks, agents, locations) evidence block;
+all agents then advance together, each through its own motion kernel
+(predict), reweighted by its row of the block (update). Decoding reads the
+same block. Each day starts from a point mass at the agent's home; tick 0 is
+update-only, prediction applies from tick 1.
 
 The per-agent likelihood treats only reports naming the agent as evidence
 and explains them as true detections or false positives; reports produced by
@@ -27,6 +29,8 @@ from .world import FloorPlan
 log = logging.getLogger("officelab.fusion")
 
 BELIEF_FLOOR = 1e-12
+# One day of reports: (tick, reported agent) -> sensor id -> report locations.
+DayReports = dict[tuple[int, int], dict[str, list[int]]]
 # Minimum weight of the uniform self+neighbors component in the default
 # kernel: keeps every physically possible move (planning-tick stays, detours,
 # walks to schedule targets) at positive probability even when the config has
@@ -126,42 +130,39 @@ def update(belief_row: np.ndarray, likelihood: np.ndarray) -> np.ndarray:
 
 
 class LikelihoodModel:
-    """Per-tick evidence likelihoods for one agent under the sensor network.
+    """Evidence likelihoods over locations, one row per agent-tick.
 
     For each sensor the report pattern (locations of reports naming the
     agent) is explained by: true detection with rate p_detect*(1-p_confuse)
     at the agent's location, plus at most one false positive naming the
     agent with rate p_false_positive/n_agents, uniform over the coverage.
+    A row is the product of all silence terms times, per reporting sensor,
+    its report factor over its silence term. A zero silence term (certain
+    detection) stays out of that product and applies only where it was silent.
     """
 
     def __init__(self, sensors: Sequence[SensorSpec], plan: FloorPlan, n_agents: int | None = None):
         self.plan = plan
-        self.sensor_ids = [s.id for s in sensors]
         self._index = {s.id: i for i, s in enumerate(sensors)}
         n = plan.n
-        self._detect = []  # (n,) true-detection rate per location
-        self._q = []  # false positive naming this agent, per tick
-        self._fp_at = []  # (n,) false-positive density over locations
-        self._silent = []  # (n,) no-report likelihood
-        for s in sensors:
+        self._params = []  # per sensor: (n,) true-detection rate, false-positive rate, (n,) its density
+        self._silent = []  # (n,) no-report likelihood, with zeros set to 1
+        self._certain = {}  # sensor index -> (n,) mask where silence is impossible
+        for i, s in enumerate(sensors):
             mask = np.zeros(n)
             mask[list(s.coverage)] = 1.0
             d = s.p_detect * (1.0 - s.p_confuse) * mask
             q = s.p_false_positive / n_agents if n_agents else s.p_false_positive
-            fp_at = mask * (q / len(s.coverage))
-            self._detect.append(d)
-            self._q.append(q)
-            self._fp_at.append(fp_at)
-            self._silent.append((1.0 - d) * (1.0 - q))
+            silent = (1.0 - d) * (1.0 - q)
+            if not silent.all():
+                self._certain[i] = silent == 0.0
+                silent[self._certain[i]] = 1.0
+            self._params.append((d, q, mask * (q / len(s.coverage))))
+            self._silent.append(silent)
         self._silent_product = np.prod(np.stack(self._silent), axis=0) if sensors else np.ones(n)
-        self._fast = bool(sensors) and all(
-            float(d.max(initial=0.0)) < 1.0 and q < 1.0 for d, q in zip(self._detect, self._q)
-        )
 
     def _sensor_factor(self, idx: int, report_locs: list[int]) -> np.ndarray:
-        d = self._detect[idx]
-        q = self._q[idx]
-        fp_at = self._fp_at[idx]
+        d, q, fp_at = self._params[idx]
         if len(report_locs) == 1:
             y = report_locs[0]
             f = (1.0 - d) * fp_at[y]
@@ -176,22 +177,38 @@ class LikelihoodModel:
         # under this model (one true + one false positive at most)
         return np.zeros_like(d)
 
-    def tick_likelihood(self, reports: dict[str, list[int]]) -> np.ndarray:
-        """Likelihood over locations given this tick's reports naming the agent.
-
-        ``reports`` maps sensor id -> report locations (empty dict = silence).
-        """
-        if self._fast:
-            L = self._silent_product.copy()
-            for sensor_id, locs in reports.items():
+    def day_evidence(self, reports: DayReports, ticks: int, agents: Sequence[int]) -> np.ndarray:
+        """(ticks, agents, locations) likelihoods for one day; a key absent from ``reports`` is silence."""
+        column = {a: i for i, a in enumerate(agents)}
+        block = np.tile(self._silent_product, (ticks, len(agents), 1))
+        silent_at = {idx: np.ones((ticks, len(agents)), dtype=bool) for idx in self._certain}
+        for (tick, agent), by_sensor in reports.items():
+            if agent not in column or not 0 <= tick < ticks:
+                raise ValidationError(f"events name agent {agent} at tick {tick}; the config has {list(agents)}")
+            row = block[tick, column[agent]]
+            for sensor_id, locs in by_sensor.items():
+                if sensor_id not in self._index:
+                    raise ValidationError(f"events name sensor {sensor_id!r}, which the config does not define")
                 idx = self._index[sensor_id]
-                L *= self._sensor_factor(idx, locs) / self._silent[idx]
-            return L
-        L = np.ones(self.plan.n)
-        active = {self._index[sid]: locs for sid, locs in reports.items()}
-        for idx in range(len(self.sensor_ids)):
-            L *= self._sensor_factor(idx, active[idx]) if idx in active else self._silent[idx]
-        return L
+                row *= self._sensor_factor(idx, locs) / self._silent[idx]
+                if idx in silent_at:
+                    silent_at[idx][tick, column[agent]] = False
+        for idx, silent in silent_at.items():
+            block[silent[:, :, None] & self._certain[idx]] = 0.0
+        return block
+
+    def tick_likelihood(self, reports: dict[str, list[int]]) -> np.ndarray:
+        """One agent-tick's likelihood; ``reports`` maps sensor id -> report locations ({} = silence)."""
+        return self.day_evidence({(0, 0): reports}, 1, (0,))[0, 0]
+
+
+def group_reports(events: Iterable[ObservationEvent]) -> dict[int, DayReports]:
+    """Events as day -> DayReports, each list in event order."""
+    grouped: dict[int, DayReports] = {}
+    for ev in events:
+        day = grouped.setdefault(ev.day, {})
+        day.setdefault((ev.tick, ev.reported_agent), {}).setdefault(ev.sensor, []).append(ev.location)
+    return grouped
 
 
 def likelihood_of_events(
@@ -202,16 +219,13 @@ def likelihood_of_events(
     n_agents: int | None = None,
 ) -> np.ndarray:
     """Per-location evidence weights for one agent from one tick's events."""
-    model = LikelihoodModel(sensors, plan, n_agents=n_agents)
-    reports: dict[str, list[int]] = {}
     events = list(events)
     ticks = {(ev.day, ev.tick) for ev in events}
     if len(ticks) > 1:
         raise ValidationError(f"events span several ticks: {sorted(ticks)}")
-    for ev in events:
-        if ev.reported_agent == agent:
-            reports.setdefault(ev.sensor, []).append(ev.location)
-    return model.tick_likelihood(reports)
+    by_key = next(iter(group_reports(events).values()), {})
+    reports = next((by_sensor for (_, a), by_sensor in by_key.items() if a == agent), {})
+    return LikelihoodModel(sensors, plan, n_agents=n_agents).tick_likelihood(reports)
 
 
 @dataclass(frozen=True)
@@ -222,14 +236,10 @@ class BeliefMatrix:
     tick: int
     agents: tuple[int, ...]
     probs: np.ndarray  # shape (n_agents, n_locations)
+    predict_only: int = 0  # rows left at their prediction by degenerate evidence
 
     def row(self, agent: int) -> np.ndarray:
         return self.probs[self.agents.index(agent)]
-
-
-def _floor_and_normalize(row: np.ndarray) -> np.ndarray:
-    floored = np.maximum(row, BELIEF_FLOOR)
-    return floored / floored.sum()
 
 
 def fuse_run(
@@ -246,37 +256,26 @@ def fuse_run(
     motion = motion or motion_model_for(config)
     agent_ids = tuple(a.id for a in config.agents)
     model = LikelihoodModel(config.sensors, plan, n_agents=len(agent_ids))
-
-    reports: dict[tuple[int, int, int], dict[str, list[int]]] = {}
-    for ev in events:
-        key = (ev.day, ev.tick, ev.reported_agent)
-        reports.setdefault(key, {}).setdefault(ev.sensor, []).append(ev.location)
+    kernels = np.array([motion.kernel(a) for a in agent_ids]).reshape(-1, plan.n, plan.n)
+    by_day = group_reports(events)
 
     out: list[BeliefMatrix] = []
     for day in range(config.days):
-        rows = {}
-        for profile in config.agents:
-            row = np.zeros(plan.n)
-            row[profile.home] = 1.0
-            rows[profile.id] = row
+        evidence = model.day_evidence(by_day.get(day, {}), config.ticks_per_day, agent_ids)
+        rows = np.zeros((len(agent_ids), plan.n))
+        rows[np.arange(len(agent_ids)), [a.home for a in config.agents]] = 1.0
         for tick in range(config.ticks_per_day):
-            probs = np.zeros((len(agent_ids), plan.n))
-            for i, profile in enumerate(config.agents):
-                row = rows[profile.id]
-                if tick > 0:
-                    row = predict(row, motion.kernel(profile.id))
-                L = model.tick_likelihood(reports.get((day, tick, profile.id), {}))
-                try:
-                    row = update(row, L)
-                except DegenerateEvidenceError:
-                    log.debug(
-                        "degenerate evidence for agent %d at day %d tick %d; predict-only",
-                        profile.id, day, tick,
-                    )
-                row = _floor_and_normalize(row)
-                rows[profile.id] = row
-                probs[i] = row
-            out.append(BeliefMatrix(day=day, tick=tick, agents=agent_ids, probs=probs))
+            if tick > 0:
+                rows = (rows[:, None, :] @ kernels)[:, 0]
+            post = rows * evidence[tick]
+            total = post.sum(axis=1)
+            stuck = np.flatnonzero(total <= 0.0)
+            for i in stuck:
+                log.debug("degenerate evidence for agent %d at day %d tick %d; predict-only", agent_ids[i], day, tick)
+            post[stuck], total[stuck] = rows[stuck], 1.0
+            floored = np.maximum(post / total[:, None], BELIEF_FLOOR)
+            rows = floored / floored.sum(axis=1, keepdims=True)
+            out.append(BeliefMatrix(day=day, tick=tick, agents=agent_ids, probs=rows, predict_only=len(stuck)))
     return out
 
 

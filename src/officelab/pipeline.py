@@ -39,7 +39,7 @@ from .formats import (
     write_trajectories_csv,
     write_trajectories_jsonl,
 )
-from .fusion import LikelihoodModel, argmax_paths, fuse_run, motion_model_for
+from .fusion import LikelihoodModel, argmax_paths, fuse_run, group_reports, motion_model_for
 from .sensors import generate_event_log
 from .simulate import run_simulation
 
@@ -135,7 +135,8 @@ def stage_fuse(config: WorldConfig, out_dir: Path, manifest: RunManifest) -> Non
     write_paths_csv(argmax_paths(beliefs), out_dir / "argmax_paths.csv")
     manifest.record("fuse", beliefs="beliefs.csv", argmax_paths="argmax_paths.csv")
     manifest.save(out_dir)
-    log.info("fuse: %d belief matrices", len(beliefs))
+    predict_only = sum(m.predict_only for m in beliefs)
+    log.info("fuse: %d belief matrices, %d predict-only agent-ticks", len(beliefs), predict_only)
 
 
 def decode_day(initial, kernel, evidence, agent: int, day: int):
@@ -160,24 +161,17 @@ def stage_decode(config: WorldConfig, out_dir: Path, manifest: RunManifest) -> N
     events = read_events_jsonl(manifest.path_of("observe", "events", out_dir))
     plan = config.floor_plan
     motion = motion_model_for(config)
-    reports: dict[tuple[int, int, int], dict[str, list[int]]] = {}
-    for ev in events:
-        reports.setdefault((ev.day, ev.tick, ev.reported_agent), {}).setdefault(ev.sensor, []).append(ev.location)
+    by_day = group_reports(events)
+    model = LikelihoodModel(config.sensors, plan, n_agents=len(config.agents))
 
     paths: dict[int, dict[int, list[int]]] = {}
     scores: dict[tuple[int, int], float] = {}
-    model = LikelihoodModel(config.sensors, plan, n_agents=len(config.agents))
-    for profile in config.agents:
-        initial = np.zeros(plan.n)
-        initial[profile.home] = 1.0
-        for day in range(config.days):
-            evidence = np.stack(
-                [
-                    model.tick_likelihood(reports.get((day, tick, profile.id), {}))
-                    for tick in range(config.ticks_per_day)
-                ]
-            )
-            decoded = decode_day(initial, motion.kernel(profile.id), evidence, profile.id, day)
+    for day in range(config.days):
+        evidence = model.day_evidence(by_day.get(day, {}), config.ticks_per_day, [a.id for a in config.agents])
+        for i, profile in enumerate(config.agents):
+            initial = np.zeros(plan.n)
+            initial[profile.home] = 1.0
+            decoded = decode_day(initial, motion.kernel(profile.id), evidence[:, i], profile.id, day)
             paths.setdefault(profile.id, {})[day] = list(decoded.path)
             scores[(profile.id, day)] = decoded.log_score
     write_paths_csv(paths, out_dir / "decoded_paths.csv")

@@ -101,3 +101,17 @@ def test_stage_by_stage_rerun_matches_pipeline(tmp_path):
         assert main([stage, "--config", str(cfg), "--out", str(staged)]) == 0
     for name in ("trajectories.jsonl", "events.jsonl", "beliefs.csv", "decoded_paths.csv", "surprise.csv", "contacts.dot"):
         assert (full / name).read_bytes() == (staged / name).read_bytes()
+
+
+@pytest.mark.parametrize("stage", ["fuse", "decode"])
+def test_events_from_a_stale_config_exit_2_naming_the_sensor(tmp_path, capsys, stage):
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(CONFIGS / "demo.json"), "--out", str(out)]) == 0
+    doc = json.loads((CONFIGS / "demo.json").read_text())
+    doc["sensors"] = [s for s in doc["sensors"] if not s["id"].startswith("tag")]
+    fewer = tmp_path / "fewer_sensors.json"
+    fewer.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main([stage, "--config", str(fewer), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"stage {stage} failed" in err and "sensor 'tag" in err

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from officelab.config import WorldConfig
-from officelab.errors import DegenerateEvidenceError
+from officelab.errors import DegenerateEvidenceError, ValidationError
 from officelab.fusion import (
     BELIEF_FLOOR,
     LikelihoodModel,
@@ -115,6 +115,8 @@ def test_likelihood_matches_pattern_enumeration_oracle():
     specs = [
         SensorSpec("cam", "camera", (0, 1), p_detect=0.9, p_false_positive=0.08, p_confuse=0.1),
         SensorSpec("tag", "tag_reader", (2,), p_detect=0.7, p_false_positive=0.03, p_confuse=0.0),
+        # certain detection: silence is impossible at 1 and 3
+        SensorSpec("door", "tag_reader", (1, 3), p_detect=1.0, p_false_positive=0.04, p_confuse=0.0),
     ]
     patterns = [
         [],
@@ -122,6 +124,9 @@ def test_likelihood_matches_pattern_enumeration_oracle():
         [ObservationEvent("cam", 0, 0, 0, 0), ObservationEvent("cam", 0, 0, 0, 1)],
         [ObservationEvent("tag", 0, 0, 0, 2)],
         [ObservationEvent("cam", 0, 0, 0, 1), ObservationEvent("tag", 0, 0, 0, 2)],
+        [ObservationEvent("door", 0, 0, 0, 3)],
+        [ObservationEvent("door", 0, 0, 0, 1), ObservationEvent("door", 0, 0, 0, 3)],
+        [ObservationEvent("cam", 0, 0, 0, 1), ObservationEvent("door", 0, 0, 0, 1)],
     ]
     for events in patterns:
         weights = likelihood_of_events(events, agent=0, sensors=specs, plan=plan, n_agents=3)
@@ -163,19 +168,13 @@ def test_two_sensor_reports_multiply():
     assert np.allclose(joint, wa * wb, atol=1e-12)
 
 
-def test_fast_and_slow_paths_agree():
-    plan = line_plan(4)
-    specs = [
-        SensorSpec("s0", "camera", (0, 1), p_detect=0.9, p_false_positive=0.05, p_confuse=0.05),
-        SensorSpec("s1", "camera", (2, 3), p_detect=0.8, p_false_positive=0.02, p_confuse=0.0),
-        SensorSpec("s2", "tag_reader", (1, 2), p_detect=0.5, p_false_positive=0.01, p_confuse=0.1),
-    ]
-    fast = LikelihoodModel(specs, plan, n_agents=2)
-    slow = LikelihoodModel(specs, plan, n_agents=2)
-    slow._fast = False
-    assert fast._fast
-    for reports in ({}, {"s0": [1]}, {"s0": [0], "s2": [2]}, {"s1": [2, 3]}):
-        assert np.allclose(fast.tick_likelihood(reports), slow.tick_likelihood(reports), atol=1e-12)
+def test_unknown_sensor_or_agent_in_reports_is_named():
+    plan = line_plan(2)
+    model = LikelihoodModel([SensorSpec("cam", "camera", (0, 1))], plan, n_agents=1)
+    with pytest.raises(ValidationError, match="sensor 'tag0'"):
+        model.tick_likelihood({"tag0": [0]})
+    with pytest.raises(ValidationError, match="agent 9"):
+        model.day_evidence({(0, 9): {"cam": [1]}}, ticks=1, agents=(0,))
 
 
 # --- motion models ------------------------------------------------------------
@@ -255,30 +254,38 @@ def _forward_enumeration(init, K, evidence):
 
 
 def test_fused_beliefs_match_exhaustive_forward_enumeration():
-    sensors = [
+    # two agents with different homes and kernels: each belief row must match
+    # its own agent's enumeration, which pins agent indexing in the filter
+    sensors = (
         SensorSpec("cam", "camera", (0, 1), p_detect=0.8, p_false_positive=0.05, p_confuse=0.1),
         SensorSpec("tag", "tag_reader", (2,), p_detect=0.7, p_false_positive=0.02, p_confuse=0.0),
-    ]
+    )
+    plan = line_plan(3)
+    agents = (uniform_agent(0, 0, 3, stay=0.5), uniform_agent(1, 2, 3, stay=0.7))
     for seed in range(5):
-        cfg = _small_world_config(seed=seed, sensors=sensors, ticks=6, n=3)
+        cfg = WorldConfig(
+            floor_plan=plan, agents=agents, ticks_per_day=6, days=1, rng_seed=seed,
+            fluctuation_rate=0.0, sensors=sensors,
+        )
         records = run_simulation(cfg)
         events = generate_event_log(records, cfg.sensors, cfg.rng_seed)
         motion = motion_model_for(cfg)
         beliefs = fuse_run(events, cfg, motion)
 
-        evidence = np.stack(
-            [
-                likelihood_of_events(
-                    [e for e in events if e.tick == t], 0, cfg.sensors, cfg.floor_plan, n_agents=1
-                )
-                for t in range(cfg.ticks_per_day)
-            ]
-        )
-        init = np.zeros(3)
-        init[0] = 1.0
-        expected = _forward_enumeration(init, motion.kernel(0), evidence)
-        for m, ref in zip(beliefs, expected):
-            assert np.abs(m.probs[0] - ref).max() < 1e-9
+        for i, profile in enumerate(agents):
+            evidence = np.stack(
+                [
+                    likelihood_of_events(
+                        [e for e in events if e.tick == t], profile.id, sensors, plan, n_agents=2
+                    )
+                    for t in range(cfg.ticks_per_day)
+                ]
+            )
+            init = np.zeros(3)
+            init[profile.home] = 1.0
+            expected = _forward_enumeration(init, motion.kernel(profile.id), evidence)
+            for m, ref in zip(beliefs, expected):
+                assert np.abs(m.probs[i] - ref).max() < 1e-9
 
 
 def test_single_tick_matches_manual_predict_update_chain():

@@ -78,6 +78,7 @@ def test_malformed_json_is_a_parse_error(tmp_path):
         (lambda d: d["floor_plan"]["home_of"].update({"1": [7]}), "unknown agent 7"),
         (lambda d: d["agents"][0]["schedule"].append({"window": [5, 5], "target": 0, "probability": 1}), "start < end"),
         (lambda d: d["agents"][0]["stay_prob"].update(by_location={"0": 0.2}, default=0.5), "below the default"),
+        (lambda d: d["agents"][0].pop("id"), "structurally invalid"),
     ],
 )
 def test_invariant_violations_are_named(mutate, match):
