@@ -13,6 +13,7 @@ from typing import Iterable, Sequence
 
 from .analytics import OccupancyDistribution, PatternReport, SurpriseScore
 from .contacts import GraphMetrics
+from .errors import ValidationError
 from .fusion import BeliefMatrix
 from .sensors import ObservationEvent
 from .simulate import TrajectoryRecord
@@ -22,6 +23,10 @@ BELIEF_WRITE_FLOOR = 1e-6  # rows below this are omitted from the belief CSV
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _malformed(path: Path, lineno: int, exc: Exception) -> ValidationError:
+    return ValidationError(f"{path} line {lineno} is malformed: {exc!r}")
 
 
 def write_trajectories_jsonl(records: Iterable[TrajectoryRecord], path: Path) -> None:
@@ -34,9 +39,12 @@ def write_trajectories_jsonl(records: Iterable[TrajectoryRecord], path: Path) ->
 def read_trajectories_jsonl(path: Path) -> list[TrajectoryRecord]:
     records = []
     with open(path) as fh:
-        for line in fh:
-            d = json.loads(line)
-            records.append(TrajectoryRecord(d["agent"], d["day"], d["tick"], d["location"]))
+        try:
+            for lineno, line in enumerate(fh, 1):
+                d = json.loads(line)
+                records.append(TrajectoryRecord(d["agent"], d["day"], d["tick"], d["location"]))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise _malformed(path, lineno, exc) from None
     return records
 
 
@@ -67,9 +75,12 @@ def write_events_jsonl(events: Iterable[ObservationEvent], path: Path) -> None:
 def read_events_jsonl(path: Path) -> list[ObservationEvent]:
     events = []
     with open(path) as fh:
-        for line in fh:
-            d = json.loads(line)
-            events.append(ObservationEvent(d["sensor"], d["day"], d["tick"], d["reported_agent"], d["location"]))
+        try:
+            for lineno, line in enumerate(fh, 1):
+                d = json.loads(line)
+                events.append(ObservationEvent(d["sensor"], d["day"], d["tick"], d["reported_agent"], d["location"]))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise _malformed(path, lineno, exc) from None
     return events
 
 
@@ -98,10 +109,13 @@ def read_paths_csv(path: Path) -> dict[int, dict[int, list[int]]]:
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         idx = {name: i for i, name in enumerate(header)}
-        for line in fh:
-            parts = line.strip().split(",")
-            agent, day, tick, loc = (int(parts[idx[k]]) for k in ("agent", "day", "tick", "location"))
-            paths.setdefault(agent, {}).setdefault(day, []).append(loc)
+        try:
+            for lineno, line in enumerate(fh, 2):
+                parts = line.strip().split(",")
+                agent, day, tick, loc = (int(parts[idx[k]]) for k in ("agent", "day", "tick", "location"))
+                paths.setdefault(agent, {}).setdefault(day, []).append(loc)
+        except (ValueError, KeyError, IndexError) as exc:
+            raise _malformed(path, lineno, exc) from None
     return paths
 
 

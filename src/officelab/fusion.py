@@ -60,19 +60,11 @@ class MotionModel:
                     raise ValidationError(f"kernel of agent {agent} leaves adjacency at {x}")
 
 
-def _uniform_adjacent_rows(plan: FloorPlan, include_self: bool) -> np.ndarray:
+def _uniform_adjacent_rows(plan: FloorPlan) -> np.ndarray:
     U = np.zeros((plan.n, plan.n))
     for x in plan.locations:
-        ns = plan.neighbors[x]
-        if not ns:
-            U[x, x] = 1.0
-            continue
-        if include_self:
-            for y in (x, *ns):
-                U[x, y] = 1.0 / (len(ns) + 1)
-        else:
-            for y in ns:
-                U[x, y] = 1.0 / len(ns)
+        support = [x, *plan.neighbors[x]]
+        U[x, support] = 1.0 / len(support)
     return U
 
 
@@ -87,7 +79,7 @@ def simulator_motion_model(config: WorldConfig) -> MotionModel:
     deliberately folded away; this is the tracker's prior, not the truth.
     """
     plan = config.floor_plan
-    detour = _uniform_adjacent_rows(plan, include_self=True)
+    detour = _uniform_adjacent_rows(plan)
     mix = max(config.fluctuation_rate, KERNEL_SUPPORT_FLOOR)
     kernels = {}
     for profile in config.agents:
@@ -97,15 +89,14 @@ def simulator_motion_model(config: WorldConfig) -> MotionModel:
             K[x, x] += s
             move = 1.0 - s
             for d, p in sorted(profile.destinations.items()):
-                hop = x if d == x else plan.first_hop(x, d)
-                K[x, hop] += move * p
+                K[x, plan.next_hop[x, d]] += move * p
         kernels[profile.id] = (1.0 - mix) * K + mix * detour
     return MotionModel(kernels)
 
 
 def uniform_adjacent_motion_model(plan: FloorPlan, agent_ids: Iterable[int]) -> MotionModel:
     """Mismatched-model mode: uniform over self plus neighbors, same for all."""
-    U = _uniform_adjacent_rows(plan, include_self=True)
+    U = _uniform_adjacent_rows(plan)
     return MotionModel({a: U for a in agent_ids})
 
 
@@ -202,12 +193,16 @@ class LikelihoodModel:
         return self.day_evidence({(0, 0): reports}, 1, (0,))[0, 0]
 
 
-def group_reports(events: Iterable[ObservationEvent]) -> dict[int, DayReports]:
-    """Events as day -> DayReports, each list in event order."""
-    grouped: dict[int, DayReports] = {}
+def group_reports(events: Iterable[ObservationEvent], days: int) -> list[DayReports]:
+    """Events as one DayReports per day 0..days-1, each list in event order.
+
+    An event dated outside the run raises ValidationError naming its day.
+    """
+    grouped: list[DayReports] = [{} for _ in range(days)]
     for ev in events:
-        day = grouped.setdefault(ev.day, {})
-        day.setdefault((ev.tick, ev.reported_agent), {}).setdefault(ev.sensor, []).append(ev.location)
+        if not 0 <= ev.day < days:
+            raise ValidationError(f"events name day {ev.day}; the config has days 0..{days - 1}")
+        grouped[ev.day].setdefault((ev.tick, ev.reported_agent), {}).setdefault(ev.sensor, []).append(ev.location)
     return grouped
 
 
@@ -223,8 +218,10 @@ def likelihood_of_events(
     ticks = {(ev.day, ev.tick) for ev in events}
     if len(ticks) > 1:
         raise ValidationError(f"events span several ticks: {sorted(ticks)}")
-    by_key = next(iter(group_reports(events).values()), {})
-    reports = next((by_sensor for (_, a), by_sensor in by_key.items() if a == agent), {})
+    reports: dict[str, list[int]] = {}
+    for ev in events:
+        if ev.reported_agent == agent:
+            reports.setdefault(ev.sensor, []).append(ev.location)
     return LikelihoodModel(sensors, plan, n_agents=n_agents).tick_likelihood(reports)
 
 
@@ -237,9 +234,6 @@ class BeliefMatrix:
     agents: tuple[int, ...]
     probs: np.ndarray  # shape (n_agents, n_locations)
     predict_only: int = 0  # rows left at their prediction by degenerate evidence
-
-    def row(self, agent: int) -> np.ndarray:
-        return self.probs[self.agents.index(agent)]
 
 
 def fuse_run(
@@ -257,11 +251,10 @@ def fuse_run(
     agent_ids = tuple(a.id for a in config.agents)
     model = LikelihoodModel(config.sensors, plan, n_agents=len(agent_ids))
     kernels = np.array([motion.kernel(a) for a in agent_ids]).reshape(-1, plan.n, plan.n)
-    by_day = group_reports(events)
 
     out: list[BeliefMatrix] = []
-    for day in range(config.days):
-        evidence = model.day_evidence(by_day.get(day, {}), config.ticks_per_day, agent_ids)
+    for day, reports in enumerate(group_reports(events, config.days)):
+        evidence = model.day_evidence(reports, config.ticks_per_day, agent_ids)
         rows = np.zeros((len(agent_ids), plan.n))
         rows[np.arange(len(agent_ids)), [a.home for a in config.agents]] = 1.0
         for tick in range(config.ticks_per_day):

@@ -161,13 +161,12 @@ def stage_decode(config: WorldConfig, out_dir: Path, manifest: RunManifest) -> N
     events = read_events_jsonl(manifest.path_of("observe", "events", out_dir))
     plan = config.floor_plan
     motion = motion_model_for(config)
-    by_day = group_reports(events)
     model = LikelihoodModel(config.sensors, plan, n_agents=len(config.agents))
 
     paths: dict[int, dict[int, list[int]]] = {}
     scores: dict[tuple[int, int], float] = {}
-    for day in range(config.days):
-        evidence = model.day_evidence(by_day.get(day, {}), config.ticks_per_day, [a.id for a in config.agents])
+    for day, reports in enumerate(group_reports(events, config.days)):
+        evidence = model.day_evidence(reports, config.ticks_per_day, [a.id for a in config.agents])
         for i, profile in enumerate(config.agents):
             initial = np.zeros(plan.n)
             initial[profile.home] = 1.0

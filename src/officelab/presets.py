@@ -9,8 +9,6 @@ are small and fast.
 
 from __future__ import annotations
 
-from .config import WorldConfig, parse_config
-
 
 def demo_config(seed: int = 42) -> dict:
     """Small 5-day office: 3 agents, 8 locations, one anomalous day.
@@ -207,10 +205,3 @@ def surprise_week_config(seed: int) -> dict:
         {"window": [20, 220], "target": 7, "probability": 1.0, "label": "workshop", "days": [4]},
     ]
     return doc
-
-
-def load_preset(name: str, seed: int = 42) -> WorldConfig:
-    builders = {"demo": demo_config, "full_scale": full_scale_config, "surprise_week": surprise_week_config}
-    if name not in builders:
-        raise KeyError(f"unknown preset {name!r}")
-    return parse_config(builders[name](seed))

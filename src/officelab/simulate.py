@@ -2,10 +2,11 @@
 
 Each tick an idle agent stays put with probability
 min(1, stay_prob + co_present * delta_p), or picks a destination (an active
-schedule event preempts the destination distribution) and plans the shortest
-path there; planning costs the tick. A walking agent pops the next waypoint,
-or with probability ``fluctuation_rate`` detours to a uniform random neighbor
-and re-plans toward the same destination.
+schedule event preempts the destination distribution); planning costs the
+tick. A walking agent moves one hop along the floor plan's route table toward
+its destination, or with probability ``fluctuation_rate`` detours to a
+uniform random neighbor and keeps the same destination. The agent state is
+(location, destination), the same chain the stationary oracle iterates.
 """
 
 from __future__ import annotations
@@ -17,14 +18,14 @@ import numpy as np
 
 from .config import WorldConfig
 from .rng import SIMULATE, substream
-from .world import AgentProfile, FloorPlan, shortest_path
+from .world import AgentProfile, FloorPlan
 
 
 @dataclass
 class AgentState:
     agent: int
     location: int
-    pending_path: tuple[int, ...] = ()
+    destination: int | None = None  # None while idle
     rng_stream: np.random.Generator | None = None
 
 
@@ -68,22 +69,19 @@ def step_agent(
     location is where the agent sits on the following tick.
     """
     rng = state.rng_stream
-    if state.pending_path:
-        destination = state.pending_path[-1]
+    if state.destination is not None:
         if fluctuation_rate > 0.0 and rng.random() < fluctuation_rate:
             ns = plan.neighbors[state.location]
-            detour = int(ns[rng.choice(len(ns))])
-            rerouted = tuple(shortest_path(plan, detour, destination)[1:])
-            return replace(state, location=detour, pending_path=rerouted)
-        nxt = state.pending_path[0]
-        return replace(state, location=nxt, pending_path=state.pending_path[1:])
+            nxt = int(ns[rng.choice(len(ns))])
+        else:
+            nxt = plan.first_hop(state.location, state.destination)
+        return replace(state, location=nxt, destination=None if nxt == state.destination else state.destination)
 
     stay = min(1.0, profile.stay_at(state.location, plan) + co_present * profile.delta_p)
     if stay >= 1.0 or rng.random() < stay:
         return state
     destination = _pick_destination(profile, tick, day, rng)
-    pending = tuple(shortest_path(plan, state.location, destination)[1:])
-    return replace(state, pending_path=pending)
+    return replace(state, destination=None if destination == state.location else destination)
 
 
 def run_simulation(config: WorldConfig) -> list[TrajectoryRecord]:

@@ -68,21 +68,28 @@ class FloorPlan:
                 frontier = nxt
         return dist
 
-    def first_hop(self, src: int, dst: int) -> int:
-        """Next location on the canonical shortest path src -> dst.
+    @cached_property
+    def next_hop(self) -> np.ndarray:
+        """Route table: next location on the canonical shortest path x -> d (n x n; x itself at d == x).
 
-        Ties broken by lowest next location id; neighbors are pre-sorted.
+        Ties broken by lowest next location id. Raises NoPathError on a
+        disconnected plan, so no entry is ever unreachable.
         """
-        if src == dst:
-            return src
         dist = self.distances
-        if dist[src, dst] < 0:
+        if (dist < 0).any():
+            src, dst = np.argwhere(dist < 0)[0]
             raise NoPathError(f"no path from {src} to {dst}")
-        target = dist[src, dst] - 1
-        for y in self.neighbors[src]:
-            if dist[y, dst] == target:
-                return y
-        raise NoPathError(f"no path from {src} to {dst}")  # unreachable on valid plans
+        hop = np.repeat(np.arange(self.n)[:, None], self.n, axis=1)
+        for x in self.locations:
+            for y in reversed(self.neighbors[x]):  # the lowest id is written last
+                hop[x, dist[y] == dist[x] - 1] = y
+        return hop
+
+    def first_hop(self, src: int, dst: int) -> int:
+        """Next location on the canonical shortest path src -> dst (src itself when src == dst)."""
+        if not (0 <= src < self.n and 0 <= dst < self.n):
+            raise ValidationError(f"unknown location in first_hop({src}, {dst})")
+        return int(self.next_hop[src, dst])
 
 
 @dataclass(frozen=True)
@@ -140,73 +147,69 @@ class AgentProfile:
         return locs, probs
 
 
-def shortest_path(plan: FloorPlan, src: int, dst: int) -> list[int]:
-    """Minimum-hop path inclusive of endpoints, lowest-next-id tie-break."""
-    if src not in plan.neighbors or dst not in plan.neighbors:
-        raise ValidationError(f"unknown location in shortest_path({src}, {dst})")
-    path = [src]
-    cur = src
-    while cur != dst:
-        cur = plan.first_hop(cur, dst)
-        path.append(cur)
-    return path
-
-
 # --- stationary occupancy oracle -------------------------------------------
 #
 # The location process alone is not Markov: an agent in transit carries its
 # destination, and deciding to move costs one planning tick. The exact chain
-# lives on states (location, destination), destination == location meaning
-# idle. We power-iterate that chain and project onto locations.
+# lives on states x*n + d for (location x, destination d), d == x meaning
+# idle; it is the simulator's own state. Its transitions are sparse
+# (source, target, weight) arrays: a stay plus one planning entry per
+# destination from an idle state, a hop plus one detour per neighbor from a
+# walking one. We power-iterate the lazy chain with np.bincount and project
+# onto locations.
+
+TOL = 1e-10  # L1 change per step at which the power iteration stops
+MAX_ITER = 200_000
 
 
-def _extended_kernel(plan: FloorPlan, agent: AgentProfile, fluctuation_rate: float) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    states = [(x, d) for x in plan.locations for d in plan.locations]
-    index = {s: i for i, s in enumerate(states)}
-    m = len(states)
-    K = np.zeros((m, m))
-    for x, d in states:
-        i = index[(x, d)]
-        if x == d:  # idle
-            s = agent.stay_at(x, plan)
-            K[i, index[(x, x)]] += s
-            for dest, p in agent.destinations.items():
-                K[i, index[(x, dest)]] += (1.0 - s) * p  # planning tick, stays put
-        else:  # in transit toward d
-            w = plan.first_hop(x, d)
-            K[i, index[(w, d if w != d else w)]] += 1.0 - fluctuation_rate
-            ns = plan.neighbors[x]
-            for u in ns:
-                K[i, index[(u, d if u != d else u)]] += fluctuation_rate / len(ns)
-    return K, states
+def _extended_kernel(plan: FloorPlan, agent: AgentProfile, fluctuation_rate: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (location, destination) chain as (source, target, weight) arrays over states x*n + d."""
+    n = plan.n
+    locs = np.arange(n)
+    stay = np.array([agent.stay_at(x, plan) for x in plan.locations])
+    dests, probs = agent.destination_arrays
+    # idle at x: stay, or spend a planning tick picking d (d == x stays idle)
+    idle = locs * n + locs
+    plan_src = np.repeat(idle, len(dests))
+    plan_dst = (locs[:, None] * n + dests[None, :]).ravel()
+    plan_w = ((1.0 - stay)[:, None] * probs[None, :]).ravel()
+    # walking x -> d: one hop along the route table, or a detour to a uniform
+    # neighbor; reaching d lands on the idle state d*n + d
+    x, d = np.nonzero(~np.eye(n, dtype=bool))
+    hop_src = x * n + d
+    hop_dst = plan.next_hop[x, d] * n + d
+    deg = np.array([len(plan.neighbors[v]) for v in plan.locations])
+    ev = np.repeat(locs, deg)  # directed edges ev -> ey
+    ey = np.array([y for v in plan.locations for y in plan.neighbors[v]], dtype=np.int64)
+    walks = ev[:, None] != locs[None, :]  # (edge, destination) pairs whose source is walking
+    det_src = (ev[:, None] * n + locs)[walks]
+    det_dst = (ey[:, None] * n + locs)[walks]
+    det_w = np.broadcast_to((fluctuation_rate / deg[ev])[:, None], walks.shape)[walks]
+    source = np.concatenate([idle, plan_src, hop_src, det_src])
+    target = np.concatenate([idle, plan_dst, hop_dst, det_dst])
+    weight = np.concatenate([stay, plan_w, np.full(len(hop_src), 1.0 - fluctuation_rate), det_w])
+    return source, target, weight
 
 
-def stationary_distribution(
-    plan: FloorPlan,
-    agent: AgentProfile,
-    fluctuation_rate: float = 0.0,
-    tol: float = 1e-10,
-    max_iter: int = 200_000,
-) -> np.ndarray:
+def stationary_distribution(plan: FloorPlan, agent: AgentProfile, fluctuation_rate: float = 0.0) -> np.ndarray:
     """Long-run occupancy of the agent's movement chain (no schedule, delta_p=0).
 
     Power iteration on the lazy extended chain, started from the agent's home,
-    until the L1 change per step drops below ``tol``; result projected onto
-    locations. Raises ConvergenceError past ``max_iter``.
+    until the L1 change per step drops below ``TOL``; result projected onto
+    locations. Raises ConvergenceError past ``MAX_ITER``.
     """
-    K, states = _extended_kernel(plan, agent, fluctuation_rate)
-    lazy = 0.5 * (K + np.eye(len(states)))  # same fixed point, kills periodicity
-    pi = np.zeros(len(states))
-    pi[states.index((agent.home, agent.home))] = 1.0
-    for _ in range(max_iter):
-        nxt = pi @ lazy
-        if np.abs(nxt - pi).sum() < tol:
-            pi = nxt
-            break
+    source, target, weight = _extended_kernel(plan, agent, fluctuation_rate)
+    m = plan.n * plan.n
+    pi = np.zeros(m)
+    pi[agent.home * plan.n + agent.home] = 1.0
+    for _ in range(MAX_ITER):
+        # lazy step: same fixed point, kills periodicity
+        nxt = 0.5 * (pi + np.bincount(target, weights=pi[source] * weight, minlength=m))
+        converged = np.abs(nxt - pi).sum() < TOL
         pi = nxt
+        if converged:
+            break
     else:
-        raise ConvergenceError(f"stationary distribution did not converge in {max_iter} iterations")
-    occupancy = np.zeros(plan.n)
-    for (x, _), mass in zip(states, pi):
-        occupancy[x] += mass
+        raise ConvergenceError(f"stationary distribution did not converge in {MAX_ITER} iterations")
+    occupancy = pi.reshape(plan.n, plan.n).sum(axis=1)
     return occupancy / occupancy.sum()

@@ -115,3 +115,34 @@ def test_events_from_a_stale_config_exit_2_naming_the_sensor(tmp_path, capsys, s
     assert main([stage, "--config", str(fewer), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"stage {stage} failed" in err and "sensor 'tag" in err
+
+
+def _truncate_last_line(text: str) -> str:
+    return text[: len(text) - 1 - len(text.splitlines()[-1]) // 2]
+
+
+def _append_non_integer_row(text: str) -> str:
+    return text + "0,0,x,1\n"
+
+
+@pytest.mark.parametrize(
+    "stage, name, corrupt",
+    [
+        ("fuse", "events.jsonl", _truncate_last_line),
+        ("observe", "trajectories.jsonl", _truncate_last_line),
+        ("analyze", "decoded_paths.csv", _append_non_integer_row),
+    ],
+    ids=("events", "trajectories", "decoded_paths"),
+)
+def test_malformed_handoff_file_exits_2_naming_file_and_line(tmp_path, capsys, stage, name, corrupt):
+    out = tmp_path / "run"
+    config = ["--config", str(CONFIGS / "demo.json"), "--out", str(out)]
+    assert main(["pipeline", *config, "--analytics-source", "decoded"]) == 0
+    path = out / name
+    path.write_text(corrupt(path.read_text()))
+    capsys.readouterr()
+    source = ["--analytics-source", "decoded"] if stage == "analyze" else []
+    assert main([stage, *config, *source]) == 2
+    err = capsys.readouterr().err
+    assert f"stage {stage} failed" in err
+    assert f"{name} line {len(path.read_text().splitlines())} is malformed" in err

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from officelab.errors import NoPathError
+from officelab.errors import NoPathError, ValidationError
 from officelab.formats import (
     read_events_jsonl,
     read_paths_csv,
@@ -69,3 +69,6 @@ def test_first_hop_defends_against_unreachable_targets():
     plan = FloorPlan((0, 1, 2, 3), frozenset({(0, 1), (2, 3)}))
     with pytest.raises(NoPathError):
         plan.first_hop(0, 3)
+    # a negative id would otherwise index the route table from its end
+    with pytest.raises(ValidationError, match="unknown location"):
+        FloorPlan((0, 1), frozenset({(0, 1)})).first_hop(0, -1)

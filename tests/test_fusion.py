@@ -12,6 +12,7 @@ from officelab.fusion import (
     LikelihoodModel,
     argmax_paths,
     fuse_run,
+    group_reports,
     likelihood_of_events,
     motion_model_for,
     predict,
@@ -175,6 +176,8 @@ def test_unknown_sensor_or_agent_in_reports_is_named():
         model.tick_likelihood({"tag0": [0]})
     with pytest.raises(ValidationError, match="agent 9"):
         model.day_evidence({(0, 9): {"cam": [1]}}, ticks=1, agents=(0,))
+    with pytest.raises(ValidationError, match="day 9"):
+        group_reports([ObservationEvent("cam", 9, 0, 0, 1)], days=5)
 
 
 # --- motion models ------------------------------------------------------------

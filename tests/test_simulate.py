@@ -8,7 +8,7 @@ import numpy as np
 from officelab.config import WorldConfig
 from officelab.rng import SIMULATE, substream
 from officelab.simulate import AgentState, run_simulation, step_agent
-from officelab.world import AgentProfile, FloorPlan, ScheduleEvent, StayProbs, shortest_path, stationary_distribution
+from officelab.world import AgentProfile, FloorPlan, ScheduleEvent, StayProbs, stationary_distribution
 
 from conftest import line_plan, uniform_agent
 
@@ -18,7 +18,7 @@ def test_absorbing_agent_never_moves():
     prof = uniform_agent(0, 1, 3, stay=1.0)
     state = AgentState(agent=0, location=1)  # no rng needed: stay clamps to 1
     out = step_agent(state, prof, plan, co_present=0, tick=0)
-    assert out.location == 1 and out.pending_path == ()
+    assert out.location == 1 and out.destination is None
 
 
 def test_co_presence_clamps_stay_probability_to_one():
@@ -41,7 +41,13 @@ def test_active_schedule_event_sets_shortest_path_tail():
     state = AgentState(agent=0, location=0, rng_stream=substream(1, SIMULATE, 0))
     out = step_agent(state, prof, plan, co_present=0, tick=0, fluctuation_rate=0.0)
     assert out.location == 0  # planning the trip costs the tick
-    assert list(out.pending_path) == shortest_path(plan, 0, 7)[1:]
+    assert out.destination == 7
+    visited = [out.location]
+    for tick in range(1, 8):
+        out = step_agent(out, prof, plan, co_present=0, tick=tick, fluctuation_rate=0.0)
+        visited.append(out.location)
+    assert visited == list(range(8))
+    assert out.destination is None  # arriving makes the agent idle
 
 
 def test_inactive_window_and_wrong_day_do_not_fire():
@@ -50,9 +56,9 @@ def test_inactive_window_and_wrong_day_do_not_fire():
     prof = AgentProfile(0, 0, StayProbs(default=0.0), {0: 1.0}, schedule=(event,))
     state = AgentState(agent=0, location=0, rng_stream=substream(2, SIMULATE, 0))
     # window not reached
-    assert step_agent(state, prof, plan, 0, tick=0, day=1, fluctuation_rate=0.0).pending_path == ()
+    assert step_agent(state, prof, plan, 0, tick=0, day=1, fluctuation_rate=0.0).destination is None
     # window active but wrong day
-    assert step_agent(state, prof, plan, 0, tick=6, day=0, fluctuation_rate=0.0).pending_path == ()
+    assert step_agent(state, prof, plan, 0, tick=6, day=0, fluctuation_rate=0.0).destination is None
 
 
 def _tiny_config(seed: int, ticks: int = 1000, stay: float = 0.5, n: int = 2, days: int = 1, fluct: float = 0.0):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -9,12 +10,12 @@ from hypothesis import strategies as st
 
 from officelab.config import dump_config, load_config, parse_config
 from officelab.errors import ParseError, ValidationError
+from officelab.presets import demo_config, full_scale_config
 from officelab.world import (
     AgentProfile,
     FloorPlan,
     StayProbs,
     _extended_kernel,
-    shortest_path,
     stationary_distribution,
 )
 
@@ -27,8 +28,6 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_minimal_config_round_trips_stated_fields(tmp_path):
-    import json
-
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(minimal_config_doc()))
     cfg = load_config(path)
@@ -46,6 +45,12 @@ def test_unknown_adjacency_location_rejected():
     doc["floor_plan"]["adjacency"].append([0, 99])
     with pytest.raises(ValidationError, match="unknown location 99"):
         parse_config(doc)
+
+
+def test_shipped_configs_match_their_preset_builders():
+    # the same rendering scripts/gen_configs.py writes
+    for name, doc in (("demo.json", demo_config(seed=42)), ("full_scale.json", full_scale_config(seed=7, days=5))):
+        assert (CONFIGS / name).read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n", name
 
 
 def test_full_scale_config_loads_with_50_locations():
@@ -175,12 +180,21 @@ def test_random_accepted_configs_round_trip(doc):
 # --- shortest paths ---------------------------------------------------------
 
 
+def _route(plan: FloorPlan, src: int, dst: int) -> list[int]:
+    """The canonical path src -> dst, endpoints included, by walking plan.first_hop."""
+    path = [src]
+    while path[-1] != dst:
+        assert len(path) < plan.n, f"route {path} from {src} does not reach {dst}"
+        path.append(plan.first_hop(path[-1], dst))
+    return path
+
+
 def test_line_graph_unique_path():
-    assert shortest_path(line_plan(3), 0, 2) == [0, 1, 2]
+    assert _route(line_plan(3), 0, 2) == [0, 1, 2]
 
 
 def test_identity_path():
-    assert shortest_path(line_plan(3), 1, 1) == [1]
+    assert _route(line_plan(3), 1, 1) == [1]
 
 
 def _all_shortest_paths(plan: FloorPlan, src: int, dst: int) -> list[list[int]]:
@@ -198,7 +212,7 @@ def test_cycle_tie_breaks_to_lowest_next_id():
     plan = FloorPlan((0, 1, 2, 3), frozenset({(0, 1), (1, 2), (2, 3), (0, 3)}))
     candidates = _all_shortest_paths(plan, 0, 2)
     assert sorted(candidates) == [[0, 1, 2], [0, 3, 2]]
-    assert shortest_path(plan, 0, 2) == min(candidates)
+    assert _route(plan, 0, 2) == min(candidates)
 
 
 @st.composite
@@ -216,7 +230,7 @@ def connected_plans(draw):
 def test_shortest_path_is_minimal_against_exhaustive_search(plan, data):
     src = data.draw(st.integers(0, plan.n - 1))
     dst = data.draw(st.integers(0, plan.n - 1))
-    path = shortest_path(plan, src, dst)
+    path = _route(plan, src, dst)
     assert path[0] == src and path[-1] == dst
     for a, b in zip(path, path[1:]):
         assert (min(a, b), max(a, b)) in plan.adjacency
@@ -256,17 +270,23 @@ def test_stationary_two_symmetric_locations():
     assert np.allclose(pi, [0.5, 0.5], atol=1e-9)
 
 
+def _dense_kernel(plan, prof, fluctuation_rate):
+    """The extended chain's (source, target, weight) triplets as a dense matrix over states x*n + d."""
+    source, target, weight = _extended_kernel(plan, prof, fluctuation_rate)
+    K = np.zeros((plan.n**2, plan.n**2))
+    np.add.at(K, (source, target), weight)
+    return K
+
+
 def _stationary_by_linear_solve(plan, prof, fluctuation_rate=0.0):
     """Independent oracle: solve pi K = pi on the extended chain directly."""
-    K, states = _extended_kernel(plan, prof, fluctuation_rate)
-    m = len(states)
+    K = _dense_kernel(plan, prof, fluctuation_rate)
+    m = len(K)
     A = np.vstack([K.T - np.eye(m), np.ones(m)])
     b = np.zeros(m + 1)
     b[-1] = 1.0
     pi, *_ = np.linalg.lstsq(A, b, rcond=None)
-    occ = np.zeros(plan.n)
-    for (x, _), mass in zip(states, pi):
-        occ[x] += mass
+    occ = pi.reshape(plan.n, plan.n).sum(axis=1)
     return occ / occ.sum()
 
 
@@ -284,9 +304,9 @@ def test_stationary_is_a_fixed_point_distribution():
     plan = FloorPlan((0, 1, 2, 3), frozenset({(0, 1), (1, 2), (2, 3), (0, 3)}))
     prof = AgentProfile(0, 0, StayProbs(default=0.4), {0: 0.4, 2: 0.6})
     for fluct in (0.0, 0.1):
-        K, states = _extended_kernel(plan, prof, fluct)
+        K = _dense_kernel(plan, prof, fluct)
         # recover the extended fixed point, then check pi K = pi and the projection
-        m = len(states)
+        m = len(K)
         A = np.vstack([K.T - np.eye(m), np.ones(m)])
         b = np.zeros(m + 1)
         b[-1] = 1.0
@@ -295,3 +315,11 @@ def test_stationary_is_a_fixed_point_distribution():
         pi = stationary_distribution(plan, prof, fluctuation_rate=fluct)
         assert abs(pi.sum() - 1.0) < 1e-9
         assert np.abs(pi - _stationary_by_linear_solve(plan, prof, fluct)).sum() < 1e-8
+
+
+def test_stationary_ring_of_101_with_uniform_destinations_is_uniform():
+    # an odd ring has no shortest-path ties, so the chain is rotation-symmetric
+    n = 101
+    plan = FloorPlan(tuple(range(n)), frozenset((min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n)))
+    pi = stationary_distribution(plan, uniform_agent(0, 0, n, stay=0.5), fluctuation_rate=0.05)
+    assert np.abs(pi - 1.0 / n).max() < 1e-9
