@@ -1,21 +1,34 @@
 """Most-likely path extraction from per-tick evidence.
 
-Joint decoding via log-space dynamic programming; zero-probability
-transitions are hard constraints, so decoded paths stay on the motion
-kernel's support. brute_force_decode enumerates every location sequence and
-exists as the independent check on the DP; both break score ties toward the
+Joint decoding via log-space dynamic programming (Rabiner 1989, "A Tutorial
+on HMMs", §III), batched: every row (one agent-day) has its own initial
+distribution, motion kernel and evidence, and one pass decodes all rows of a
+day. Zero-probability transitions are hard constraints, so decoded paths
+stay on the motion kernel's support; each max runs over that support only,
+through a padded neighbour table read off the kernels' nonzero pattern (a
+dense kernel makes it the full max). viterbi_decode is the one-row case.
+brute_force_decode enumerates every location sequence and exists as the
+independent check on the DP; both break score ties toward the
 lexicographically smallest path.
+
+A row whose evidence no feasible path can explain is re-decoded with a tiny
+uniform leak (decode_agents); only such rows are rerun.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import AllPathsZeroError, InstanceTooLargeError, ValidationError
 
+log = logging.getLogger("officelab.decoding")
+
 BRUTE_FORCE_CAP = 10**6
+LEAK = 1e-6  # uniform evidence added per tick, relative to that tick's mean, on a retry
 
 
 @dataclass(frozen=True)
@@ -43,35 +56,95 @@ def _as_inputs(initial, kernel, evidence):
     return initial, kernel, evidence
 
 
-def viterbi_decode(initial, kernel, evidence, agent: int = 0, day: int = 0) -> DecodedPath:
-    """Argmax path over initial * transitions * evidence, in log space.
+def _viterbi(initial: np.ndarray, kernels: np.ndarray, evidence: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Best paths (rows, ticks) and their log scores (rows,); a score is -inf where no path has positive probability.
 
-    Suffix scores are computed backward, then the path is rebuilt greedily
-    from the front taking the lowest location id among optimal choices, which
-    yields the lexicographically smallest optimal path.
+    ``initial`` is (rows, n), ``kernels`` (rows, n, n), ``evidence`` (ticks, rows, n).
+    Suffix scores are computed backward, recording from each location the
+    lowest-id best next one; following those pointers from the lowest-id best
+    start yields the lexicographically smallest optimal path.
     """
-    initial, kernel, evidence = _as_inputs(initial, kernel, evidence)
-    T, n = evidence.shape
-    log_init = _log(initial)
-    log_k = _log(kernel)
-    log_ev = _log(evidence)
+    T, B, n = evidence.shape
+    support = kernels > 0
+    width = int(support.sum(axis=2).max(initial=1))
+    # per (row, location): the kernel row's support in ascending order, padded
+    # with locations the kernel gives zero, whose log is -inf
+    nbr = np.argsort(~support, axis=2, kind="stable")[:, :, :width].reshape(B * n, width)
+    log_k = _log(np.take_along_axis(kernels.reshape(B * n, n), nbr, axis=1))
+    flat_nbr = (nbr + np.repeat(np.arange(B) * n, n)[:, None]).ravel()  # into a raveled (rows, n) array
+    log_ev = _log(evidence).reshape(T, B * n)
+    corner = np.arange(B * n) * width  # first candidate of each (row, location)
 
-    suffix = np.empty((T, n))
+    suffix = np.empty((T, B * n))
     suffix[T - 1] = log_ev[T - 1]
+    best = np.empty((T, B * n), dtype=np.intp)  # best next (row, location) from each (row, location)
     with np.errstate(invalid="ignore"):
         for t in range(T - 2, -1, -1):
-            # suffix[t][i] = ev[t][i] + max_j (K[i,j] + suffix[t+1][j])
-            suffix[t] = log_ev[t] + np.max(log_k + suffix[t + 1][None, :], axis=1)
-
-    head = log_init + suffix[0]
-    best = float(head.max())
-    if not np.isfinite(best):
-        raise AllPathsZeroError("no path has positive probability")
-    path = [int(head.argmax())]
+            # suffix[t][b, i] = ev[t][b, i] + max over j in support(b, i) of (K[b, i, j] + suffix[t + 1][b, j]);
+            # argmax takes the first maximum, the lowest j
+            step = log_k + np.take(suffix[t + 1], flat_nbr).reshape(B * n, width)
+            pick = corner + step.argmax(axis=1)
+            np.add(log_ev[t], np.take(step, pick), out=suffix[t])
+            np.take(flat_nbr, pick, out=best[t + 1])
+        head = _log(initial) + suffix[0].reshape(B, n)
+    here = np.empty((T, B), dtype=np.intp)  # flat (row, location) of each step
+    here[0] = np.arange(B) * n + head.argmax(axis=1)
     for t in range(1, T):
-        step = log_k[path[-1]] + suffix[t]
-        path.append(int(step.argmax()))
-    return DecodedPath(agent=agent, day=day, path=tuple(path), log_score=best)
+        np.take(best[t], here[t - 1], out=here[t])
+    return (here % n).T, head.max(axis=1)
+
+
+def viterbi_decode(initial, kernel, evidence, agent: int = 0, day: int = 0) -> DecodedPath:
+    """Argmax path over initial * transitions * evidence, in log space: one row of the batched DP."""
+    initial, kernel, evidence = _as_inputs(initial, kernel, evidence)
+    paths, scores = _viterbi(initial[None], kernel[None], evidence[:, None])
+    if not np.isfinite(scores[0]):
+        raise AllPathsZeroError("no path has positive probability")
+    return DecodedPath(agent=agent, day=day, path=tuple(paths[0].tolist()), log_score=float(scores[0]))
+
+
+def decode_agents(
+    initial, kernels, evidence, agents: Sequence[int], day: int
+) -> tuple[list[DecodedPath], int]:
+    """Decode one day of every agent at once, degrading gracefully on contradictory evidence.
+
+    ``initial`` is (agents, n), ``kernels`` (agents, n, n), ``evidence``
+    (ticks, agents, n). The per-agent likelihood does not model reports
+    produced by confusing other agents, so real event logs can pin the
+    evidence to locations no feasible path reaches. Rows with no positive
+    path are re-decoded together with a tiny uniform leak added per tick
+    (mirroring fuse_run's predict-only fallback); the leak preserves each
+    tick's argmax ordering. Returns the paths in row order and the number of
+    rows that needed the leak.
+    """
+    initial = np.asarray(initial, dtype=np.float64)
+    kernels = np.asarray(kernels, dtype=np.float64)
+    evidence = np.asarray(evidence, dtype=np.float64)
+    T, B, n = evidence.shape if evidence.ndim == 3 else (0, 0, 0)
+    if T == 0 or initial.shape != (B, n) or kernels.shape != (B, n, n) or len(agents) != B:
+        raise ValidationError("initial, kernels, evidence, and agents dimensions disagree")
+    paths, scores = _viterbi(initial, kernels, evidence)
+    failed = np.flatnonzero(~np.isfinite(scores))
+    if failed.size:
+        for b in failed:
+            log.debug("contradictory evidence for agent %d day %d; adding uniform leak", agents[b], day)
+        stuck = evidence[:, failed]
+        leak = stuck.mean(axis=2, keepdims=True) * LEAK
+        leak[leak == 0.0] = 1.0  # an all-zero tick becomes uninformative
+        paths[failed], scores[failed] = _viterbi(initial[failed], kernels[failed], stuck + leak)
+        if not np.isfinite(scores[failed]).all():
+            raise AllPathsZeroError(f"no path has positive probability on day {day}, even with the leak")
+    decoded = [
+        DecodedPath(agent=a, day=day, path=tuple(p), log_score=s)
+        for a, p, s in zip(agents, paths.tolist(), scores.tolist())
+    ]
+    return decoded, int(failed.size)
+
+
+def decode_day(initial, kernel, evidence, agent: int, day: int) -> DecodedPath:
+    """One agent-day through decode_agents: the leak retry included."""
+    initial, kernel, evidence = _as_inputs(initial, kernel, evidence)
+    return decode_agents(initial[None], kernel[None], evidence[:, None], [agent], day)[0][0]
 
 
 def brute_force_decode(initial, kernel, evidence, agent: int = 0, day: int = 0) -> DecodedPath:

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Sequence
+from sys import intern
+from typing import Callable, Iterable, Sequence, TypeVar
+
+import numpy as np
 
 from .analytics import OccupancyDistribution, PatternReport, SurpriseScore
 from .contacts import GraphMetrics
@@ -20,6 +23,8 @@ from .simulate import TrajectoryRecord
 
 BELIEF_WRITE_FLOOR = 1e-6  # rows below this are omitted from the belief CSV
 
+T = TypeVar("T")
+
 
 def _fmt(x: float) -> str:
     return repr(float(x))
@@ -29,23 +34,37 @@ def _malformed(path: Path, lineno: int, exc: Exception) -> ValidationError:
     return ValidationError(f"{path} line {lineno} is malformed: {exc!r}")
 
 
-def write_trajectories_jsonl(records: Iterable[TrajectoryRecord], path: Path) -> None:
-    with open(path, "w") as fh:
-        for r in records:
-            fh.write(json.dumps({"agent": r.agent, "day": r.day, "tick": r.tick, "location": r.location}))
-            fh.write("\n")
+def _read_jsonl(path: Path, build: Callable[[dict], T]) -> list[T]:
+    """``build(obj)`` for each line's JSON object; a malformed line raises ValidationError naming it.
 
-
-def read_trajectories_jsonl(path: Path) -> list[TrajectoryRecord]:
-    records = []
+    Lines go through the decoder's ``raw_decode`` rather than ``json.loads``,
+    which sets up each call anew; the line is stripped of JSON whitespace and
+    data after its object is rejected, as ``json.loads`` does.
+    """
+    decode = json.JSONDecoder().raw_decode
+    out = []
     with open(path) as fh:
         try:
             for lineno, line in enumerate(fh, 1):
-                d = json.loads(line)
-                records.append(TrajectoryRecord(d["agent"], d["day"], d["tick"], d["location"]))
+                line = line.strip(" \t\n\r")
+                obj, end = decode(line)
+                if end != len(line):
+                    raise json.JSONDecodeError("Extra data", line, end)
+                out.append(build(obj))
         except (ValueError, KeyError, TypeError) as exc:
             raise _malformed(path, lineno, exc) from None
-    return records
+    return out
+
+
+def write_trajectories_jsonl(records: Iterable[TrajectoryRecord], path: Path) -> None:
+    """One JSON object per line, as ``json.dumps`` renders it."""
+    with open(path, "w") as fh:
+        for r in records:
+            fh.write(f'{{"agent": {r.agent}, "day": {r.day}, "tick": {r.tick}, "location": {r.location}}}\n')
+
+
+def read_trajectories_jsonl(path: Path) -> list[TrajectoryRecord]:
+    return _read_jsonl(path, lambda d: TrajectoryRecord(d["agent"], d["day"], d["tick"], d["location"]))
 
 
 def write_trajectories_csv(records: Iterable[TrajectoryRecord], path: Path) -> None:
@@ -56,42 +75,32 @@ def write_trajectories_csv(records: Iterable[TrajectoryRecord], path: Path) -> N
 
 
 def write_events_jsonl(events: Iterable[ObservationEvent], path: Path) -> None:
+    """One JSON object per line, as ``json.dumps`` renders it; each sensor id is encoded once."""
+    quoted: dict[str, str] = {}
     with open(path, "w") as fh:
-        for e in events:
-            fh.write(
-                json.dumps(
-                    {
-                        "sensor": e.sensor,
-                        "day": e.day,
-                        "tick": e.tick,
-                        "reported_agent": e.reported_agent,
-                        "location": e.location,
-                    }
-                )
-            )
-            fh.write("\n")
+        for sensor, day, tick, agent, loc in events:
+            name = quoted.get(sensor) or quoted.setdefault(sensor, json.dumps(sensor))
+            fh.write(f'{{"sensor": {name}, "day": {day}, "tick": {tick}, "reported_agent": {agent}, "location": {loc}}}\n')
 
 
 def read_events_jsonl(path: Path) -> list[ObservationEvent]:
-    events = []
-    with open(path) as fh:
-        try:
-            for lineno, line in enumerate(fh, 1):
-                d = json.loads(line)
-                events.append(ObservationEvent(d["sensor"], d["day"], d["tick"], d["reported_agent"], d["location"]))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise _malformed(path, lineno, exc) from None
-    return events
+    """Events in file order; each sensor id is held once (interned), not once per event."""
+    return _read_jsonl(
+        path,
+        lambda d: ObservationEvent(intern(d["sensor"]), d["day"], d["tick"], d["reported_agent"], d["location"]),
+    )
 
 
 def write_beliefs_csv(beliefs: Sequence[BeliefMatrix], path: Path) -> None:
     with open(path, "w") as fh:
         fh.write("day,tick,agent,location,probability\n")
         for m in beliefs:
-            for i, agent in enumerate(m.agents):
-                for loc, p in enumerate(m.probs[i]):
-                    if p >= BELIEF_WRITE_FLOOR:
-                        fh.write(f"{m.day},{m.tick},{agent},{loc},{_fmt(p)}\n")
+            rows, locs = np.nonzero(m.probs >= BELIEF_WRITE_FLOOR)
+            prefix = f"{m.day},{m.tick},"
+            fh.writelines(
+                f"{prefix}{m.agents[i]},{loc},{_fmt(p)}\n"
+                for i, loc, p in zip(rows.tolist(), locs.tolist(), m.probs[rows, locs].tolist())
+            )
 
 
 def write_paths_csv(paths: dict[int, dict[int, Sequence[int]]], path: Path) -> None:

@@ -1,11 +1,13 @@
 """Bayesian location tracking: stacked predict/update over one evidence block per day.
 
-Beliefs are per-agent categorical distributions over location bins. Each
-day's sensor reports become one (ticks, agents, locations) evidence block;
-all agents then advance together, each through its own motion kernel
+Beliefs are per-agent categorical distributions over location bins. The
+sensor reports become one (ticks, agents, locations) evidence block per day
+(LikelihoodModel.evidence: one stable sort of the events' integer columns
+groups the reports, one-report factors are computed per chunk of groups); all
+agents then advance together, each through its own motion kernel
 (predict), reweighted by its row of the block (update). Decoding reads the
-same block. Each day starts from a point mass at the agent's home; tick 0 is
-update-only, prediction applies from tick 1.
+same blocks. Each day starts from a point mass at the agent's home; tick 0
+is update-only, prediction applies from tick 1.
 
 The per-agent likelihood treats only reports naming the agent as evidence
 and explains them as true detections or false positives; reports produced by
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,8 +31,7 @@ from .world import FloorPlan
 log = logging.getLogger("officelab.fusion")
 
 BELIEF_FLOOR = 1e-12
-# One day of reports: (tick, reported agent) -> sensor id -> report locations.
-DayReports = dict[tuple[int, int], dict[str, list[int]]]
+EVIDENCE_CHUNK = 4096  # report groups per multiply.at call; bounds the gathered (groups, n) factor rows
 # Minimum weight of the uniform self+neighbors component in the default
 # kernel: keeps every physically possible move (planning-tick stays, detours,
 # walks to schedule targets) at positive probability even when the config has
@@ -120,6 +121,13 @@ def update(belief_row: np.ndarray, likelihood: np.ndarray) -> np.ndarray:
     return post / total
 
 
+def _integers(values: Sequence, name: str) -> np.ndarray:
+    column = np.array(values)
+    if column.size and column.dtype.kind not in "iu":
+        raise ValidationError(f"events carry a {name} that is not an integer ({column.dtype} column)")
+    return column.astype(np.int64)
+
+
 class LikelihoodModel:
     """Evidence likelihoods over locations, one row per agent-tick.
 
@@ -136,74 +144,124 @@ class LikelihoodModel:
         self.plan = plan
         self._index = {s.id: i for i, s in enumerate(sensors)}
         n = plan.n
-        self._params = []  # per sensor: (n,) true-detection rate, false-positive rate, (n,) its density
-        self._silent = []  # (n,) no-report likelihood, with zeros set to 1
-        self._certain = {}  # sensor index -> (n,) mask where silence is impossible
+        mask = np.zeros((len(sensors), n))
         for i, s in enumerate(sensors):
-            mask = np.zeros(n)
-            mask[list(s.coverage)] = 1.0
-            d = s.p_detect * (1.0 - s.p_confuse) * mask
-            q = s.p_false_positive / n_agents if n_agents else s.p_false_positive
-            silent = (1.0 - d) * (1.0 - q)
-            if not silent.all():
-                self._certain[i] = silent == 0.0
-                silent[self._certain[i]] = 1.0
-            self._params.append((d, q, mask * (q / len(s.coverage))))
-            self._silent.append(silent)
-        self._silent_product = np.prod(np.stack(self._silent), axis=0) if sensors else np.ones(n)
+            mask[i, list(s.coverage)] = 1.0
+        p_detect = np.array([s.p_detect * (1.0 - s.p_confuse) for s in sensors]).reshape(-1, 1)
+        self._d = p_detect * mask  # (sensors, n) true-detection rate
+        q = np.array([s.p_false_positive / n_agents if n_agents else s.p_false_positive for s in sensors])
+        coverage = np.array([len(s.coverage) for s in sensors]).reshape(-1, 1)
+        self._fp_at = mask * (q[:, None] / coverage)  # (sensors, n) density of the false positive
+        silent = (1.0 - self._d) * (1.0 - q[:, None])
+        certain = silent == 0.0
+        self._certain_ids = np.flatnonzero(certain.any(axis=1))  # sensors whose silence is impossible somewhere
+        self._certain_at = certain[self._certain_ids]
+        silent[certain] = 1.0
+        self._silent = silent  # (sensors, n) no-report likelihood, with zeros set to 1
+        self._silent_product = np.prod(silent, axis=0)
+        self._miss = 1.0 - self._d  # (sensors, n)
+        self._hit = self._d * (1.0 - q)[:, None]  # (sensors, n) true report at the agent's location
 
-    def _sensor_factor(self, idx: int, report_locs: list[int]) -> np.ndarray:
-        d, q, fp_at = self._params[idx]
-        if len(report_locs) == 1:
-            y = report_locs[0]
-            f = (1.0 - d) * fp_at[y]
-            f[y] += d[y] * (1.0 - q)
-            return f
+    def _multi_report_ratio(self, idx: int, report_locs: list[int]) -> np.ndarray:
+        """Factor over silence for two or more reports from one sensor."""
+        d, fp_at = self._d[idx], self._fp_at[idx]
+        f = np.zeros_like(d)
         if len(report_locs) == 2:
-            f = np.zeros_like(d)
             for y in set(report_locs):
                 f[y] = d[y] * fp_at[report_locs[0] if report_locs[1] == y else report_locs[1]]
-            return f
         # three or more reports naming one agent cannot come from one sensor
         # under this model (one true + one false positive at most)
-        return np.zeros_like(d)
+        return f / self._silent[idx]
 
-    def day_evidence(self, reports: DayReports, ticks: int, agents: Sequence[int]) -> np.ndarray:
-        """(ticks, agents, locations) likelihoods for one day; a key absent from ``reports`` is silence."""
+    def _columns(self, events: Iterable[ObservationEvent], days: int, ticks: int, agents: Sequence[int]):
+        """Events as integer columns (sensor, day, tick, agent column, location), validated."""
+        sensor, day, tick, agent, loc = tuple(zip(*events)) or ((),) * 5
+        day, tick, loc = (_integers(values, name) for values, name in ((day, "day"), (tick, "tick"), (loc, "location")))
         column = {a: i for i, a in enumerate(agents)}
-        block = np.tile(self._silent_product, (ticks, len(agents), 1))
-        silent_at = {idx: np.ones((ticks, len(agents)), dtype=bool) for idx in self._certain}
-        for (tick, agent), by_sensor in reports.items():
-            if agent not in column or not 0 <= tick < ticks:
-                raise ValidationError(f"events name agent {agent} at tick {tick}; the config has {list(agents)}")
-            row = block[tick, column[agent]]
-            for sensor_id, locs in by_sensor.items():
-                if sensor_id not in self._index:
-                    raise ValidationError(f"events name sensor {sensor_id!r}, which the config does not define")
-                idx = self._index[sensor_id]
-                row *= self._sensor_factor(idx, locs) / self._silent[idx]
-                if idx in silent_at:
-                    silent_at[idx][tick, column[agent]] = False
-        for idx, silent in silent_at.items():
-            block[silent[:, :, None] & self._certain[idx]] = 0.0
-        return block
+        col = np.array([column.get(a, -1) for a in agent], dtype=np.int64)
+        idx = np.array([self._index.get(s, -1) for s in sensor], dtype=np.int64)
+        bad = np.flatnonzero((day < 0) | (day >= days))
+        if bad.size:
+            raise ValidationError(f"events name day {day[bad[0]]}; the config has days 0..{days - 1}")
+        bad = np.flatnonzero((col < 0) | (tick < 0) | (tick >= ticks))
+        if bad.size:
+            k = bad[0]
+            raise ValidationError(f"events name agent {agent[k]} at tick {tick[k]}; the config has {list(agents)}")
+        bad = np.flatnonzero(idx < 0)
+        if bad.size:
+            raise ValidationError(f"events name sensor {sensor[bad[0]]!r}, which the config does not define")
+        bad = np.flatnonzero((loc < 0) | (loc >= self.plan.n))
+        if bad.size:
+            raise ValidationError(f"events name location {loc[bad[0]]}; the floor plan has 0..{self.plan.n - 1}")
+        return idx, day, tick, col, loc
+
+    def _groups(self, events: Iterable[ObservationEvent], days: int, ticks: int, agents: Sequence[int]):
+        """Reports grouped by (day, tick, agent, sensor) in one stable sort.
+
+        Returns per group its flat (day, tick, agent) cell, its sensor, the
+        location of its first report and, for a group with several reports,
+        its row of ``several`` (-1 for one report), the groups ordered by cell
+        and then by the position of their first event; and ``several``: one
+        factor-over-silence row per group with several reports.
+        """
+        idx, day, tick, col, loc = self._columns(events, days, ticks, agents)
+        n_sensors = max(len(self._silent), 1)
+        cell = (day * ticks + tick) * len(agents) + col
+        key = cell * n_sensors + idx
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        start = np.flatnonzero(np.diff(key, prepend=-1))
+        size = np.diff(start, append=key.size)
+        by_row = np.lexsort((order[start], key[start] // n_sensors))
+        start, size = start[by_row], size[by_row]
+        first = order[start]
+        multi = np.flatnonzero(size > 1)
+        row = np.full(first.size, -1)
+        row[multi] = np.arange(multi.size)
+        several = [self._multi_report_ratio(idx[first[g]], loc[order[start[g] : start[g] + size[g]]].tolist()) for g in multi]
+        return cell[first], idx[first], loc[first], row, np.reshape(several, (-1, self.plan.n))
+
+    def _factors(self, sensor: np.ndarray, loc: np.ndarray, row: np.ndarray, several: np.ndarray) -> np.ndarray:
+        """(groups, n) factors over silence: one report from ``sensor`` at ``loc``, or row ``row`` of ``several``."""
+        f = self._miss[sensor] * self._fp_at[sensor, loc][:, None]
+        f[np.arange(loc.size), loc] += self._hit[sensor, loc]
+        f /= self._silent[sensor]
+        taken = row >= 0
+        f[taken] = several[row[taken]]
+        return f
+
+    def evidence(
+        self, events: Iterable[ObservationEvent], days: int, ticks: int, agents: Sequence[int]
+    ) -> Iterator[np.ndarray]:
+        """One (ticks, agents, locations) likelihood block per day 0..days-1.
+
+        Each report group's factor over silence multiplies its agent-tick
+        row, the sensors of a row in order of first appearance in ``events``;
+        an agent-tick no event names is silence. Events naming a day, agent,
+        tick, sensor or location the arguments do not define raise
+        ValidationError naming the first one.
+        """
+        cell, sensor, loc, row, several = self._groups(events, days, ticks, agents)
+        per_day = ticks * len(agents)
+        bounds = np.searchsorted(cell, np.arange(days + 1) * per_day)
+        for d in range(days):
+            lo, hi = bounds[d], bounds[d + 1]
+            rows, reporter, at, multi = cell[lo:hi] - d * per_day, sensor[lo:hi], loc[lo:hi], row[lo:hi]
+            block = np.tile(self._silent_product, (per_day, 1))
+            for c in range(0, hi - lo, EVIDENCE_CHUNK):
+                part = slice(c, c + EVIDENCE_CHUNK)
+                np.multiply.at(block, rows[part], self._factors(reporter[part], at[part], multi[part], several))
+            if self._certain_ids.size:
+                reported = np.isin(reporter, self._certain_ids)
+                silent = np.ones((self._certain_ids.size, per_day))
+                silent[np.searchsorted(self._certain_ids, reporter[reported]), rows[reported]] = 0.0
+                block[(silent.T @ self._certain_at) > 0] = 0.0
+            yield block.reshape(ticks, len(agents), self.plan.n)
 
     def tick_likelihood(self, reports: dict[str, list[int]]) -> np.ndarray:
         """One agent-tick's likelihood; ``reports`` maps sensor id -> report locations ({} = silence)."""
-        return self.day_evidence({(0, 0): reports}, 1, (0,))[0, 0]
-
-
-def group_reports(events: Iterable[ObservationEvent], days: int) -> list[DayReports]:
-    """Events as one DayReports per day 0..days-1, each list in event order.
-
-    An event dated outside the run raises ValidationError naming its day.
-    """
-    grouped: list[DayReports] = [{} for _ in range(days)]
-    for ev in events:
-        if not 0 <= ev.day < days:
-            raise ValidationError(f"events name day {ev.day}; the config has days 0..{days - 1}")
-        grouped[ev.day].setdefault((ev.tick, ev.reported_agent), {}).setdefault(ev.sensor, []).append(ev.location)
-    return grouped
+        events = [ObservationEvent(s, 0, 0, 0, y) for s, locs in reports.items() for y in locs]
+        return next(self.evidence(events, 1, 1, (0,)))[0, 0]
 
 
 def likelihood_of_events(
@@ -218,11 +276,8 @@ def likelihood_of_events(
     ticks = {(ev.day, ev.tick) for ev in events}
     if len(ticks) > 1:
         raise ValidationError(f"events span several ticks: {sorted(ticks)}")
-    reports: dict[str, list[int]] = {}
-    for ev in events:
-        if ev.reported_agent == agent:
-            reports.setdefault(ev.sensor, []).append(ev.location)
-    return LikelihoodModel(sensors, plan, n_agents=n_agents).tick_likelihood(reports)
+    mine = [ev._replace(day=0, tick=0) for ev in events if ev.reported_agent == agent]
+    return next(LikelihoodModel(sensors, plan, n_agents=n_agents).evidence(mine, 1, 1, (agent,)))[0, 0]
 
 
 @dataclass(frozen=True)
@@ -253,8 +308,7 @@ def fuse_run(
     kernels = np.array([motion.kernel(a) for a in agent_ids]).reshape(-1, plan.n, plan.n)
 
     out: list[BeliefMatrix] = []
-    for day, reports in enumerate(group_reports(events, config.days)):
-        evidence = model.day_evidence(reports, config.ticks_per_day, agent_ids)
+    for day, evidence in enumerate(model.evidence(events, config.days, config.ticks_per_day, agent_ids)):
         rows = np.zeros((len(agent_ids), plan.n))
         rows[np.arange(len(agent_ids)), [a.home for a in config.agents]] = 1.0
         for tick in range(config.ticks_per_day):

@@ -19,8 +19,8 @@ from . import __version__
 from .analytics import mine_frequent_patterns, surprise_by_day
 from .config import WorldConfig
 from .contacts import export_graph, extract_contacts, graph_metrics
-from .decoding import viterbi_decode
-from .errors import AllPathsZeroError, OfficeLabError
+from .decoding import decode_agents, decode_day  # decode_day: the one-agent form, re-exported
+from .errors import OfficeLabError
 from .formats import (
     read_events_jsonl,
     read_paths_csv,
@@ -39,7 +39,7 @@ from .formats import (
     write_trajectories_csv,
     write_trajectories_jsonl,
 )
-from .fusion import LikelihoodModel, argmax_paths, fuse_run, group_reports, motion_model_for
+from .fusion import LikelihoodModel, argmax_paths, fuse_run, motion_model_for
 from .sensors import generate_event_log
 from .simulate import run_simulation
 
@@ -139,45 +139,30 @@ def stage_fuse(config: WorldConfig, out_dir: Path, manifest: RunManifest) -> Non
     log.info("fuse: %d belief matrices, %d predict-only agent-ticks", len(beliefs), predict_only)
 
 
-def decode_day(initial, kernel, evidence, agent: int, day: int):
-    """Decode one agent-day, degrading gracefully on contradictory evidence.
-
-    The per-agent likelihood does not model reports produced by confusing
-    other agents, so real event logs can pin the evidence to locations no
-    feasible path reaches. On AllPathsZeroError the day is re-decoded with a
-    tiny uniform leak added per tick (mirroring fuse_run's predict-only
-    fallback); the leak preserves each tick's argmax ordering.
-    """
-    try:
-        return viterbi_decode(initial, kernel, evidence, agent=agent, day=day)
-    except AllPathsZeroError:
-        log.info("decode: contradictory evidence for agent %d day %d; adding uniform leak", agent, day)
-        leak = evidence.mean(axis=1, keepdims=True) * 1e-6
-        leak[leak == 0.0] = 1.0  # an all-zero tick becomes uninformative
-        return viterbi_decode(initial, kernel, evidence + leak, agent=agent, day=day)
-
-
 def stage_decode(config: WorldConfig, out_dir: Path, manifest: RunManifest) -> None:
     events = read_events_jsonl(manifest.path_of("observe", "events", out_dir))
     plan = config.floor_plan
     motion = motion_model_for(config)
-    model = LikelihoodModel(config.sensors, plan, n_agents=len(config.agents))
+    agent_ids = [a.id for a in config.agents]
+    model = LikelihoodModel(config.sensors, plan, n_agents=len(agent_ids))
+    kernels = np.array([motion.kernel(a) for a in agent_ids]).reshape(-1, plan.n, plan.n)
+    initial = np.zeros((len(agent_ids), plan.n))
+    initial[np.arange(len(agent_ids)), [a.home for a in config.agents]] = 1.0
 
     paths: dict[int, dict[int, list[int]]] = {}
     scores: dict[tuple[int, int], float] = {}
-    for day, reports in enumerate(group_reports(events, config.days)):
-        evidence = model.day_evidence(reports, config.ticks_per_day, [a.id for a in config.agents])
-        for i, profile in enumerate(config.agents):
-            initial = np.zeros(plan.n)
-            initial[profile.home] = 1.0
-            decoded = decode_day(initial, motion.kernel(profile.id), evidence[:, i], profile.id, day)
-            paths.setdefault(profile.id, {})[day] = list(decoded.path)
-            scores[(profile.id, day)] = decoded.log_score
+    retries = 0
+    for day, evidence in enumerate(model.evidence(events, config.days, config.ticks_per_day, agent_ids)):
+        decoded, leaked = decode_agents(initial, kernels, evidence, agent_ids, day)
+        retries += leaked
+        for d in decoded:
+            paths.setdefault(d.agent, {})[day] = list(d.path)
+            scores[(d.agent, day)] = d.log_score
     write_paths_csv(paths, out_dir / "decoded_paths.csv")
     write_decode_scores_csv(scores, out_dir / "decode_scores.csv")
     manifest.record("decode", decoded_paths="decoded_paths.csv", decode_scores="decode_scores.csv")
     manifest.save(out_dir)
-    log.info("decode: %d agent-days", len(scores))
+    log.info("decode: %d agent-days, %d leak retries", len(scores), retries)
 
 
 def _paths_for_source(config: WorldConfig, out_dir: Path, manifest: RunManifest, source: str):

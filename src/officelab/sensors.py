@@ -9,7 +9,7 @@ p_confuse 0.05.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,8 +31,7 @@ class SensorSpec:
     p_confuse: float = 0.05  # report a uniformly random wrong identity
 
 
-@dataclass(frozen=True)
-class ObservationEvent:
+class ObservationEvent(NamedTuple):
     sensor: str
     day: int
     tick: int
@@ -59,12 +58,14 @@ def observe_tick(
     events: list[ObservationEvent] = []
     if not agent_ids:  # nobody to detect and no identities to misreport
         return events
+    present: dict[int, list[int]] = {}  # location -> its agents, in id order
+    for agent in agent_ids:
+        present.setdefault(truth[agent], []).append(agent)
     for spec in sensors:
-        covered = frozenset(spec.coverage)
-        for agent in agent_ids:
-            loc = truth[agent]
-            if loc not in covered:
-                continue
+        covered = [(agent, loc) for loc in spec.coverage if loc in present for agent in present[loc]]
+        if len(spec.coverage) > 1:  # back to id order; a repeated coverage entry detects once
+            covered = sorted(set(covered))
+        for agent, loc in covered:
             if rng.random() >= spec.p_detect:
                 continue
             reported = agent

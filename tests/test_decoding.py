@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from officelab.decoding import brute_force_decode, viterbi_decode
+from officelab.decoding import LEAK, brute_force_decode, decode_agents, decode_day, viterbi_decode
 from officelab.errors import AllPathsZeroError, InstanceTooLargeError
 
 
@@ -142,3 +142,37 @@ def test_long_horizon_stays_finite_in_log_space():
     assert len(out.path) == 100_000
     for a, b in zip(out.path, out.path[1:]):
         assert K[a][b] > 0
+
+
+@given(st.integers(0, 10_000), st.integers(1, 5), st.integers(2, 4), st.integers(1, 5))
+@settings(max_examples=150, deadline=None)
+def test_batched_rows_each_equal_brute_force_and_only_failed_rows_leak(seed, rows, n, ticks):
+    # 0/1 kernels, initials and evidence: every feasible path scores exactly
+    # 0, so ties are everywhere and only the tie-break picks the path; sparse
+    # evidence leaves some rows with no feasible path at all
+    rng = np.random.default_rng(seed)
+    kernels = (rng.random((rows, n, n)) < 0.5).astype(float)
+    kernels[:, np.arange(n), np.arange(n)] = 1.0  # a leaked row always has a path
+    initial = (rng.random((rows, n)) < 0.5).astype(float)
+    initial[np.arange(rows), rng.integers(0, n, rows)] = 1.0
+    evidence = (rng.random((ticks, rows, n)) < 0.4).astype(float)
+    agents = [100 + b for b in range(rows)]
+
+    decoded, retries = decode_agents(initial, kernels, evidence, agents, day=3)
+
+    failed = 0
+    for b, out in enumerate(decoded):
+        assert (out.agent, out.day) == (agents[b], 3)
+        assert out == decode_day(initial[b], kernels[b], evidence[:, b], agent=agents[b], day=3)  # no row sees another
+        try:
+            ref = brute_force_decode(initial[b], kernels[b], evidence[:, b])
+        except AllPathsZeroError:
+            failed += 1
+            leak = evidence[:, b].mean(axis=1, keepdims=True) * LEAK
+            leak[leak == 0.0] = 1.0
+            ref = brute_force_decode(initial[b], kernels[b], evidence[:, b] + leak)
+            assert out.log_score == pytest.approx(ref.log_score, abs=1e-12)
+            continue
+        assert out.path == ref.path  # the lexicographically smallest of the tied paths
+        assert out.log_score == ref.log_score == 0.0  # no leak on a feasible row
+    assert retries == failed

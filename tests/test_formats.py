@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,41 @@ def test_events_round_trip_with_stable_field_order(tmp_path):
     first = path.read_text().splitlines()[0]
     assert first.index('"sensor"') < first.index('"day"') < first.index('"tick"')
     assert first.index('"tick"') < first.index('"reported_agent"') < first.index('"location"')
+
+
+def _json_dumps_lines(objects) -> str:
+    return "".join(json.dumps(o) + "\n" for o in objects)
+
+
+def test_jsonl_writers_match_json_dumps_byte_for_byte(tmp_path):
+    # ids needing escapes: a quote, a backslash, a non-ASCII letter, a control character
+    events = [
+        ObservationEvent(sensor, day, tick, agent, loc)
+        for sensor in ("cam0", 'say "hi"', "back\\slash", "caméra", "tab\there")
+        for day, tick, agent, loc in ((0, 0, 0, 0), (3, 299, 17, 49))
+    ]
+    write_events_jsonl(events, tmp_path / "e.jsonl")
+    assert (tmp_path / "e.jsonl").read_text() == _json_dumps_lines(
+        {"sensor": e.sensor, "day": e.day, "tick": e.tick, "reported_agent": e.reported_agent, "location": e.location}
+        for e in events
+    )
+    assert read_events_jsonl(tmp_path / "e.jsonl") == events
+    records = [TrajectoryRecord(a, d, t, x) for a, d, t, x in ((0, 0, 0, 0), (12, 4, 99_999, 49))]
+    write_trajectories_jsonl(records, tmp_path / "t.jsonl")
+    assert (tmp_path / "t.jsonl").read_text() == _json_dumps_lines(
+        {"agent": r.agent, "day": r.day, "tick": r.tick, "location": r.location} for r in records
+    )
+
+
+def test_events_reader_takes_what_json_loads_takes(tmp_path):
+    line = '{"sensor": "cam0", "day": 0, "tick": 3, "reported_agent": 1, "location": 2}'
+    path = tmp_path / "e.jsonl"
+    path.write_text(f"{line}\n  {line}  \n{line.replace(', ', ',')}")  # padded, compact, no final newline
+    assert read_events_jsonl(path) == [ObservationEvent("cam0", 0, 3, 1, 2)] * 3
+    for bad in (line + " x", line[:-1], "", "[1, 2]", line.replace('"tick"', '"tock"'), "\f" + line):  # \f is not JSON whitespace
+        path.write_text(f"{line}\n{bad}\n")
+        with pytest.raises(ValidationError, match="line 2 is malformed"):
+            read_events_jsonl(path)
 
 
 def test_paths_csv_round_trip(tmp_path):

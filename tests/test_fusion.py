@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,6 @@ from officelab.fusion import (
     LikelihoodModel,
     argmax_paths,
     fuse_run,
-    group_reports,
     likelihood_of_events,
     motion_model_for,
     predict,
@@ -174,10 +175,94 @@ def test_unknown_sensor_or_agent_in_reports_is_named():
     model = LikelihoodModel([SensorSpec("cam", "camera", (0, 1))], plan, n_agents=1)
     with pytest.raises(ValidationError, match="sensor 'tag0'"):
         model.tick_likelihood({"tag0": [0]})
-    with pytest.raises(ValidationError, match="agent 9"):
-        model.day_evidence({(0, 9): {"cam": [1]}}, ticks=1, agents=(0,))
-    with pytest.raises(ValidationError, match="day 9"):
-        group_reports([ObservationEvent("cam", 9, 0, 0, 1)], days=5)
+    cases = [
+        (ObservationEvent("cam", 0, 0, 9, 1), "agent 9"),
+        (ObservationEvent("cam", 0, 3, 0, 1), "agent 0 at tick 3"),
+        (ObservationEvent("cam", 9, 0, 0, 1), "day 9"),
+        (ObservationEvent("cam", 0, 0, 0, 2), "location 2"),
+        (ObservationEvent("cam", 0, 0.5, 0, 1), "tick that is not an integer"),
+        (ObservationEvent("cam", "0", 0, 0, 1), "day that is not an integer"),
+    ]
+    for event, named in cases:
+        with pytest.raises(ValidationError, match=named):
+            next(model.evidence([ObservationEvent("cam", 0, 0, 0, 0), event], days=5, ticks=1, agents=(0,)))
+
+
+def _reference_day_evidence(sensors, n: int, events, day: int, ticks: int, agents) -> np.ndarray:
+    """The per-report loop: group by (tick, agent) then sensor, multiply each
+    report factor over its silence term in order of first appearance, then
+    zero certain sensors' silences."""
+    params, silent, certain = [], [], {}
+    for i, s in enumerate(sensors):
+        mask = np.isin(np.arange(n), s.coverage).astype(float)
+        d = s.p_detect * (1.0 - s.p_confuse) * mask
+        q = s.p_false_positive / len(agents)
+        params.append((d, q, mask * (q / len(s.coverage))))
+        term = (1.0 - d) * (1.0 - q)
+        if not term.all():
+            certain[i] = term == 0.0
+            term[certain[i]] = 1.0
+        silent.append(term)
+    grouped: dict[tuple[int, int], dict[str, list[int]]] = {}
+    for ev in events:
+        if ev.day == day:
+            grouped.setdefault((ev.tick, ev.reported_agent), {}).setdefault(ev.sensor, []).append(ev.location)
+    index = {s.id: i for i, s in enumerate(sensors)}
+    block = np.tile(np.prod(np.stack(silent), axis=0), (ticks, len(agents), 1))
+    silent_at = {i: np.ones((ticks, len(agents)), dtype=bool) for i in certain}
+    for (tick, agent), by_sensor in grouped.items():
+        for sensor_id, locs in by_sensor.items():
+            i = index[sensor_id]
+            d, q, fp_at = params[i]
+            f = np.zeros(n)
+            if len(locs) == 1:
+                f = (1.0 - d) * fp_at[locs[0]]
+                f[locs[0]] += d[locs[0]] * (1.0 - q)
+            elif len(locs) == 2:
+                for y in set(locs):
+                    f[y] = d[y] * fp_at[locs[0] if locs[1] == y else locs[1]]
+            block[tick, agents.index(agent)] *= f / silent[i]
+            if i in silent_at:
+                silent_at[i][tick, agents.index(agent)] = False
+    for i, mask in silent_at.items():
+        block[mask[:, :, None] & certain[i]] = 0.0
+    return block
+
+
+@given(st.integers(0, 10_000), st.integers(1, 4), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_evidence_equals_per_report_loop_bit_for_bit(seed, n_agents, certain):
+    # reports from sensors listed out of id order, 1-, 2- and 3-report groups,
+    # confusions and false positives, and certain sensors whose silence zeroes
+    rng = np.random.default_rng(seed)
+    plan = line_plan(5)
+    sensors = [
+        SensorSpec("z_cam", "camera", (0, 1, 3), p_detect=0.8, p_false_positive=0.3, p_confuse=0.2),
+        SensorSpec("a_tag", "tag_reader", (2,), p_detect=1.0 if certain else 0.7, p_false_positive=0.2, p_confuse=0.0),
+        SensorSpec("m_cam", "camera", (1, 2, 3, 4), p_detect=0.9, p_false_positive=0.1, p_confuse=0.1),
+        SensorSpec("door", "tag_reader", (4,), p_detect=1.0, p_false_positive=0.0, p_confuse=0.0),
+    ]
+    agents = tuple(range(10, 10 + n_agents))
+    days, ticks = 2, 6
+    events = []
+    for _ in range(int(rng.integers(0, 80))):
+        s = sensors[int(rng.integers(len(sensors)))]
+        events.append(
+            ObservationEvent(
+                s.id, int(rng.integers(days)), int(rng.integers(ticks)), agents[int(rng.integers(n_agents))],
+                int(s.coverage[int(rng.integers(len(s.coverage)))]),
+            )
+        )
+    model = LikelihoodModel(sensors, plan, n_agents=n_agents)
+    blocks = list(model.evidence(events, days, ticks, agents))
+    with mock.patch("officelab.fusion.EVIDENCE_CHUNK", 3):  # factors applied a few groups at a time
+        chunked = list(model.evidence(events, days, ticks, agents))
+    assert len(blocks) == len(chunked) == days
+    for day, block in enumerate(blocks):
+        ref = _reference_day_evidence(sensors, plan.n, events, day, ticks, agents)
+        assert block.shape == ref.shape
+        assert np.array_equal(block, ref)
+        assert np.array_equal(chunked[day], ref)
 
 
 # --- motion models ------------------------------------------------------------

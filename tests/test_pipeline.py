@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -8,9 +9,26 @@ import numpy as np
 
 from officelab.config import dump_config, load_config
 from officelab.formats import read_paths_csv, read_trajectories_jsonl, trajectories_to_paths
-from officelab.pipeline import decode_day, run_pipeline
+from officelab.pipeline import decode_day, open_manifest, run_pipeline, run_stage
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# demo's trajectories and events hold only integers chosen by RNG draws (no
+# BLAS, no float formatting), so their digests pin the draw order of the
+# simulate and observe substreams and the bytes of both JSONL writers
+DEMO_RNG_OUTPUTS_SHA256 = {
+    "trajectories.jsonl": "d94621ccccb2e8a0f5c015c14d852bf13d2909fbcaa0d5862b7b2a59f72a77b6",
+    "events.jsonl": "9f6b39532b582280470b0b97d13d5c13e34f1a538258e2eace3bb5c7f40ddd69",
+}
+
+
+def test_demo_rng_outputs_are_pinned(tmp_path):
+    config = load_config(CONFIGS / "demo.json")
+    manifest = open_manifest(config, str(CONFIGS / "demo.json"), tmp_path)
+    for stage in ("simulate", "observe"):
+        run_stage(stage, config, tmp_path, manifest)
+    for name, digest in DEMO_RNG_OUTPUTS_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_decode_day_survives_contradictory_evidence():
@@ -57,3 +75,15 @@ def test_full_scale_pipeline_end_to_end(tmp_path):
             agree += sum(a == b for a, b in zip(truth[agent][day], decoded[agent][day]))
             total += len(truth[agent][day])
     assert agree / total > 0.9
+
+
+def test_config_without_agents_fuses_and_decodes_to_empty_outputs(tmp_path):
+    config = dataclasses.replace(load_config(CONFIGS / "demo.json"), agents=())
+    manifest = open_manifest(config, str(CONFIGS / "demo.json"), tmp_path)
+    for stage in ("simulate", "observe", "fuse", "decode"):
+        run_stage(stage, config, tmp_path, manifest)
+    assert (tmp_path / "events.jsonl").read_text() == ""
+    assert (tmp_path / "beliefs.csv").read_text() == "day,tick,agent,location,probability\n"
+    assert read_paths_csv(tmp_path / "argmax_paths.csv") == {}
+    assert read_paths_csv(tmp_path / "decoded_paths.csv") == {}
+    assert (tmp_path / "decode_scores.csv").read_text().count("\n") == 1

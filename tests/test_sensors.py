@@ -110,3 +110,48 @@ def test_raising_p_detect_raises_mean_detection_count():
     low = np.mean([total(0.5, s) for s in range(30)])
     high = np.mean([total(0.9, s) for s in range(30)])
     assert high > low
+
+
+def _observe_tick_reference(truth, sensors, rng, day=0, tick=0):
+    """observe_tick as a scan of every agent per sensor against a frozenset of its coverage."""
+    agent_ids = sorted(truth)
+    events = []
+    if not agent_ids:
+        return events
+    for spec in sensors:
+        covered = frozenset(spec.coverage)
+        for agent in agent_ids:
+            loc = truth[agent]
+            if loc not in covered:
+                continue
+            if rng.random() >= spec.p_detect:
+                continue
+            reported = agent
+            if spec.p_confuse > 0.0 and len(agent_ids) > 1 and rng.random() < spec.p_confuse:
+                others = [a for a in agent_ids if a != agent]
+                reported = others[rng.choice(len(others))]
+            events.append(ObservationEvent(spec.id, day, tick, reported, loc))
+        if spec.p_false_positive > 0.0 and rng.random() < spec.p_false_positive:
+            agent = agent_ids[rng.choice(len(agent_ids))]
+            loc = spec.coverage[rng.choice(len(spec.coverage))]
+            events.append(ObservationEvent(spec.id, day, tick, int(agent), int(loc)))
+    return events
+
+
+def test_observe_tick_matches_the_agent_scan_draw_for_draw():
+    # multi-location (and one repeated) coverage, confusions and false
+    # positives; agents share locations and ids are not dense
+    sensors = [
+        SensorSpec("cam", "camera", (0, 2, 3), p_detect=0.8, p_false_positive=0.3, p_confuse=0.4),
+        SensorSpec("tag", "tag_reader", (1,), p_detect=0.9, p_false_positive=0.2, p_confuse=0.3),
+        SensorSpec("wide", "camera", (0, 1, 2, 3, 4), p_detect=0.6, p_false_positive=0.5, p_confuse=0.5),
+        SensorSpec("dup", "camera", (2, 2, 4), p_detect=0.7, p_false_positive=0.1, p_confuse=0.2),
+    ]
+    placement = np.random.default_rng(5)
+    fast, slow = substream(7, OBSERVE, 0), substream(7, OBSERVE, 0)
+    for tick in range(400):
+        agents = [3, 8, 11, 40][: 1 + tick % 4]
+        truth = {a: int(placement.integers(0, 6)) for a in agents}
+        got = observe_tick(truth, sensors, fast, day=1, tick=tick)
+        assert got == _observe_tick_reference(truth, sensors, slow, day=1, tick=tick)
+    assert fast.random() == slow.random()  # same number of draws consumed
