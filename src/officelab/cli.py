@@ -8,13 +8,12 @@ OFFICELAB_LOG={error,info,debug} controls verbosity.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import logging
 import os
 import sys
 from pathlib import Path
 
-from .config import load_config
+from .config import load_config, with_seed
 from .errors import OfficeLabError, ParseError, ValidationError
 from .pipeline import STAGES, open_manifest, run_pipeline, run_stage
 
@@ -52,7 +51,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config)
         if args.seed is not None:
-            config = dataclasses.replace(config, rng_seed=args.seed)
+            config = with_seed(config, args.seed)
     except (ParseError, ValidationError) as exc:
         print(f"officelab: {exc}", file=sys.stderr)
         return 1

@@ -2,15 +2,16 @@
 
 One JSON document holds the whole scenario. Required top-level keys:
 floor_plan, agents, ticks_per_day, days, rng_seed. Optional keys carry
-pipeline settings: fluctuation_rate, sensors, contact_rule, motion_model,
-analytics. Ticks are abstract; configs may note a suggested mapping
-(1 tick ~ 5 s) but nothing depends on it.
+pipeline settings: fluctuation_rate, sensors, contact_rule, analytics.
+Ticks are abstract; configs may note a suggested mapping (1 tick ~ 5 s) but
+nothing depends on it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from numbers import Integral
 from pathlib import Path
 from typing import Any
 
@@ -41,7 +42,6 @@ class WorldConfig:
     fluctuation_rate: float = 0.05
     sensors: tuple[SensorSpec, ...] = ()
     contact_rule: ContactRule = field(default_factory=ContactRule)
-    motion_model: str = "simulator"
     analytics: AnalyticsSettings = field(default_factory=AnalyticsSettings)
 
 
@@ -49,6 +49,12 @@ def _prob(value: Any, what: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool) or not 0.0 <= value <= 1.0:
         raise ValidationError(f"{what} must be a probability in [0,1], got {value!r}")
     return float(value)
+
+
+def _count(value: Any, key: str, minimum: int) -> int:
+    if not isinstance(value, Integral) or isinstance(value, bool) or value < minimum:
+        raise ValidationError(f"{key} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def _int_keyed(mapping: dict, what: str) -> dict[int, Any]:
@@ -241,12 +247,8 @@ def _parse_document(doc: dict) -> WorldConfig:
                     f"home_of[{loc}] names agent {owner} whose home is {by_id[owner].home}"
                 )
 
-    ticks_per_day = int(doc["ticks_per_day"])
-    days = int(doc["days"])
-    if ticks_per_day < 1:
-        raise ValidationError(f"ticks_per_day must be >= 1, got {ticks_per_day}")
-    if days < 1:
-        raise ValidationError(f"days must be >= 1, got {days}")
+    ticks_per_day = _count(doc["ticks_per_day"], "ticks_per_day", 1)
+    days = _count(doc["days"], "days", 1)
 
     sensors = tuple(_parse_sensor(s, plan) for s in doc.get("sensors", []))
     sensor_ids = [s.id for s in sensors]
@@ -266,9 +268,8 @@ def _parse_document(doc: dict) -> WorldConfig:
         if tag not in LOCATION_TAGS:
             raise ValidationError(f"contact_rule excludes unknown tag {tag!r}")
 
-    motion_model = doc.get("motion_model", "simulator")
-    if motion_model not in ("simulator", "uniform_adjacent"):
-        raise ValidationError(f"unknown motion_model {motion_model!r}")
+    if doc.get("motion_model", "simulator") != "simulator":  # the tracker's only prior
+        raise ValidationError(f"unknown motion_model {doc['motion_model']!r}")
 
     an = doc.get("analytics", {})
     analytics = AnalyticsSettings(
@@ -288,13 +289,17 @@ def _parse_document(doc: dict) -> WorldConfig:
         agents=agents,
         ticks_per_day=ticks_per_day,
         days=days,
-        rng_seed=int(doc["rng_seed"]),
+        rng_seed=_count(doc["rng_seed"], "rng_seed", 0),
         fluctuation_rate=_prob(doc.get("fluctuation_rate", 0.05), "fluctuation_rate"),
         sensors=sensors,
         contact_rule=rule,
-        motion_model=str(motion_model),
         analytics=analytics,
     )
+
+
+def with_seed(config: WorldConfig, seed: int) -> WorldConfig:
+    """``config`` with its rng_seed replaced, checked as parse_config checks it."""
+    return replace(config, rng_seed=_count(seed, "rng_seed", 0))
 
 
 def load_config(path: str | Path) -> WorldConfig:
@@ -365,7 +370,6 @@ def dump_config(config: WorldConfig) -> dict:
             "excluded_tags": sorted(config.contact_rule.excluded_tags),
             "officemate_exclusion": config.contact_rule.officemate_exclusion,
         },
-        "motion_model": config.motion_model,
         "analytics": {
             "baseline_alpha": config.analytics.baseline_alpha,
             "day_alpha": config.analytics.day_alpha,

@@ -25,10 +25,6 @@ class ConvergenceError(OfficeLabError):
     """Iterative solve did not converge within its iteration cap."""
 
 
-class DegenerateEvidenceError(OfficeLabError):
-    """All posterior products are zero: evidence contradicts the prior's support."""
-
-
 class AllPathsZeroError(OfficeLabError):
     """No location sequence has positive probability under kernel and evidence."""
 

@@ -22,6 +22,7 @@ from .sensors import ObservationEvent
 from .simulate import TrajectoryRecord
 
 BELIEF_WRITE_FLOOR = 1e-6  # rows below this are omitted from the belief CSV
+PATHS_HEADER = "agent,day,tick,location\n"  # trajectories.csv and the *_paths.csv tables
 
 T = TypeVar("T")
 
@@ -69,7 +70,7 @@ def read_trajectories_jsonl(path: Path) -> list[TrajectoryRecord]:
 
 def write_trajectories_csv(records: Iterable[TrajectoryRecord], path: Path) -> None:
     with open(path, "w") as fh:
-        fh.write("agent,day,tick,location\n")
+        fh.write(PATHS_HEADER)
         for r in records:
             fh.write(f"{r.agent},{r.day},{r.tick},{r.location}\n")
 
@@ -106,7 +107,7 @@ def write_beliefs_csv(beliefs: Sequence[BeliefMatrix], path: Path) -> None:
 def write_paths_csv(paths: dict[int, dict[int, Sequence[int]]], path: Path) -> None:
     """agent -> day -> location sequence, one row per (agent, day, tick)."""
     with open(path, "w") as fh:
-        fh.write("agent,day,tick,location\n")
+        fh.write(PATHS_HEADER)
         for agent in sorted(paths):
             for day in sorted(paths[agent]):
                 for tick, loc in enumerate(paths[agent][day]):
@@ -114,16 +115,16 @@ def write_paths_csv(paths: dict[int, dict[int, Sequence[int]]], path: Path) -> N
 
 
 def read_paths_csv(path: Path) -> dict[int, dict[int, list[int]]]:
+    """agent -> day -> locations in file order, from the table write_paths_csv and write_trajectories_csv write."""
     paths: dict[int, dict[int, list[int]]] = {}
     with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        idx = {name: i for i, name in enumerate(header)}
+        if fh.readline() != PATHS_HEADER:
+            raise _malformed(path, 1, ValueError(f"expected the header {PATHS_HEADER.strip()!r}"))
         try:
             for lineno, line in enumerate(fh, 2):
-                parts = line.strip().split(",")
-                agent, day, tick, loc = (int(parts[idx[k]]) for k in ("agent", "day", "tick", "location"))
+                agent, day, _, loc = map(int, line.split(","))
                 paths.setdefault(agent, {}).setdefault(day, []).append(loc)
-        except (ValueError, KeyError, IndexError) as exc:
+        except ValueError as exc:
             raise _malformed(path, lineno, exc) from None
     return paths
 

@@ -3,11 +3,13 @@
 Beliefs are per-agent categorical distributions over location bins. The
 sensor reports become one (ticks, agents, locations) evidence block per day
 (LikelihoodModel.evidence: one stable sort of the events' integer columns
-groups the reports, one-report factors are computed per chunk of groups); all
-agents then advance together, each through its own motion kernel
-(predict), reweighted by its row of the block (update). Decoding reads the
-same blocks. Each day starts from a point mass at the agent's home; tick 0
-is update-only, prediction applies from tick 1.
+groups the reports, one-report factors are computed per chunk of groups).
+One tracker set-up (_tracker) builds the motion model, the agents' start (a
+point mass at home) and the per-day blocks; fuse_run advances all agents
+together, each through its own motion kernel (predict), reweighted by its row
+of the block (update), and decode_run hands the same days to
+decoding.decode_agents. Tick 0 is
+update-only, prediction applies from tick 1.
 
 The per-agent likelihood treats only reports naming the agent as evidence
 and explains them as true detections or false positives; reports produced by
@@ -24,7 +26,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .config import WorldConfig
-from .errors import DegenerateEvidenceError, ValidationError
+from .decoding import DecodedPath, decode_agents
+from .errors import ValidationError
 from .sensors import ObservationEvent, SensorSpec
 from .world import FloorPlan
 
@@ -43,33 +46,14 @@ KERNEL_SUPPORT_FLOOR = 0.01
 class MotionModel:
     """Per-agent location transition kernels (rows sum to 1, support self+adjacent)."""
 
-    kernels: dict[int, np.ndarray]
+    agents: tuple[int, ...]
+    kernels: np.ndarray  # (agents, n, n), stacked in the order of ``agents``
 
     def kernel(self, agent: int) -> np.ndarray:
-        return self.kernels[agent]
-
-    def validate(self, plan: FloorPlan) -> None:
-        for agent, K in self.kernels.items():
-            if K.shape != (plan.n, plan.n):
-                raise ValidationError(f"kernel of agent {agent} has shape {K.shape}")
-            if np.abs(K.sum(axis=1) - 1.0).max() > 1e-9:
-                raise ValidationError(f"kernel rows of agent {agent} do not sum to 1")
-            for x in plan.locations:
-                allowed = {x, *plan.neighbors[x]}
-                support = np.nonzero(K[x] > 0)[0]
-                if not set(int(j) for j in support) <= allowed:
-                    raise ValidationError(f"kernel of agent {agent} leaves adjacency at {x}")
+        return self.kernels[self.agents.index(agent)]
 
 
-def _uniform_adjacent_rows(plan: FloorPlan) -> np.ndarray:
-    U = np.zeros((plan.n, plan.n))
-    for x in plan.locations:
-        support = [x, *plan.neighbors[x]]
-        U[x, support] = 1.0 / len(support)
-    return U
-
-
-def simulator_motion_model(config: WorldConfig) -> MotionModel:
+def motion_model_for(config: WorldConfig) -> MotionModel:
     """Location-level Markovization of the simulator dynamics.
 
     From an idle tick at x the agent keeps mass stay(x) in place and sends
@@ -80,9 +64,12 @@ def simulator_motion_model(config: WorldConfig) -> MotionModel:
     deliberately folded away; this is the tracker's prior, not the truth.
     """
     plan = config.floor_plan
-    detour = _uniform_adjacent_rows(plan)
+    detour = np.zeros((plan.n, plan.n))
+    for x in plan.locations:
+        support = [x, *plan.neighbors[x]]
+        detour[x, support] = 1.0 / len(support)
     mix = max(config.fluctuation_rate, KERNEL_SUPPORT_FLOOR)
-    kernels = {}
+    kernels = []
     for profile in config.agents:
         K = np.zeros((plan.n, plan.n))
         for x in plan.locations:
@@ -91,34 +78,8 @@ def simulator_motion_model(config: WorldConfig) -> MotionModel:
             move = 1.0 - s
             for d, p in sorted(profile.destinations.items()):
                 K[x, plan.next_hop[x, d]] += move * p
-        kernels[profile.id] = (1.0 - mix) * K + mix * detour
-    return MotionModel(kernels)
-
-
-def uniform_adjacent_motion_model(plan: FloorPlan, agent_ids: Iterable[int]) -> MotionModel:
-    """Mismatched-model mode: uniform over self plus neighbors, same for all."""
-    U = _uniform_adjacent_rows(plan)
-    return MotionModel({a: U for a in agent_ids})
-
-
-def motion_model_for(config: WorldConfig) -> MotionModel:
-    if config.motion_model == "uniform_adjacent":
-        return uniform_adjacent_motion_model(config.floor_plan, [a.id for a in config.agents])
-    return simulator_motion_model(config)
-
-
-def predict(belief_row: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Diffuse a belief through the motion kernel: b'[j] = sum_i b[i] K[i,j]."""
-    return belief_row @ kernel
-
-
-def update(belief_row: np.ndarray, likelihood: np.ndarray) -> np.ndarray:
-    """Bayes reweighting; raises DegenerateEvidenceError if all products vanish."""
-    post = belief_row * likelihood
-    total = post.sum()
-    if total <= 0.0:
-        raise DegenerateEvidenceError("likelihood contradicts the belief's support")
-    return post / total
+        kernels.append((1.0 - mix) * K + mix * detour)
+    return MotionModel(tuple(a.id for a in config.agents), np.reshape(kernels, (-1, plan.n, plan.n)))
 
 
 def _integers(values: Sequence, name: str) -> np.ndarray:
@@ -291,6 +252,24 @@ class BeliefMatrix:
     predict_only: int = 0  # rows left at their prediction by degenerate evidence
 
 
+def _tracker(
+    events: Iterable[ObservationEvent], config: WorldConfig, motion: MotionModel | None = None
+) -> tuple[MotionModel, np.ndarray, Iterator[np.ndarray]]:
+    """The per-run tracker set-up: the motion model (built from ``config`` unless given), the start
+    (agents, n), a point mass at each home, and each configured day's evidence (ticks, agents, n).
+
+    Rows follow the config's agent order, which a given ``motion`` must share.
+    """
+    motion = motion or motion_model_for(config)
+    agents = tuple(a.id for a in config.agents)
+    if motion.agents != agents:
+        raise ValidationError(f"motion model covers agents {list(motion.agents)}; the config has {list(agents)}")
+    model = LikelihoodModel(config.sensors, config.floor_plan, n_agents=len(agents))
+    start = np.zeros((len(agents), config.floor_plan.n))
+    start[np.arange(len(agents)), [a.home for a in config.agents]] = 1.0
+    return motion, start, model.evidence(events, config.days, config.ticks_per_day, agents)
+
+
 def fuse_run(
     events: Iterable[ObservationEvent],
     config: WorldConfig,
@@ -301,29 +280,35 @@ def fuse_run(
     Degenerate evidence (all posterior products zero) falls back to the
     predicted belief for that tick and is logged.
     """
-    plan = config.floor_plan
-    motion = motion or motion_model_for(config)
-    agent_ids = tuple(a.id for a in config.agents)
-    model = LikelihoodModel(config.sensors, plan, n_agents=len(agent_ids))
-    kernels = np.array([motion.kernel(a) for a in agent_ids]).reshape(-1, plan.n, plan.n)
-
+    motion, start, days = _tracker(events, config, motion)
     out: list[BeliefMatrix] = []
-    for day, evidence in enumerate(model.evidence(events, config.days, config.ticks_per_day, agent_ids)):
-        rows = np.zeros((len(agent_ids), plan.n))
-        rows[np.arange(len(agent_ids)), [a.home for a in config.agents]] = 1.0
+    for day, evidence in enumerate(days):
+        rows = start
         for tick in range(config.ticks_per_day):
             if tick > 0:
-                rows = (rows[:, None, :] @ kernels)[:, 0]
+                rows = (rows[:, None, :] @ motion.kernels)[:, 0]
             post = rows * evidence[tick]
             total = post.sum(axis=1)
             stuck = np.flatnonzero(total <= 0.0)
             for i in stuck:
-                log.debug("degenerate evidence for agent %d at day %d tick %d; predict-only", agent_ids[i], day, tick)
+                log.debug("degenerate evidence for agent %d at day %d tick %d; predict-only", motion.agents[i], day, tick)
             post[stuck], total[stuck] = rows[stuck], 1.0
             floored = np.maximum(post / total[:, None], BELIEF_FLOOR)
             rows = floored / floored.sum(axis=1, keepdims=True)
-            out.append(BeliefMatrix(day=day, tick=tick, agents=agent_ids, probs=rows, predict_only=len(stuck)))
+            out.append(BeliefMatrix(day=day, tick=tick, agents=motion.agents, probs=rows, predict_only=len(stuck)))
     return out
+
+
+def decode_run(events: Iterable[ObservationEvent], config: WorldConfig) -> tuple[list[DecodedPath], int]:
+    """Most likely path of every agent-day, days in order, and the count of agent-days that needed the leak retry."""
+    motion, start, days = _tracker(events, config)
+    decoded: list[DecodedPath] = []
+    retries = 0
+    for day, evidence in enumerate(days):
+        paths, leaked = decode_agents(start, motion.kernels, evidence, motion.agents, day)
+        decoded += paths
+        retries += leaked
+    return decoded, retries
 
 
 def argmax_paths(beliefs: Sequence[BeliefMatrix]) -> dict[int, dict[int, list[int]]]:

@@ -9,23 +9,20 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .analytics import mine_frequent_patterns, surprise_by_day
 from .config import WorldConfig
 from .contacts import export_graph, extract_contacts, graph_metrics
-from .decoding import decode_agents, decode_day  # decode_day: the one-agent form, re-exported
+from .decoding import decode_day  # decode_day: the one-agent form, re-exported
 from .errors import OfficeLabError
 from .formats import (
     read_events_jsonl,
     read_paths_csv,
     read_trajectories_jsonl,
-    trajectories_to_paths,
     write_beliefs_csv,
     write_decode_scores_csv,
     write_department_matrix_csv,
@@ -39,7 +36,7 @@ from .formats import (
     write_trajectories_csv,
     write_trajectories_jsonl,
 )
-from .fusion import LikelihoodModel, argmax_paths, fuse_run, motion_model_for
+from .fusion import argmax_paths, decode_run, fuse_run
 from .sensors import generate_event_log
 from .simulate import run_simulation
 
@@ -72,27 +69,20 @@ class RunManifest:
             raise StageError(f"manifest lists no {name!r} output for stage {stage!r}; run it first") from None
 
     def save(self, out_dir: Path) -> None:
-        doc = {
-            "config_path": self.config_path,
-            "seed": self.seed,
-            "tool_version": self.tool_version,
-            "created_at": self.created_at,
-            "updated_at": self.updated_at,
-            "outputs": self.outputs,
-        }
-        (out_dir / MANIFEST_NAME).write_text(json.dumps(doc, indent=2) + "\n")
+        (out_dir / MANIFEST_NAME).write_text(json.dumps(asdict(self), indent=2) + "\n")
 
     @staticmethod
     def load(out_dir: Path) -> RunManifest:
-        doc = json.loads((out_dir / MANIFEST_NAME).read_text())
-        return RunManifest(
-            config_path=doc["config_path"],
-            seed=doc["seed"],
-            tool_version=doc["tool_version"],
-            created_at=doc["created_at"],
-            updated_at=doc["updated_at"],
-            outputs=doc["outputs"],
-        )
+        """The manifest in ``out_dir``; StageError naming the file unless it holds exactly the fields."""
+        path = out_dir / MANIFEST_NAME
+        try:
+            doc = json.loads(path.read_text())
+        except ValueError as exc:
+            raise StageError(f"{path} is not valid JSON: {exc}") from None
+        names = [f.name for f in fields(RunManifest)]
+        if not isinstance(doc, dict) or sorted(doc) != sorted(names):
+            raise StageError(f"{path} is not a run manifest: expected the keys {names}")
+        return RunManifest(**doc)
 
 
 def _now() -> str:
@@ -130,7 +120,7 @@ def stage_observe(config: WorldConfig, out_dir: Path, manifest: RunManifest) -> 
 
 def stage_fuse(config: WorldConfig, out_dir: Path, manifest: RunManifest) -> None:
     events = read_events_jsonl(manifest.path_of("observe", "events", out_dir))
-    beliefs = fuse_run(events, config, motion_model_for(config))
+    beliefs = fuse_run(events, config)
     write_beliefs_csv(beliefs, out_dir / "beliefs.csv")
     write_paths_csv(argmax_paths(beliefs), out_dir / "argmax_paths.csv")
     manifest.record("fuse", beliefs="beliefs.csv", argmax_paths="argmax_paths.csv")
@@ -141,37 +131,22 @@ def stage_fuse(config: WorldConfig, out_dir: Path, manifest: RunManifest) -> Non
 
 def stage_decode(config: WorldConfig, out_dir: Path, manifest: RunManifest) -> None:
     events = read_events_jsonl(manifest.path_of("observe", "events", out_dir))
-    plan = config.floor_plan
-    motion = motion_model_for(config)
-    agent_ids = [a.id for a in config.agents]
-    model = LikelihoodModel(config.sensors, plan, n_agents=len(agent_ids))
-    kernels = np.array([motion.kernel(a) for a in agent_ids]).reshape(-1, plan.n, plan.n)
-    initial = np.zeros((len(agent_ids), plan.n))
-    initial[np.arange(len(agent_ids)), [a.home for a in config.agents]] = 1.0
-
+    decoded, retries = decode_run(events, config)
     paths: dict[int, dict[int, list[int]]] = {}
-    scores: dict[tuple[int, int], float] = {}
-    retries = 0
-    for day, evidence in enumerate(model.evidence(events, config.days, config.ticks_per_day, agent_ids)):
-        decoded, leaked = decode_agents(initial, kernels, evidence, agent_ids, day)
-        retries += leaked
-        for d in decoded:
-            paths.setdefault(d.agent, {})[day] = list(d.path)
-            scores[(d.agent, day)] = d.log_score
+    for d in decoded:
+        paths.setdefault(d.agent, {})[d.day] = list(d.path)
     write_paths_csv(paths, out_dir / "decoded_paths.csv")
-    write_decode_scores_csv(scores, out_dir / "decode_scores.csv")
+    write_decode_scores_csv({(d.agent, d.day): d.log_score for d in decoded}, out_dir / "decode_scores.csv")
     manifest.record("decode", decoded_paths="decoded_paths.csv", decode_scores="decode_scores.csv")
     manifest.save(out_dir)
-    log.info("decode: %d agent-days, %d leak retries", len(scores), retries)
+    log.info("decode: %d agent-days, %d leak retries", len(decoded), retries)
 
 
 def _paths_for_source(config: WorldConfig, out_dir: Path, manifest: RunManifest, source: str):
-    if source == "truth":
-        records = read_trajectories_jsonl(manifest.path_of("simulate", "trajectories", out_dir))
-        return trajectories_to_paths(records)
-    if source == "decoded":
-        return read_paths_csv(manifest.path_of("decode", "decoded_paths", out_dir))
-    raise StageError(f"unknown analytics source {source!r}")
+    handoff = {"truth": ("simulate", "trajectories_csv"), "decoded": ("decode", "decoded_paths")}
+    if source not in handoff:
+        raise StageError(f"unknown analytics source {source!r}")
+    return read_paths_csv(manifest.path_of(*handoff[source], out_dir))
 
 
 def stage_analyze(config: WorldConfig, out_dir: Path, manifest: RunManifest, source: str = "truth") -> None:

@@ -78,6 +78,36 @@ def test_seed_override_is_recorded_in_manifest(config_path, tmp_path):
     assert RunManifest.load(out).seed == 777
 
 
+def test_negative_seed_override_exits_1_naming_rng_seed(config_path, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(config_path), "--out", str(out), "--seed", "-3"]) == 1
+    assert "rng_seed must be an integer >= 0, got -3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{not json",
+        "{}",
+        "[]",
+        json.dumps({"config_path": "c.json", "seed": 123, "tool_version": "0", "created_at": "", "updated_at": ""}),
+        json.dumps(
+            {"config_path": "c.json", "seed": 123, "tool_version": "0", "created_at": "", "updated_at": "",
+             "outputs": {}, "elapsed": {}}
+        ),
+    ],
+    ids=("invalid_json", "empty", "array", "missing_key", "extra_key"),
+)
+def test_malformed_manifest_exits_2_naming_the_file(config_path, tmp_path, capsys, text):
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0
+    (out / "manifest.json").write_text(text)
+    capsys.readouterr()
+    assert main(["observe", "--config", str(config_path), "--out", str(out)]) == 2
+    assert str(out / "manifest.json") in capsys.readouterr().err
+
+
 def _data_lines(path: Path) -> list[str]:
     return [line for line in path.read_text().splitlines() if not line.startswith("#")]
 
@@ -125,14 +155,19 @@ def _append_non_integer_row(text: str) -> str:
     return text + "0,0,x,1\n"
 
 
+def _swap_header_columns(text: str) -> str:
+    return text.replace("agent,day,tick,location", "day,agent,tick,location", 1)
+
+
 @pytest.mark.parametrize(
     "stage, name, corrupt",
     [
         ("fuse", "events.jsonl", _truncate_last_line),
         ("observe", "trajectories.jsonl", _truncate_last_line),
         ("analyze", "decoded_paths.csv", _append_non_integer_row),
+        ("analyze", "trajectories.csv", _swap_header_columns),
     ],
-    ids=("events", "trajectories", "decoded_paths"),
+    ids=("events", "trajectories", "decoded_paths", "trajectories_csv_header"),
 )
 def test_malformed_handoff_file_exits_2_naming_file_and_line(tmp_path, capsys, stage, name, corrupt):
     out = tmp_path / "run"
@@ -141,8 +176,9 @@ def test_malformed_handoff_file_exits_2_naming_file_and_line(tmp_path, capsys, s
     path = out / name
     path.write_text(corrupt(path.read_text()))
     capsys.readouterr()
-    source = ["--analytics-source", "decoded"] if stage == "analyze" else []
+    source = ["--analytics-source", "decoded"] if name == "decoded_paths.csv" else []  # analyze reads truth by default
     assert main([stage, *config, *source]) == 2
     err = capsys.readouterr().err
     assert f"stage {stage} failed" in err
-    assert f"{name} line {len(path.read_text().splitlines())} is malformed" in err
+    line = 1 if corrupt is _swap_header_columns else len(path.read_text().splitlines())
+    assert f"{name} line {line} is malformed" in err

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from officelab.config import load_config
 from officelab.errors import NoPathError, ValidationError
 from officelab.formats import (
     read_events_jsonl,
@@ -14,11 +16,12 @@ from officelab.formats import (
     write_beliefs_csv,
     write_events_jsonl,
     write_paths_csv,
+    write_trajectories_csv,
     write_trajectories_jsonl,
 )
 from officelab.fusion import BeliefMatrix
 from officelab.sensors import ObservationEvent
-from officelab.simulate import TrajectoryRecord
+from officelab.simulate import TrajectoryRecord, run_simulation
 from officelab.world import FloorPlan
 
 
@@ -79,6 +82,17 @@ def test_paths_csv_round_trip(tmp_path):
     file = tmp_path / "p.csv"
     write_paths_csv(paths, file)
     assert read_paths_csv(file) == paths
+
+
+def test_trajectories_csv_reads_as_the_grouped_records(tmp_path):
+    # analytics on ground truth reads trajectories.csv through read_paths_csv
+    records = run_simulation(load_config(Path(__file__).resolve().parent.parent / "configs" / "demo.json"))
+    file = tmp_path / "trajectories.csv"
+    write_trajectories_csv(records, file)
+    paths, grouped = read_paths_csv(file), trajectories_to_paths(records)
+    assert paths == grouped
+    assert list(paths) == list(grouped)
+    assert all(list(paths[a]) == list(grouped[a]) for a in paths)
 
 
 def test_belief_csv_omits_rows_below_write_floor(tmp_path):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -7,89 +8,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from officelab.config import WorldConfig
-from officelab.errors import DegenerateEvidenceError, ValidationError
+from officelab.config import WorldConfig, dump_config, parse_config
+from officelab.decoding import decode_day
+from officelab.errors import ValidationError
 from officelab.fusion import (
     BELIEF_FLOOR,
     LikelihoodModel,
     argmax_paths,
+    decode_run,
     fuse_run,
     likelihood_of_events,
     motion_model_for,
-    predict,
-    simulator_motion_model,
-    uniform_adjacent_motion_model,
-    update,
 )
 from officelab.sensors import ObservationEvent, SensorSpec, generate_event_log
 from officelab.simulate import run_simulation
 from officelab.world import AgentProfile, StayProbs
 
-from conftest import line_plan, uniform_agent
-
-K2 = np.array([[0.7, 0.3], [0.4, 0.6]])
-
-
-# --- predict ----------------------------------------------------------------
-
-
-def test_predict_point_mass():
-    assert np.allclose(predict(np.array([1.0, 0.0]), K2), [0.7, 0.3])
-
-
-def test_predict_identity_kernel():
-    b = np.array([0.3, 0.7])
-    assert np.allclose(predict(b, np.eye(2)), b)
-
-
-def test_predict_hand_computed_mixture():
-    assert np.allclose(predict(np.array([0.5, 0.5]), K2), [0.55, 0.45])
-
-
-@given(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=6))
-@settings(max_examples=100, deadline=None)
-def test_predict_preserves_mass_and_validity(raw):
-    b = np.array(raw) / np.sum(raw)
-    n = len(b)
-    rows = np.random.default_rng(42).uniform(0.01, 1.0, size=(n, n))
-    K = rows / rows.sum(axis=1, keepdims=True)
-    out = predict(b, K)
-    assert abs(out.sum() - b.sum()) < 1e-12
-    assert (out >= 0).all()
-
-
-# --- update -----------------------------------------------------------------
-
-
-def test_update_hand_computed_bayes_rule():
-    post = update(np.array([0.8, 0.2]), np.array([0.5, 0.9]))
-    assert np.allclose(post, [0.40 / 0.58, 0.18 / 0.58], atol=1e-4)
-    assert np.allclose(post, [0.6897, 0.3103], atol=1e-4)
-
-
-def test_update_uniform_likelihood_is_identity():
-    prior = np.array([0.25, 0.5, 0.25])
-    assert np.allclose(update(prior, np.ones(3)), prior, atol=1e-12)
-
-
-def test_update_raises_on_contradiction():
-    with pytest.raises(DegenerateEvidenceError):
-        update(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-
-
-@given(
-    st.lists(st.floats(0.01, 1.0), min_size=2, max_size=6),
-    st.floats(0.001, 1000.0),
-)
-@settings(max_examples=100, deadline=None)
-def test_update_invariant_to_likelihood_rescaling(raw, scale):
-    rng = np.random.default_rng(7)
-    prior = np.array(raw) / np.sum(raw)
-    like = rng.uniform(0.1, 2.0, size=len(prior))
-    a = update(prior, like)
-    b = update(prior, like * scale)
-    assert np.abs(a - b).max() < 1e-12
-
+from conftest import line_plan, minimal_config_doc, uniform_agent
 
 # --- evidence likelihoods ----------------------------------------------------
 
@@ -268,29 +203,29 @@ def test_evidence_equals_per_report_loop_bit_for_bit(seed, n_agents, certain):
 # --- motion models ------------------------------------------------------------
 
 
-def test_uniform_adjacent_mode_is_selectable_from_config():
-    from officelab.config import parse_config
-
-    from conftest import minimal_config_doc
-
+def test_motion_model_other_than_simulator_is_rejected_by_name():
     doc = minimal_config_doc()
     doc["motion_model"] = "uniform_adjacent"
-    cfg = parse_config(doc)
-    K = motion_model_for(cfg).kernel(0)
-    assert np.allclose(K, [[0.5, 0.5], [0.5, 0.5]])
+    with pytest.raises(ValidationError, match="motion_model 'uniform_adjacent'"):
+        parse_config(doc)
+    doc["motion_model"] = "simulator"  # the one prior, still accepted when named
+    assert "motion_model" not in dump_config(parse_config(doc))
 
 
 def test_motion_kernels_are_valid_and_cover_adjacency():
     plan = line_plan(5)
     prof = AgentProfile(0, 0, StayProbs(default=0.6), {0: 0.5, 4: 0.5})
     cfg = WorldConfig(floor_plan=plan, agents=(prof,), ticks_per_day=5, days=1, rng_seed=0, fluctuation_rate=0.0)
-    for model in (simulator_motion_model(cfg), uniform_adjacent_motion_model(plan, [0])):
-        model.validate(plan)
-        K = model.kernel(0)
-        for x in plan.locations:  # every physically possible move has positive mass
-            assert K[x, x] > 0  # staying is always possible (planning ticks)
-            for y in plan.neighbors[x]:
-                assert K[x, y] > 0
+    model = motion_model_for(cfg)
+    assert model.agents == (0,) and model.kernels.shape == (1, plan.n, plan.n)
+    K = model.kernel(0)
+    assert np.abs(K.sum(axis=1) - 1.0).max() < 1e-9
+    for x in plan.locations:
+        support = {x, *plan.neighbors[x]}
+        assert set(np.flatnonzero(K[x]).tolist()) == support  # no mass leaves adjacency
+        assert K[x, x] > 0  # staying is always possible (planning ticks)
+        for y in plan.neighbors[x]:  # every physically possible move has positive mass
+            assert K[x, y] > 0
 
 
 # --- fuse_run ----------------------------------------------------------------
@@ -384,7 +319,7 @@ def test_single_tick_matches_manual_predict_update_chain():
     init = np.zeros(2)
     init[0] = 1.0
     L = likelihood_of_events(events, 0, cfg.sensors, cfg.floor_plan, n_agents=1)
-    assert np.allclose(beliefs[0].probs[0], update(init, L), atol=1e-9)
+    assert np.allclose(beliefs[0].probs[0], init * L / (init * L).sum(), atol=1e-9)
 
 
 def test_noiseless_full_coverage_argmax_recovers_truth():
@@ -457,3 +392,75 @@ def test_tracking_accuracy_is_monotone_in_sensor_quality():
     good = np.mean([_tracking_accuracy(0.95, s) for s in range(5)])
     poor = np.mean([_tracking_accuracy(0.6, s) for s in range(5)])
     assert good > poor
+
+
+# --- decode_run and the shared day loop ----------------------------------------
+
+
+def test_decode_run_equals_decode_day_on_evidence_blocks_including_a_leaked_row():
+    plan = line_plan(4)
+    agents = (uniform_agent(0, 0, 4, stay=0.5), uniform_agent(1, 3, 4, stay=0.7))
+    sensors = (
+        SensorSpec("cam", "camera", (0, 1, 2, 3), p_detect=0.8, p_false_positive=0.05, p_confuse=0.1),
+        SensorSpec("far", "tag_reader", (3,), p_detect=1.0, p_false_positive=0.0, p_confuse=0.0),
+    )
+    cfg = WorldConfig(
+        floor_plan=plan, agents=agents, ticks_per_day=8, days=2, rng_seed=4, fluctuation_rate=0.0, sensors=sensors
+    )
+    events = generate_event_log(run_simulation(cfg), cfg.sensors, cfg.rng_seed)
+    # agent 0 starts day 1 at home 0; a certain report at 3 one tick later admits no path
+    events.append(ObservationEvent("far", 1, 1, 0, 3))
+    motion = motion_model_for(cfg)
+    decoded, retries = decode_run(events, cfg)
+    assert retries == 1
+    assert [(d.day, d.agent) for d in decoded] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    blocks = LikelihoodModel(sensors, plan, n_agents=2).evidence(events, cfg.days, cfg.ticks_per_day, (0, 1))
+    for day, block in enumerate(blocks):
+        for i, profile in enumerate(agents):
+            init = np.zeros(plan.n)
+            init[profile.home] = 1.0
+            expected = decode_day(init, motion.kernel(profile.id), block[:, i], agent=profile.id, day=day)
+            assert decoded[2 * day + i] == expected
+
+
+def test_kernels_stack_in_config_agent_order():
+    # ids (7, 3): neither sorted nor positional, and the two kernels differ,
+    # so stacking in any other order misplaces a kernel
+    plan = line_plan(4)
+    agents = (
+        uniform_agent(7, 0, 4, stay=0.2),
+        AgentProfile(3, 3, StayProbs(default=0.9), {3: 0.7, 0: 0.3}),
+    )
+    sensors = (SensorSpec("cam", "camera", (0, 1, 2), p_detect=0.8, p_false_positive=0.05, p_confuse=0.1),)
+    cfg = WorldConfig(
+        floor_plan=plan, agents=agents, ticks_per_day=6, days=1, rng_seed=2, fluctuation_rate=0.0, sensors=sensors
+    )
+    motion = motion_model_for(cfg)
+    assert motion.agents == (7, 3)
+    for i, profile in enumerate(agents):
+        alone = motion_model_for(replace(cfg, agents=(profile,)))
+        assert np.array_equal(motion.kernel(profile.id), alone.kernels[0])
+        assert np.array_equal(motion.kernels[i], alone.kernels[0])
+    assert not np.allclose(motion.kernel(7), motion.kernel(3))
+
+    events = generate_event_log(run_simulation(cfg), cfg.sensors, cfg.rng_seed)
+    beliefs = fuse_run(events, cfg, motion)
+    decoded, _ = decode_run(events, cfg)
+    assert all(m.agents == (7, 3) for m in beliefs)
+    assert [d.agent for d in decoded] == [7, 3]
+    for i, profile in enumerate(agents):
+        evidence = np.stack(
+            [
+                likelihood_of_events([e for e in events if e.tick == t], profile.id, sensors, plan, n_agents=2)
+                for t in range(cfg.ticks_per_day)
+            ]
+        )
+        init = np.zeros(plan.n)
+        init[profile.home] = 1.0
+        for m, ref in zip(beliefs, _forward_enumeration(init, motion.kernel(profile.id), evidence)):
+            assert np.abs(m.probs[i] - ref).max() < 1e-9
+        assert decoded[i].path == decode_day(init, motion.kernel(profile.id), evidence, profile.id, 0).path
+
+    swapped = motion_model_for(replace(cfg, agents=agents[::-1]))
+    with pytest.raises(ValidationError, match=r"agents \[3, 7\]; the config has \[7, 3\]"):
+        fuse_run(events, cfg, swapped)

@@ -80,6 +80,11 @@ def test_malformed_json_is_a_parse_error(tmp_path):
         (lambda d: d["agents"].append(dict(d["agents"][0])), "duplicate agent id"),
         (lambda d: d.update(ticks_per_day=0), "ticks_per_day"),
         (lambda d: d.update(days=0), "days"),
+        (lambda d: d.update(ticks_per_day=1.5), "ticks_per_day must be an integer"),
+        (lambda d: d.update(days=2.5), "days must be an integer"),
+        (lambda d: d.update(rng_seed=-1), "rng_seed must be an integer >= 0"),
+        (lambda d: d.update(rng_seed=1.5), "rng_seed must be an integer"),
+        (lambda d: d.update(rng_seed="7"), "rng_seed must be an integer"),
         (lambda d: d["floor_plan"]["home_of"].update({"1": [7]}), "unknown agent 7"),
         (lambda d: d["agents"][0]["schedule"].append({"window": [5, 5], "target": 0, "probability": 1}), "start < end"),
         (lambda d: d["agents"][0]["stay_prob"].update(by_location={"0": 0.2}, default=0.5), "below the default"),
