@@ -101,18 +101,9 @@ def _parse_floor_plan(doc: dict) -> FloorPlan:
         home_of[loc] = tuple(int(a) for a in owner_ids)
 
     plan = FloorPlan(tuple(locs), frozenset(edges), tags, home_of)
-    if plan.n > 1:
-        seen = {locs[0]}
-        frontier = [locs[0]]
-        while frontier:
-            x = frontier.pop()
-            for y in plan.neighbors[x]:
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        if len(seen) != plan.n:
-            missing = min(known - seen)
-            raise ValidationError(f"floor plan is not connected (location {missing} unreachable)")
+    hops = plan.distances[0].tolist()  # -1 marks a location unreachable from 0
+    if -1 in hops:
+        raise ValidationError(f"floor plan is not connected (location {hops.index(-1)} unreachable)")
     return plan
 
 
@@ -200,6 +191,9 @@ def _parse_sensor(doc: dict, plan: FloorPlan) -> SensorSpec:
     for loc in coverage:
         if loc not in plan.neighbors:
             raise ValidationError(f"sensor {sensor_id} covers unknown location {loc}")
+    for loc, following in zip(coverage, coverage[1:]):  # sorted, so a repeat sits next to itself
+        if loc == following:
+            raise ValidationError(f"sensor {sensor_id} covers location {loc} more than once")
     return SensorSpec(
         id=sensor_id,
         kind=kind,
@@ -378,7 +372,3 @@ def dump_config(config: WorldConfig) -> dict:
             "max_len": config.analytics.max_len,
         },
     }
-
-
-def save_config(config: WorldConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(dump_config(config), indent=2) + "\n")

@@ -115,15 +115,22 @@ def write_paths_csv(paths: dict[int, dict[int, Sequence[int]]], path: Path) -> N
 
 
 def read_paths_csv(path: Path) -> dict[int, dict[int, list[int]]]:
-    """agent -> day -> locations in file order, from the table write_paths_csv and write_trajectories_csv write."""
+    """agent -> day -> locations, from the table write_paths_csv and write_trajectories_csv write.
+
+    Each row's tick must be the next one of its (agent, day) path; a row out
+    of order or repeated raises ValidationError naming its line.
+    """
     paths: dict[int, dict[int, list[int]]] = {}
     with open(path) as fh:
         if fh.readline() != PATHS_HEADER:
             raise _malformed(path, 1, ValueError(f"expected the header {PATHS_HEADER.strip()!r}"))
         try:
             for lineno, line in enumerate(fh, 2):
-                agent, day, _, loc = map(int, line.split(","))
-                paths.setdefault(agent, {}).setdefault(day, []).append(loc)
+                agent, day, tick, loc = map(int, line.split(","))
+                seq = paths.setdefault(agent, {}).setdefault(day, [])
+                if tick != len(seq):
+                    raise ValueError(f"tick {tick} of agent {agent} on day {day}, expected tick {len(seq)}")
+                seq.append(loc)
         except ValueError as exc:
             raise _malformed(path, lineno, exc) from None
     return paths

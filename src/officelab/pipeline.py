@@ -17,7 +17,6 @@ from . import __version__
 from .analytics import mine_frequent_patterns, surprise_by_day
 from .config import WorldConfig
 from .contacts import export_graph, extract_contacts, graph_metrics
-from .decoding import decode_day  # decode_day: the one-agent form, re-exported
 from .errors import OfficeLabError
 from .formats import (
     read_events_jsonl,
@@ -73,7 +72,7 @@ class RunManifest:
 
     @staticmethod
     def load(out_dir: Path) -> RunManifest:
-        """The manifest in ``out_dir``; StageError naming the file unless it holds exactly the fields."""
+        """The manifest in ``out_dir``; StageError naming the file unless it holds exactly the typed fields."""
         path = out_dir / MANIFEST_NAME
         try:
             doc = json.loads(path.read_text())
@@ -82,6 +81,16 @@ class RunManifest:
         names = [f.name for f in fields(RunManifest)]
         if not isinstance(doc, dict) or sorted(doc) != sorted(names):
             raise StageError(f"{path} is not a run manifest: expected the keys {names}")
+        outputs = doc["outputs"]
+        if not (
+            all(isinstance(doc[name], str) for name in ("config_path", "tool_version", "created_at", "updated_at"))
+            and type(doc["seed"]) is int  # bool is not a seed
+            and isinstance(outputs, dict)
+            and all(
+                isinstance(files, dict) and all(isinstance(f, str) for f in files.values()) for files in outputs.values()
+            )
+        ):
+            raise StageError(f"{path} is not a run manifest: expected string fields, an integer seed and string outputs")
         return RunManifest(**doc)
 
 

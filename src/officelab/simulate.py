@@ -1,32 +1,27 @@
 """Agent-based movement simulation over the office floor plan.
 
+An agent's state is two integers, its location x and its destination d, the
+(x, d) chain the stationary oracle iterates; it is idle exactly when d == x.
 Each tick an idle agent stays put with probability
 min(1, stay_prob + co_present * delta_p), or picks a destination (an active
 schedule event preempts the destination distribution); planning costs the
-tick. A walking agent moves one hop along the floor plan's route table toward
-its destination, or with probability ``fluctuation_rate`` detours to a
-uniform random neighbor and keeps the same destination. The agent state is
-(location, destination), the same chain the stationary oracle iterates.
+tick, and picking its own location leaves it idle. A walking agent moves one
+hop along the floor plan's route table toward its destination, or with
+probability ``fluctuation_rate`` detours to a uniform random neighbor and
+keeps the same destination; standing on the destination makes it idle.
+Co-presence counts the other agents at x as the locations stood at the start
+of the tick, before anyone moves.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import WorldConfig
 from .rng import SIMULATE, substream
 from .world import AgentProfile, FloorPlan
-
-
-@dataclass
-class AgentState:
-    agent: int
-    location: int
-    destination: int | None = None  # None while idle
-    rng_stream: np.random.Generator | None = None
 
 
 @dataclass(frozen=True)
@@ -55,33 +50,33 @@ def _pick_destination(profile: AgentProfile, tick: int, day: int, rng: np.random
 
 
 def step_agent(
-    state: AgentState,
+    location: int,
+    destination: int,
     profile: AgentProfile,
     plan: FloorPlan,
     co_present: int,
     tick: int,
+    rng: np.random.Generator | None,
     day: int = 0,
     fluctuation_rate: float = 0.05,
-) -> AgentState:
-    """Advance one agent by one tick; returns the new state.
+) -> tuple[int, int]:
+    """Advance one agent by one tick; returns the new (location, destination).
 
     ``tick`` is the decision tick (used for schedule windows); the returned
-    location is where the agent sits on the following tick.
+    location is where the agent sits on the following tick. ``rng`` may be
+    None only when the step draws nothing (an idle agent whose stay
+    probability reaches 1).
     """
-    rng = state.rng_stream
-    if state.destination is not None:
+    if destination != location:
         if fluctuation_rate > 0.0 and rng.random() < fluctuation_rate:
-            ns = plan.neighbors[state.location]
-            nxt = int(ns[rng.choice(len(ns))])
-        else:
-            nxt = plan.first_hop(state.location, state.destination)
-        return replace(state, location=nxt, destination=None if nxt == state.destination else state.destination)
+            ns = plan.neighbors[location]
+            return ns[rng.choice(len(ns))], destination
+        return int(plan.next_hop[location, destination]), destination
 
-    stay = min(1.0, profile.stay_at(state.location, plan) + co_present * profile.delta_p)
+    stay = min(1.0, profile.stay_at(location, plan) + co_present * profile.delta_p)
     if stay >= 1.0 or rng.random() < stay:
-        return state
-    destination = _pick_destination(profile, tick, day, rng)
-    return replace(state, destination=None if destination == state.location else destination)
+        return location, location
+    return location, _pick_destination(profile, tick, day, rng)
 
 
 def run_simulation(config: WorldConfig) -> list[TrajectoryRecord]:
@@ -91,29 +86,21 @@ def run_simulation(config: WorldConfig) -> list[TrajectoryRecord]:
     substream, and every day starts with all agents idle at home.
     """
     plan = config.floor_plan
-    streams = [substream(config.rng_seed, SIMULATE, i) for i in range(len(config.agents))]
+    agents = config.agents
+    streams = [substream(config.rng_seed, SIMULATE, i) for i in range(len(agents))]
     records: list[TrajectoryRecord] = []
     for day in range(config.days):
-        states = [
-            AgentState(agent=p.id, location=p.home, rng_stream=streams[i])
-            for i, p in enumerate(config.agents)
-        ]
+        here = [p.home for p in agents]
+        going = list(here)
         for tick in range(config.ticks_per_day):
-            for st in states:
-                records.append(TrajectoryRecord(st.agent, day, tick, st.location))
+            records.extend(TrajectoryRecord(p.id, day, tick, x) for p, x in zip(agents, here))
             if tick == config.ticks_per_day - 1:
-                continue
-            occupancy = Counter(st.location for st in states)
-            states = [
-                step_agent(
-                    st,
-                    config.agents[i],
-                    plan,
-                    co_present=occupancy[st.location] - 1,
-                    tick=tick,
-                    day=day,
-                    fluctuation_rate=config.fluctuation_rate,
+                break
+            count = [0] * plan.n  # taken before anyone moves; agent i reads it at its own start location
+            for x in here:
+                count[x] += 1
+            for i, p in enumerate(agents):
+                here[i], going[i] = step_agent(
+                    here[i], going[i], p, plan, count[here[i]] - 1, tick, streams[i], day, config.fluctuation_rate
                 )
-                for i, st in enumerate(states)
-            ]
     return records

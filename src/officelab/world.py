@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConvergenceError, NoPathError, ValidationError
+from .errors import ConvergenceError, NoPathError
 
 LOCATION_TAGS = ("office", "meeting_room", "printer", "corridor", "lunch_area", "other")
 
@@ -85,12 +85,6 @@ class FloorPlan:
                 hop[x, dist[y] == dist[x] - 1] = y
         return hop
 
-    def first_hop(self, src: int, dst: int) -> int:
-        """Next location on the canonical shortest path src -> dst (src itself when src == dst)."""
-        if not (0 <= src < self.n and 0 <= dst < self.n):
-            raise ValidationError(f"unknown location in first_hop({src}, {dst})")
-        return int(self.next_hop[src, dst])
-
 
 @dataclass(frozen=True)
 class StayProbs:
@@ -158,7 +152,7 @@ class AgentProfile:
 # walking one. We power-iterate the lazy chain with np.bincount and project
 # onto locations.
 
-TOL = 1e-10  # L1 change per step at which the power iteration stops
+TOL = 1e-10  # bound on the L1 distance to the fixed point at which the power iteration stops
 MAX_ITER = 200_000
 
 
@@ -194,21 +188,27 @@ def _extended_kernel(plan: FloorPlan, agent: AgentProfile, fluctuation_rate: flo
 def stationary_distribution(plan: FloorPlan, agent: AgentProfile, fluctuation_rate: float = 0.0) -> np.ndarray:
     """Long-run occupancy of the agent's movement chain (no schedule, delta_p=0).
 
-    Power iteration on the lazy extended chain, started from the agent's home,
-    until the L1 change per step drops below ``TOL``; result projected onto
-    locations. Raises ConvergenceError past ``MAX_ITER``.
+    Power iteration on the lazy extended chain, started from the agent's home;
+    result projected onto locations. With delta_k the L1 change of step k and
+    rho = delta_k / delta_{k-1}, the iteration stops once rho < 1 and the
+    geometric tail bound delta_k * rho / (1 - rho) on the distance still to
+    go drops below ``TOL`` (or a step changes nothing). Raises
+    ConvergenceError past ``MAX_ITER``.
     """
     source, target, weight = _extended_kernel(plan, agent, fluctuation_rate)
     m = plan.n * plan.n
     pi = np.zeros(m)
     pi[agent.home * plan.n + agent.home] = 1.0
+    prev = 0.0  # rho is undefined at the first step: only a step that changes nothing stops there
     for _ in range(MAX_ITER):
         # lazy step: same fixed point, kills periodicity
         nxt = 0.5 * (pi + np.bincount(target, weights=pi[source] * weight, minlength=m))
-        converged = np.abs(nxt - pi).sum() < TOL
+        delta = np.abs(nxt - pi).sum()
         pi = nxt
-        if converged:
+        # delta * rho / (1 - rho) == delta**2 / (prev - delta)
+        if delta == 0.0 or (delta < prev and delta * delta / (prev - delta) < TOL):
             break
+        prev = delta
     else:
         raise ConvergenceError(f"stationary distribution did not converge in {MAX_ITER} iterations")
     occupancy = pi.reshape(plan.n, plan.n).sum(axis=1)

