@@ -66,8 +66,8 @@ def occupancy_distribution(
     return OccupancyDistribution(agent=agent, scope=scope, probs=probs, smoothing_alpha=alpha)
 
 
-def surprise(day_dist: OccupancyDistribution, baseline: OccupancyDistribution) -> SurpriseScore:
-    """Relative entropy of one day against the baseline, in bits.
+def surprise(day_dist: OccupancyDistribution, baseline: OccupancyDistribution, day: int = -1) -> SurpriseScore:
+    """Relative entropy of one day against the baseline, in bits; ``day`` labels the score (-1: none).
 
     Terms with zero day mass contribute nothing; day mass over zero baseline
     mass raises SupportViolationError (use a smoothed baseline).
@@ -82,7 +82,6 @@ def surprise(day_dist: OccupancyDistribution, baseline: OccupancyDistribution) -
     for pi, qi in zip(p, q):
         if pi > 0:
             bits += pi * math.log2(pi / qi)
-    day = int(day_dist.scope.split(":")[1]) if day_dist.scope.startswith("day:") else -1
     return SurpriseScore(agent=day_dist.agent, day=day, bits=max(0.0, bits))
 
 
@@ -165,5 +164,5 @@ def surprise_by_day(
             path, plan, alpha=day_alpha, agent=agent, scope=OccupancyDistribution.day_scope(day)
         )
         day_dists[day] = dist
-        scores[day] = surprise(dist, baseline)
+        scores[day] = surprise(dist, baseline, day)
     return baseline, day_dists, scores

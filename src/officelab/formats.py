@@ -64,8 +64,17 @@ def write_trajectories_jsonl(records: Iterable[TrajectoryRecord], path: Path) ->
             fh.write(f'{{"agent": {r.agent}, "day": {r.day}, "tick": {r.tick}, "location": {r.location}}}\n')
 
 
-def read_trajectories_jsonl(path: Path) -> list[TrajectoryRecord]:
-    return _read_jsonl(path, lambda d: TrajectoryRecord(d["agent"], d["day"], d["tick"], d["location"]))
+def _on_plan(location: int, n_locations: int) -> int:
+    if not 0 <= location < n_locations:
+        raise ValueError(f"location {location} is outside the floor plan's 0..{n_locations - 1}")
+    return location
+
+
+def read_trajectories_jsonl(path: Path, n_locations: int) -> list[TrajectoryRecord]:
+    """Records in file order; a location outside 0..n_locations-1 raises ValidationError naming its line."""
+    return _read_jsonl(
+        path, lambda d: TrajectoryRecord(d["agent"], d["day"], d["tick"], _on_plan(d["location"], n_locations))
+    )
 
 
 def write_trajectories_csv(records: Iterable[TrajectoryRecord], path: Path) -> None:
@@ -114,11 +123,12 @@ def write_paths_csv(paths: dict[int, dict[int, Sequence[int]]], path: Path) -> N
                     fh.write(f"{agent},{day},{tick},{loc}\n")
 
 
-def read_paths_csv(path: Path) -> dict[int, dict[int, list[int]]]:
+def read_paths_csv(path: Path, n_locations: int) -> dict[int, dict[int, list[int]]]:
     """agent -> day -> locations, from the table write_paths_csv and write_trajectories_csv write.
 
-    Each row's tick must be the next one of its (agent, day) path; a row out
-    of order or repeated raises ValidationError naming its line.
+    Each row's tick must be the next one of its (agent, day) path and its
+    location one of 0..n_locations-1; a row out of order, repeated or off the
+    floor plan raises ValidationError naming its line.
     """
     paths: dict[int, dict[int, list[int]]] = {}
     with open(path) as fh:
@@ -130,7 +140,7 @@ def read_paths_csv(path: Path) -> dict[int, dict[int, list[int]]]:
                 seq = paths.setdefault(agent, {}).setdefault(day, [])
                 if tick != len(seq):
                     raise ValueError(f"tick {tick} of agent {agent} on day {day}, expected tick {len(seq)}")
-                seq.append(loc)
+                seq.append(_on_plan(loc, n_locations))
         except ValueError as exc:
             raise _malformed(path, lineno, exc) from None
     return paths

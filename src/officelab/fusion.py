@@ -1,15 +1,17 @@
 """Bayesian location tracking: stacked predict/update over one evidence block per day.
 
-Beliefs are per-agent categorical distributions over location bins. The
-sensor reports become one (ticks, agents, locations) evidence block per day
-(LikelihoodModel.evidence: one stable sort of the events' integer columns
-groups the reports, one-report factors are computed per chunk of groups).
-One tracker set-up (_tracker) builds the motion model, the agents' start (a
-point mass at home) and the per-day blocks; fuse_run advances all agents
-together, each through its own motion kernel (predict), reweighted by its row
-of the block (update), and decode_run hands the same days to
-decoding.decode_agents. Tick 0 is
-update-only, prediction applies from tick 1.
+Beliefs are per-agent categorical distributions over location bins. Events
+enter as one validated integer column table (event_columns, through
+LikelihoodModel._columns, the one place events are converted and checked);
+each day's reports become one (ticks, agents, locations) evidence block
+(LikelihoodModel.evidence: one stable sort of the columns groups the reports,
+one-report factors are computed per chunk of groups). track_run builds the
+motion model and the agents' start (a point mass at home) once, then in one
+loop over the days builds each day's block once and feeds it to the forward
+filter, which advances all agents together, each through its own motion
+kernel (predict), reweighted by its row of the block (update), and to
+decoding.decode_agents. fuse_run and decode_run are its single-stage halves.
+Tick 0 is update-only, prediction applies from tick 1.
 
 The per-agent likelihood treats only reports naming the agent as evidence
 and explains them as true detections or false positives; reports produced by
@@ -21,7 +23,8 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -82,6 +85,16 @@ def motion_model_for(config: WorldConfig) -> MotionModel:
     return MotionModel(tuple(a.id for a in config.agents), np.reshape(kernels, (-1, plan.n, plan.n)))
 
 
+class EventColumns(NamedTuple):
+    """Events as validated int64 columns, one entry per event in event order."""
+
+    sensor: np.ndarray  # index into the tracker's sensor list
+    day: np.ndarray
+    tick: np.ndarray
+    agent: np.ndarray  # the reported agent's column (its index in the tracked agent order)
+    location: np.ndarray
+
+
 def _integers(values: Sequence, name: str) -> np.ndarray:
     column = np.array(values)
     if column.size and column.dtype.kind not in "iu":
@@ -134,29 +147,40 @@ class LikelihoodModel:
         # under this model (one true + one false positive at most)
         return f / self._silent[idx]
 
-    def _columns(self, events: Iterable[ObservationEvent], days: int, ticks: int, agents: Sequence[int]):
-        """Events as integer columns (sensor, day, tick, agent column, location), validated."""
-        sensor, day, tick, agent, loc = tuple(zip(*events)) or ((),) * 5
-        day, tick, loc = (_integers(values, name) for values, name in ((day, "day"), (tick, "tick"), (loc, "location")))
+    def _columns(
+        self, events: Iterable[ObservationEvent], days: int, ticks: int, agents: Sequence[int]
+    ) -> EventColumns:
+        """The events as integer columns; an event naming a day, agent, tick, sensor or location outside
+        the arguments, the model's sensors or its plan raises ValidationError naming the first one.
+
+        The fields are converted one at a time, so only one field's list of
+        Python objects exists next to the events at any moment.
+        """
+        events = events if isinstance(events, Sequence) else list(events)
+
+        def field(i: int) -> list:
+            return list(map(itemgetter(i), events))
+
+        day, tick, loc = _integers(field(1), "day"), _integers(field(2), "tick"), _integers(field(4), "location")
         column = {a: i for i, a in enumerate(agents)}
-        col = np.array([column.get(a, -1) for a in agent], dtype=np.int64)
-        idx = np.array([self._index.get(s, -1) for s in sensor], dtype=np.int64)
+        col = np.array([column.get(a, -1) for a in map(itemgetter(3), events)], dtype=np.int64)
+        idx = np.array([self._index.get(s, -1) for s in map(itemgetter(0), events)], dtype=np.int64)
         bad = np.flatnonzero((day < 0) | (day >= days))
         if bad.size:
             raise ValidationError(f"events name day {day[bad[0]]}; the config has days 0..{days - 1}")
         bad = np.flatnonzero((col < 0) | (tick < 0) | (tick >= ticks))
         if bad.size:
             k = bad[0]
-            raise ValidationError(f"events name agent {agent[k]} at tick {tick[k]}; the config has {list(agents)}")
+            raise ValidationError(f"events name agent {events[k][3]} at tick {tick[k]}; the config has {list(agents)}")
         bad = np.flatnonzero(idx < 0)
         if bad.size:
-            raise ValidationError(f"events name sensor {sensor[bad[0]]!r}, which the config does not define")
+            raise ValidationError(f"events name sensor {events[bad[0]][0]!r}, which the config does not define")
         bad = np.flatnonzero((loc < 0) | (loc >= self.plan.n))
         if bad.size:
             raise ValidationError(f"events name location {loc[bad[0]]}; the floor plan has 0..{self.plan.n - 1}")
-        return idx, day, tick, col, loc
+        return EventColumns(idx, day, tick, col, loc)
 
-    def _groups(self, events: Iterable[ObservationEvent], days: int, ticks: int, agents: Sequence[int]):
+    def _groups(self, columns: EventColumns, ticks: int, n_agents: int):
         """Reports grouped by (day, tick, agent, sensor) in one stable sort.
 
         Returns per group its flat (day, tick, agent) cell, its sensor, the
@@ -165,9 +189,9 @@ class LikelihoodModel:
         and then by the position of their first event; and ``several``: one
         factor-over-silence row per group with several reports.
         """
-        idx, day, tick, col, loc = self._columns(events, days, ticks, agents)
+        idx, day, tick, col, loc = columns
         n_sensors = max(len(self._silent), 1)
-        cell = (day * ticks + tick) * len(agents) + col
+        cell = (day * ticks + tick) * n_agents + col
         key = cell * n_sensors + idx
         order = np.argsort(key, kind="stable")
         key = key[order]
@@ -191,19 +215,16 @@ class LikelihoodModel:
         f[taken] = several[row[taken]]
         return f
 
-    def evidence(
-        self, events: Iterable[ObservationEvent], days: int, ticks: int, agents: Sequence[int]
-    ) -> Iterator[np.ndarray]:
+    def evidence(self, columns: EventColumns, days: int, ticks: int, n_agents: int) -> Iterator[np.ndarray]:
         """One (ticks, agents, locations) likelihood block per day 0..days-1.
 
-        Each report group's factor over silence multiplies its agent-tick
-        row, the sensors of a row in order of first appearance in ``events``;
-        an agent-tick no event names is silence. Events naming a day, agent,
-        tick, sensor or location the arguments do not define raise
-        ValidationError naming the first one.
+        ``columns`` comes from ``_columns`` with the same days, ticks and
+        agents. Each report group's factor over silence multiplies its
+        agent-tick row, the sensors of a row in order of first appearance in
+        the events; an agent-tick no event names is silence.
         """
-        cell, sensor, loc, row, several = self._groups(events, days, ticks, agents)
-        per_day = ticks * len(agents)
+        cell, sensor, loc, row, several = self._groups(columns, ticks, n_agents)
+        per_day = ticks * n_agents
         bounds = np.searchsorted(cell, np.arange(days + 1) * per_day)
         for d in range(days):
             lo, hi = bounds[d], bounds[d + 1]
@@ -217,12 +238,12 @@ class LikelihoodModel:
                 silent = np.ones((self._certain_ids.size, per_day))
                 silent[np.searchsorted(self._certain_ids, reporter[reported]), rows[reported]] = 0.0
                 block[(silent.T @ self._certain_at) > 0] = 0.0
-            yield block.reshape(ticks, len(agents), self.plan.n)
+            yield block.reshape(ticks, n_agents, self.plan.n)
 
     def tick_likelihood(self, reports: dict[str, list[int]]) -> np.ndarray:
         """One agent-tick's likelihood; ``reports`` maps sensor id -> report locations ({} = silence)."""
         events = [ObservationEvent(s, 0, 0, 0, y) for s, locs in reports.items() for y in locs]
-        return next(self.evidence(events, 1, 1, (0,)))[0, 0]
+        return next(self.evidence(self._columns(events, 1, 1, (0,)), 1, 1, 1))[0, 0]
 
 
 def likelihood_of_events(
@@ -238,7 +259,14 @@ def likelihood_of_events(
     if len(ticks) > 1:
         raise ValidationError(f"events span several ticks: {sorted(ticks)}")
     mine = [ev._replace(day=0, tick=0) for ev in events if ev.reported_agent == agent]
-    return next(LikelihoodModel(sensors, plan, n_agents=n_agents).evidence(mine, 1, 1, (agent,)))[0, 0]
+    model = LikelihoodModel(sensors, plan, n_agents=n_agents)
+    return next(model.evidence(model._columns(mine, 1, 1, (agent,)), 1, 1, 1))[0, 0]
+
+
+def event_columns(events: Iterable[ObservationEvent], config: WorldConfig) -> EventColumns:
+    """The events as the tracker's column table, checked against ``config``'s sensors, plan, days, ticks and agents."""
+    model = LikelihoodModel(config.sensors, config.floor_plan)
+    return model._columns(events, config.days, config.ticks_per_day, [a.id for a in config.agents])
 
 
 @dataclass(frozen=True)
@@ -252,13 +280,54 @@ class BeliefMatrix:
     predict_only: int = 0  # rows left at their prediction by degenerate evidence
 
 
-def _tracker(
-    events: Iterable[ObservationEvent], config: WorldConfig, motion: MotionModel | None = None
-) -> tuple[MotionModel, np.ndarray, Iterator[np.ndarray]]:
-    """The per-run tracker set-up: the motion model (built from ``config`` unless given), the start
-    (agents, n), a point mass at each home, and each configured day's evidence (ticks, agents, n).
+@dataclass(frozen=True)
+class Tracks:
+    """One track_run pass: beliefs per (day, tick), decoded paths per agent-day, days in order."""
 
-    Rows follow the config's agent order, which a given ``motion`` must share.
+    beliefs: list[BeliefMatrix]  # empty unless fused
+    decoded: list[DecodedPath]  # empty unless decoded
+    retries: int  # agent-days that needed the Viterbi leak retry
+
+
+def _filter_day(start: np.ndarray, motion: MotionModel, evidence: np.ndarray, day: int) -> list[BeliefMatrix]:
+    """Forward-filter one day's (ticks, agents, n) evidence from ``start``.
+
+    Degenerate evidence (all posterior products zero) falls back to the
+    predicted belief for that tick and is logged. The day's belief matrices
+    are views into one (ticks, agents, n) array, one allocation per day.
+    """
+    out: list[BeliefMatrix] = []
+    rows = start
+    probs = np.empty(evidence.shape)
+    for tick in range(len(evidence)):
+        if tick > 0:
+            rows = (rows[:, None, :] @ motion.kernels)[:, 0]
+        post = rows * evidence[tick]
+        total = post.sum(axis=1)
+        stuck = np.flatnonzero(total <= 0.0)
+        for i in stuck:
+            log.debug("degenerate evidence for agent %d at day %d tick %d; predict-only", motion.agents[i], day, tick)
+        post[stuck], total[stuck] = rows[stuck], 1.0
+        floored = np.maximum(post / total[:, None], BELIEF_FLOOR)
+        rows = np.divide(floored, floored.sum(axis=1, keepdims=True), out=probs[tick])
+        out.append(BeliefMatrix(day=day, tick=tick, agents=motion.agents, probs=rows, predict_only=len(stuck)))
+    return out
+
+
+def track_run(
+    columns: EventColumns,
+    config: WorldConfig,
+    motion: MotionModel | None = None,
+    fuse: bool = True,
+    decode: bool = True,
+) -> Tracks:
+    """Filtered beliefs (``fuse``) and decoded paths (``decode``) for every configured day.
+
+    ``columns`` is event_columns' table for ``config``. Each day's evidence
+    block is built once and serves both. The motion model is built from
+    ``config`` unless given; rows follow the config's agent order, which a
+    given ``motion`` must share. Every agent starts each day as a point mass
+    at home.
     """
     motion = motion or motion_model_for(config)
     agents = tuple(a.id for a in config.agents)
@@ -267,7 +336,17 @@ def _tracker(
     model = LikelihoodModel(config.sensors, config.floor_plan, n_agents=len(agents))
     start = np.zeros((len(agents), config.floor_plan.n))
     start[np.arange(len(agents)), [a.home for a in config.agents]] = 1.0
-    return motion, start, model.evidence(events, config.days, config.ticks_per_day, agents)
+    beliefs: list[BeliefMatrix] = []
+    decoded: list[DecodedPath] = []
+    retries = 0
+    for day, evidence in enumerate(model.evidence(columns, config.days, config.ticks_per_day, len(agents))):
+        if decode:  # first, so that Viterbi's temporaries are gone before the day's beliefs are allocated
+            paths, leaked = decode_agents(start, motion.kernels, evidence, agents, day)
+            decoded += paths
+            retries += leaked
+        if fuse:
+            beliefs += _filter_day(start, motion, evidence, day)
+    return Tracks(beliefs, decoded, retries)
 
 
 def fuse_run(
@@ -275,40 +354,15 @@ def fuse_run(
     config: WorldConfig,
     motion: MotionModel | None = None,
 ) -> list[BeliefMatrix]:
-    """Filtered beliefs for every (day, tick) of the configured run.
-
-    Degenerate evidence (all posterior products zero) falls back to the
-    predicted belief for that tick and is logged.
-    """
-    motion, start, days = _tracker(events, config, motion)
-    out: list[BeliefMatrix] = []
-    for day, evidence in enumerate(days):
-        rows = start
-        for tick in range(config.ticks_per_day):
-            if tick > 0:
-                rows = (rows[:, None, :] @ motion.kernels)[:, 0]
-            post = rows * evidence[tick]
-            total = post.sum(axis=1)
-            stuck = np.flatnonzero(total <= 0.0)
-            for i in stuck:
-                log.debug("degenerate evidence for agent %d at day %d tick %d; predict-only", motion.agents[i], day, tick)
-            post[stuck], total[stuck] = rows[stuck], 1.0
-            floored = np.maximum(post / total[:, None], BELIEF_FLOOR)
-            rows = floored / floored.sum(axis=1, keepdims=True)
-            out.append(BeliefMatrix(day=day, tick=tick, agents=motion.agents, probs=rows, predict_only=len(stuck)))
-    return out
+    """Filtered beliefs for every (day, tick) of the configured run: track_run without decoding."""
+    return track_run(event_columns(events, config), config, motion, decode=False).beliefs
 
 
 def decode_run(events: Iterable[ObservationEvent], config: WorldConfig) -> tuple[list[DecodedPath], int]:
-    """Most likely path of every agent-day, days in order, and the count of agent-days that needed the leak retry."""
-    motion, start, days = _tracker(events, config)
-    decoded: list[DecodedPath] = []
-    retries = 0
-    for day, evidence in enumerate(days):
-        paths, leaked = decode_agents(start, motion.kernels, evidence, motion.agents, day)
-        decoded += paths
-        retries += leaked
-    return decoded, retries
+    """Most likely path of every agent-day, days in order, and the count of agent-days that needed the leak retry:
+    track_run without filtering."""
+    tracks = track_run(event_columns(events, config), config, fuse=False)
+    return tracks.decoded, tracks.retries
 
 
 def argmax_paths(beliefs: Sequence[BeliefMatrix]) -> dict[int, dict[int, list[int]]]:

@@ -1,14 +1,21 @@
-"""File-based pipeline: simulate -> observe -> fuse -> decode -> analyze -> graph.
+"""Pipeline: simulate -> observe -> fuse -> decode -> analyze -> graph.
 
-Stages hand off through files in one output directory and a manifest that
-names them, so every stage can be rerun in isolation with identical results.
-All randomness flows from the config seed through named substreams.
+Every stage writes its files into one output directory and records them in a
+manifest, so every stage can be rerun in isolation with identical results: a
+stage run on its own reads its inputs back from those files, checked line by
+line. Within one run_pipeline call the stages hand their products on in
+memory instead (a Handoff): simulate's records go to observe, observe's
+event column table to fuse, which filters and decodes in one pass over the
+evidence, and the analytics source's paths to analyze and graph; nothing is
+read back. All randomness flows from the config seed through named
+substreams.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import time
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -17,11 +24,13 @@ from . import __version__
 from .analytics import mine_frequent_patterns, surprise_by_day
 from .config import WorldConfig
 from .contacts import export_graph, extract_contacts, graph_metrics
+from .decoding import DecodedPath
 from .errors import OfficeLabError
 from .formats import (
     read_events_jsonl,
     read_paths_csv,
     read_trajectories_jsonl,
+    trajectories_to_paths,
     write_beliefs_csv,
     write_decode_scores_csv,
     write_department_matrix_csv,
@@ -35,9 +44,9 @@ from .formats import (
     write_trajectories_csv,
     write_trajectories_jsonl,
 )
-from .fusion import argmax_paths, decode_run, fuse_run
+from .fusion import EventColumns, argmax_paths, decode_run, event_columns, fuse_run, track_run
 from .sensors import generate_event_log
-from .simulate import run_simulation
+from .simulate import TrajectoryRecord, run_simulation
 
 log = logging.getLogger("officelab.pipeline")
 
@@ -94,6 +103,21 @@ class RunManifest:
         return RunManifest(**doc)
 
 
+@dataclass
+class Handoff:
+    """What the stages of one run_pipeline call pass on in memory instead of reading back their files.
+
+    Each consumer clears the field it takes, so nothing is held past its last use; the paths,
+    which analyze and graph share, go when the run ends.
+    """
+
+    source: str  # the analytics source: whose paths go to analyze and graph
+    records: list[TrajectoryRecord] | None = None  # simulate -> observe
+    events: EventColumns | None = None  # observe -> fuse
+    decoded: tuple[list[DecodedPath], int] | None = None  # fuse (one pass over the evidence) -> decode
+    paths: dict[int, dict[int, list[int]]] | None = None  # simulate or decode -> analyze and graph
+
+
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
@@ -109,38 +133,56 @@ def open_manifest(config: WorldConfig, config_path: str, out_dir: Path) -> RunMa
     return RunManifest(config_path=config_path, seed=config.rng_seed, created_at=_now())
 
 
-def stage_simulate(config: WorldConfig, out_dir: Path, manifest: RunManifest) -> None:
+def stage_simulate(config: WorldConfig, out_dir: Path, manifest: RunManifest, handoff: Handoff | None = None) -> str:
     records = run_simulation(config)
     write_trajectories_jsonl(records, out_dir / "trajectories.jsonl")
     write_trajectories_csv(records, out_dir / "trajectories.csv")
     manifest.record("simulate", trajectories="trajectories.jsonl", trajectories_csv="trajectories.csv")
     manifest.save(out_dir)
-    log.info("simulate: %d records", len(records))
+    if handoff is not None:
+        handoff.records = records
+        if handoff.source == "truth":
+            handoff.paths = trajectories_to_paths(records)
+    return f"{len(records)} records"
 
 
-def stage_observe(config: WorldConfig, out_dir: Path, manifest: RunManifest) -> None:
-    records = read_trajectories_jsonl(manifest.path_of("simulate", "trajectories", out_dir))
+def stage_observe(config: WorldConfig, out_dir: Path, manifest: RunManifest, handoff: Handoff | None = None) -> str:
+    if handoff is None:
+        records = read_trajectories_jsonl(manifest.path_of("simulate", "trajectories", out_dir), config.floor_plan.n)
+    else:
+        records, handoff.records = handoff.records, None
     events = generate_event_log(records, config.sensors, config.rng_seed)
+    del records  # freed before the event table is built
     write_events_jsonl(events, out_dir / "events.jsonl")
     manifest.record("observe", events="events.jsonl")
     manifest.save(out_dir)
-    log.info("observe: %d events from %d sensors", len(events), len(config.sensors))
+    if handoff is not None:
+        handoff.events = event_columns(events, config)
+    return f"{len(events)} events from {len(config.sensors)} sensors"
 
 
-def stage_fuse(config: WorldConfig, out_dir: Path, manifest: RunManifest) -> None:
-    events = read_events_jsonl(manifest.path_of("observe", "events", out_dir))
-    beliefs = fuse_run(events, config)
+def stage_fuse(config: WorldConfig, out_dir: Path, manifest: RunManifest, handoff: Handoff | None = None) -> str:
+    if handoff is None:
+        beliefs = fuse_run(read_events_jsonl(manifest.path_of("observe", "events", out_dir)), config)
+        also = ""
+    else:  # decode's half of the same pass over the evidence goes on to stage_decode
+        events, handoff.events = handoff.events, None
+        tracks = track_run(events, config)
+        beliefs, handoff.decoded = tracks.beliefs, (tracks.decoded, tracks.retries)
+        also = f" and {len(tracks.decoded)} decoded agent-days"
     write_beliefs_csv(beliefs, out_dir / "beliefs.csv")
     write_paths_csv(argmax_paths(beliefs), out_dir / "argmax_paths.csv")
     manifest.record("fuse", beliefs="beliefs.csv", argmax_paths="argmax_paths.csv")
     manifest.save(out_dir)
     predict_only = sum(m.predict_only for m in beliefs)
-    log.info("fuse: %d belief matrices, %d predict-only agent-ticks", len(beliefs), predict_only)
+    return f"{len(beliefs)} belief matrices{also}, {predict_only} predict-only agent-ticks"
 
 
-def stage_decode(config: WorldConfig, out_dir: Path, manifest: RunManifest) -> None:
-    events = read_events_jsonl(manifest.path_of("observe", "events", out_dir))
-    decoded, retries = decode_run(events, config)
+def stage_decode(config: WorldConfig, out_dir: Path, manifest: RunManifest, handoff: Handoff | None = None) -> str:
+    if handoff is None:
+        decoded, retries = decode_run(read_events_jsonl(manifest.path_of("observe", "events", out_dir)), config)
+    else:
+        (decoded, retries), handoff.decoded = handoff.decoded, None
     paths: dict[int, dict[int, list[int]]] = {}
     for d in decoded:
         paths.setdefault(d.agent, {})[d.day] = list(d.path)
@@ -148,18 +190,26 @@ def stage_decode(config: WorldConfig, out_dir: Path, manifest: RunManifest) -> N
     write_decode_scores_csv({(d.agent, d.day): d.log_score for d in decoded}, out_dir / "decode_scores.csv")
     manifest.record("decode", decoded_paths="decoded_paths.csv", decode_scores="decode_scores.csv")
     manifest.save(out_dir)
-    log.info("decode: %d agent-days, %d leak retries", len(decoded), retries)
+    if handoff is not None and handoff.source == "decoded":
+        handoff.paths = paths
+    return f"{len(decoded)} agent-days, {retries} leak retries"
 
 
-def _paths_for_source(config: WorldConfig, out_dir: Path, manifest: RunManifest, source: str):
-    handoff = {"truth": ("simulate", "trajectories_csv"), "decoded": ("decode", "decoded_paths")}
-    if source not in handoff:
+def _paths_for_source(
+    config: WorldConfig, out_dir: Path, manifest: RunManifest, source: str, handoff: Handoff | None
+) -> dict[int, dict[int, list[int]]]:
+    files = {"truth": ("simulate", "trajectories_csv"), "decoded": ("decode", "decoded_paths")}
+    if source not in files:
         raise StageError(f"unknown analytics source {source!r}")
-    return read_paths_csv(manifest.path_of(*handoff[source], out_dir))
+    if handoff is not None:
+        return handoff.paths
+    return read_paths_csv(manifest.path_of(*files[source], out_dir), config.floor_plan.n)
 
 
-def stage_analyze(config: WorldConfig, out_dir: Path, manifest: RunManifest, source: str = "truth") -> None:
-    paths = _paths_for_source(config, out_dir, manifest, source)
+def stage_analyze(
+    config: WorldConfig, out_dir: Path, manifest: RunManifest, source: str = "truth", handoff: Handoff | None = None
+) -> str:
+    paths = _paths_for_source(config, out_dir, manifest, source, handoff)
     settings = config.analytics
     baselines = {}
     day_dists = {}
@@ -198,11 +248,13 @@ def stage_analyze(config: WorldConfig, out_dir: Path, manifest: RunManifest, sou
         fig_panels="fig_panels.csv",
     )
     manifest.save(out_dir)
-    log.info("analyze: %d agents from %s paths", len(baselines), source)
+    return f"{len(baselines)} agents from {source} paths"
 
 
-def stage_graph(config: WorldConfig, out_dir: Path, manifest: RunManifest, source: str = "truth") -> None:
-    paths = _paths_for_source(config, out_dir, manifest, source)
+def stage_graph(
+    config: WorldConfig, out_dir: Path, manifest: RunManifest, source: str = "truth", handoff: Handoff | None = None
+) -> str:
+    paths = _paths_for_source(config, out_dir, manifest, source, handoff)
     departments = {a.id: a.department for a in config.agents}
     graph = extract_contacts(paths, config.floor_plan, config.contact_rule, departments)
     (out_dir / "contacts.dot").write_text(export_graph(graph, "dot"))
@@ -218,7 +270,7 @@ def stage_graph(config: WorldConfig, out_dir: Path, manifest: RunManifest, sourc
         department_matrix="department_matrix.csv",
     )
     manifest.save(out_dir)
-    log.info("graph: %d nodes, %d edges", len(graph.nodes), len(graph.edges))
+    return f"{len(graph.nodes)} nodes, {len(graph.edges)} edges"
 
 
 STAGES = {
@@ -231,23 +283,35 @@ STAGES = {
 }
 
 
-def run_stage(name: str, config: WorldConfig, out_dir: Path, manifest: RunManifest, source: str = "truth") -> None:
+def run_stage(
+    name: str,
+    config: WorldConfig,
+    out_dir: Path,
+    manifest: RunManifest,
+    source: str = "truth",
+    handoff: Handoff | None = None,
+) -> None:
+    """Run one stage; without a ``handoff`` it reads its inputs from the files the manifest names."""
     stage = STAGES[name]
+    start = time.perf_counter()
     try:
         if name in ("analyze", "graph"):
-            stage(config, out_dir, manifest, source=source)
+            summary = stage(config, out_dir, manifest, source=source, handoff=handoff)
         else:
-            stage(config, out_dir, manifest)
+            summary = stage(config, out_dir, manifest, handoff=handoff)
     except StageError:
         raise
     except OfficeLabError as exc:
         raise StageError(f"stage {name} failed: {exc}") from exc
+    log.info("%s: %s in %.2f s", name, summary, time.perf_counter() - start)
 
 
 def run_pipeline(
     config: WorldConfig, config_path: str, out_dir: Path, source: str = "truth"
 ) -> RunManifest:
+    """Every stage in order, each handing its products to the next in memory; every file is still written."""
     manifest = open_manifest(config, config_path, out_dir)
+    handoff = Handoff(source)
     for name in STAGES:
-        run_stage(name, config, out_dir, manifest, source=source)
+        run_stage(name, config, out_dir, manifest, source=source, handoff=handoff)
     return manifest

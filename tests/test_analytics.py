@@ -251,3 +251,5 @@ def test_surprise_by_day_baseline_pools_all_days():
     assert np.allclose(baseline.probs, (pooled_counts + 1) / (6 + 3))
     assert set(scores) == {0, 1}
     assert all(s.bits >= 0 for s in scores.values())
+    assert [(s.agent, s.day) for s in scores.values()] == [(0, 0), (0, 1)]
+    assert [d.scope for d in day_dists.values()] == ["day:0", "day:1"]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -137,6 +138,26 @@ def test_stage_by_stage_rerun_matches_pipeline(tmp_path):
         assert (full / name).read_bytes() == (staged / name).read_bytes()
 
 
+DATA_FILES = 15  # every file a demo run writes except the manifest
+
+
+@pytest.mark.parametrize("source", ["truth", "decoded"])
+def test_stage_by_stage_rerun_matches_pipeline_on_demo(tmp_path, source):
+    # demo's sensors miss, report false positives and confuse identities, so
+    # the in-memory handoffs of a pipeline run meet every kind of event
+    config = ["--config", str(CONFIGS / "demo.json")]
+    full, staged = tmp_path / "full", tmp_path / "staged"
+    assert main(["pipeline", *config, "--out", str(full), "--analytics-source", source]) == 0
+    for stage in ("simulate", "observe", "fuse", "decode", "analyze", "graph"):
+        extra = ["--analytics-source", source] if stage in ("analyze", "graph") else []
+        assert main([stage, *config, "--out", str(staged), *extra]) == 0
+    names = sorted(p.name for p in full.iterdir() if p.name != "manifest.json")
+    assert len(names) == DATA_FILES
+    assert names == sorted(p.name for p in staged.iterdir() if p.name != "manifest.json")
+    for name in names:
+        assert (full / name).read_bytes() == (staged / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("stage", ["fuse", "decode"])
 def test_events_from_a_stale_config_exit_2_naming_the_sensor(tmp_path, capsys, stage):
     out = tmp_path / "run"
@@ -172,6 +193,12 @@ def _repeat_last_row(text: str) -> str:
     return text + text.splitlines(keepends=True)[-1]
 
 
+def _last_location_off_the_plan(text: str) -> str:
+    # the location is the last number of a row, in the CSV tables and in trajectories.jsonl
+    *head, last = text.splitlines(keepends=True)
+    return "".join([*head, re.sub(r"\d+(\D*)$", r"99\1", last)])
+
+
 # line: the line the error names, counted from the end when negative (-1 is the last line)
 @pytest.mark.parametrize(
     "stage, name, corrupt, line",
@@ -182,6 +209,9 @@ def _repeat_last_row(text: str) -> str:
         ("analyze", "trajectories.csv", _swap_header_columns, 1),
         ("analyze", "decoded_paths.csv", _swap_last_two_rows, -2),
         ("analyze", "decoded_paths.csv", _repeat_last_row, -1),
+        ("analyze", "decoded_paths.csv", _last_location_off_the_plan, -1),
+        ("graph", "decoded_paths.csv", _last_location_off_the_plan, -1),
+        ("observe", "trajectories.jsonl", _last_location_off_the_plan, -1),
     ],
     ids=(
         "events",
@@ -190,6 +220,9 @@ def _repeat_last_row(text: str) -> str:
         "trajectories_csv_header",
         "decoded_paths_swapped_rows",
         "decoded_paths_repeated_row",
+        "decoded_paths_location_analyze",
+        "decoded_paths_location_graph",
+        "trajectories_location",
     ),
 )
 def test_malformed_handoff_file_exits_2_naming_file_and_line(tmp_path, capsys, stage, name, corrupt, line):

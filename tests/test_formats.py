@@ -29,7 +29,7 @@ def test_trajectories_round_trip(tmp_path):
     records = [TrajectoryRecord(a, d, t, (a + t) % 3) for a in range(2) for d in range(2) for t in range(4)]
     path = tmp_path / "t.jsonl"
     write_trajectories_jsonl(records, path)
-    assert read_trajectories_jsonl(path) == records
+    assert read_trajectories_jsonl(path, 3) == records
 
 
 def test_events_round_trip_with_stable_field_order(tmp_path):
@@ -81,15 +81,34 @@ def test_paths_csv_round_trip(tmp_path):
     paths = {0: {0: [1, 1, 2], 1: [0, 2, 2]}, 3: {0: [2, 0, 1]}}
     file = tmp_path / "p.csv"
     write_paths_csv(paths, file)
-    assert read_paths_csv(file) == paths
+    assert read_paths_csv(file, 3) == paths
+
+
+def test_readers_reject_a_location_off_the_floor_plan_naming_its_line(tmp_path):
+    records = [TrajectoryRecord(0, 0, t, x) for t, x in enumerate((0, 2, -1))]
+    write_trajectories_jsonl(records[:2], tmp_path / "t.jsonl")
+    assert read_trajectories_jsonl(tmp_path / "t.jsonl", 3) == records[:2]
+    with pytest.raises(ValidationError, match=r"t.jsonl line 2 is malformed.*location 2 is outside the floor plan's 0..1"):
+        read_trajectories_jsonl(tmp_path / "t.jsonl", 2)
+    write_trajectories_jsonl(records, tmp_path / "t.jsonl")
+    with pytest.raises(ValidationError, match=r"t.jsonl line 3 is malformed.*location -1"):
+        read_trajectories_jsonl(tmp_path / "t.jsonl", 3)
+    write_trajectories_csv(records[:2], tmp_path / "p.csv")
+    assert read_paths_csv(tmp_path / "p.csv", 3) == {0: {0: [0, 2]}}
+    with pytest.raises(ValidationError, match=r"p.csv line 3 is malformed.*location 2 is outside the floor plan's 0..1"):
+        read_paths_csv(tmp_path / "p.csv", 2)
+    write_trajectories_csv(records, tmp_path / "p.csv")
+    with pytest.raises(ValidationError, match=r"p.csv line 4 is malformed.*location -1"):
+        read_paths_csv(tmp_path / "p.csv", 3)
 
 
 def test_trajectories_csv_reads_as_the_grouped_records(tmp_path):
     # analytics on ground truth reads trajectories.csv through read_paths_csv
-    records = run_simulation(load_config(Path(__file__).resolve().parent.parent / "configs" / "demo.json"))
+    config = load_config(Path(__file__).resolve().parent.parent / "configs" / "demo.json")
+    records = run_simulation(config)
     file = tmp_path / "trajectories.csv"
     write_trajectories_csv(records, file)
-    paths, grouped = read_paths_csv(file), trajectories_to_paths(records)
+    paths, grouped = read_paths_csv(file, config.floor_plan.n), trajectories_to_paths(records)
     assert paths == grouped
     assert list(paths) == list(grouped)
     assert all(list(paths[a]) == list(grouped[a]) for a in paths)

@@ -16,9 +16,11 @@ from officelab.fusion import (
     LikelihoodModel,
     argmax_paths,
     decode_run,
+    event_columns,
     fuse_run,
     likelihood_of_events,
     motion_model_for,
+    track_run,
 )
 from officelab.sensors import ObservationEvent, SensorSpec, generate_event_log
 from officelab.simulate import run_simulation
@@ -120,7 +122,7 @@ def test_unknown_sensor_or_agent_in_reports_is_named():
     ]
     for event, named in cases:
         with pytest.raises(ValidationError, match=named):
-            next(model.evidence([ObservationEvent("cam", 0, 0, 0, 0), event], days=5, ticks=1, agents=(0,)))
+            model._columns([ObservationEvent("cam", 0, 0, 0, 0), event], days=5, ticks=1, agents=(0,))
 
 
 def _reference_day_evidence(sensors, n: int, events, day: int, ticks: int, agents) -> np.ndarray:
@@ -189,9 +191,10 @@ def test_evidence_equals_per_report_loop_bit_for_bit(seed, n_agents, certain):
             )
         )
     model = LikelihoodModel(sensors, plan, n_agents=n_agents)
-    blocks = list(model.evidence(events, days, ticks, agents))
+    columns = model._columns(events, days, ticks, agents)
+    blocks = list(model.evidence(columns, days, ticks, n_agents))
     with mock.patch("officelab.fusion.EVIDENCE_CHUNK", 3):  # factors applied a few groups at a time
-        chunked = list(model.evidence(events, days, ticks, agents))
+        chunked = list(model.evidence(columns, days, ticks, n_agents))
     assert len(blocks) == len(chunked) == days
     for day, block in enumerate(blocks):
         ref = _reference_day_evidence(sensors, plan.n, events, day, ticks, agents)
@@ -414,13 +417,35 @@ def test_decode_run_equals_decode_day_on_evidence_blocks_including_a_leaked_row(
     decoded, retries = decode_run(events, cfg)
     assert retries == 1
     assert [(d.day, d.agent) for d in decoded] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    blocks = LikelihoodModel(sensors, plan, n_agents=2).evidence(events, cfg.days, cfg.ticks_per_day, (0, 1))
+    blocks = LikelihoodModel(sensors, plan, n_agents=2).evidence(event_columns(events, cfg), cfg.days, cfg.ticks_per_day, 2)
     for day, block in enumerate(blocks):
         for i, profile in enumerate(agents):
             init = np.zeros(plan.n)
             init[profile.home] = 1.0
             expected = decode_day(init, motion.kernel(profile.id), block[:, i], agent=profile.id, day=day)
             assert decoded[2 * day + i] == expected
+
+
+def test_one_tracking_pass_equals_fuse_run_and_decode_run():
+    plan = line_plan(4)
+    agents = (uniform_agent(0, 0, 4, stay=0.5), uniform_agent(1, 3, 4, stay=0.7))
+    sensors = (
+        SensorSpec("cam", "camera", (0, 1, 2, 3), p_detect=0.8, p_false_positive=0.05, p_confuse=0.1),
+        SensorSpec("far", "tag_reader", (3,), p_detect=1.0, p_false_positive=0.0, p_confuse=0.0),
+    )
+    cfg = WorldConfig(
+        floor_plan=plan, agents=agents, ticks_per_day=8, days=3, rng_seed=5, fluctuation_rate=0.0, sensors=sensors
+    )
+    events = generate_event_log(run_simulation(cfg), cfg.sensors, cfg.rng_seed)
+    events.append(ObservationEvent("far", 1, 1, 0, 3))  # a leak retry on day 1
+    tracks = track_run(event_columns(events, cfg), cfg)
+    fused = fuse_run(events, cfg)
+    assert [(m.day, m.tick, m.predict_only) for m in tracks.beliefs] == [(m.day, m.tick, m.predict_only) for m in fused]
+    assert all(np.array_equal(a.probs, b.probs) for a, b in zip(tracks.beliefs, fused))
+    assert (tracks.decoded, tracks.retries) == decode_run(events, cfg)
+    assert tracks.retries == 1
+    assert track_run(event_columns(events, cfg), cfg, fuse=False).beliefs == []
+    assert track_run(event_columns(events, cfg), cfg, decode=False).decoded == []
 
 
 def test_kernels_stack_in_config_agent_order():

@@ -3,13 +3,18 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import logging
+import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
+import pytest
 
 from officelab.config import dump_config, load_config, parse_config
 from officelab.decoding import decode_day
 from officelab.formats import read_paths_csv, read_trajectories_jsonl, trajectories_to_paths, write_trajectories_jsonl
+from officelab.fusion import LikelihoodModel
 from officelab.pipeline import open_manifest, run_pipeline, run_stage
 from officelab.presets import full_scale_config
 from officelab.simulate import run_simulation
@@ -81,8 +86,9 @@ def test_full_scale_pipeline_end_to_end(tmp_path):
     manifest = run_pipeline(config, str(config_path), out, source="truth")
     assert set(manifest.outputs) == {"simulate", "observe", "fuse", "decode", "analyze", "graph"}
 
-    truth = trajectories_to_paths(read_trajectories_jsonl(out / "trajectories.jsonl"))
-    decoded = read_paths_csv(out / "decoded_paths.csv")
+    n = config.floor_plan.n
+    truth = trajectories_to_paths(read_trajectories_jsonl(out / "trajectories.jsonl", n))
+    decoded = read_paths_csv(out / "decoded_paths.csv", n)
     assert set(decoded) == set(truth)
     # decoded paths should track ground truth closely under the default sensors
     agree = total = 0
@@ -100,6 +106,39 @@ def test_config_without_agents_fuses_and_decodes_to_empty_outputs(tmp_path):
         run_stage(stage, config, tmp_path, manifest)
     assert (tmp_path / "events.jsonl").read_text() == ""
     assert (tmp_path / "beliefs.csv").read_text() == "day,tick,agent,location,probability\n"
-    assert read_paths_csv(tmp_path / "argmax_paths.csv") == {}
-    assert read_paths_csv(tmp_path / "decoded_paths.csv") == {}
+    assert read_paths_csv(tmp_path / "argmax_paths.csv", config.floor_plan.n) == {}
+    assert read_paths_csv(tmp_path / "decoded_paths.csv", config.floor_plan.n) == {}
     assert (tmp_path / "decode_scores.csv").read_text().count("\n") == 1
+
+
+@pytest.mark.parametrize("source", ["truth", "decoded"])
+def test_pipeline_reads_none_of_its_handoffs_and_builds_evidence_once(tmp_path, source):
+    config = load_config(CONFIGS / "demo.json")
+    evidence = LikelihoodModel.evidence
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(args[1:])
+        return evidence(self, *args, **kwargs)
+
+    def unread(path, *args):
+        raise AssertionError(f"the pipeline read back {path}")
+
+    with (
+        mock.patch("officelab.pipeline.read_events_jsonl", unread),
+        mock.patch("officelab.pipeline.read_trajectories_jsonl", unread),
+        mock.patch("officelab.pipeline.read_paths_csv", unread),
+        mock.patch.object(LikelihoodModel, "evidence", counted),
+    ):
+        run_pipeline(config, str(CONFIGS / "demo.json"), tmp_path, source=source)
+    assert calls == [(config.days, config.ticks_per_day, len(config.agents))]
+    assert len([p for p in tmp_path.iterdir() if p.name != "manifest.json"]) == 15
+
+
+def test_each_stage_logs_one_info_line_with_its_wall_time(tmp_path, caplog):
+    config = load_config(CONFIGS / "demo.json")
+    with caplog.at_level(logging.INFO, logger="officelab.pipeline"):
+        run_pipeline(config, str(CONFIGS / "demo.json"), tmp_path)
+    lines = [r.getMessage() for r in caplog.records if r.name == "officelab.pipeline" and r.levelno == logging.INFO]
+    assert [line.split(":")[0] for line in lines] == ["simulate", "observe", "fuse", "decode", "analyze", "graph"]
+    assert all(re.fullmatch(r"\w+: .+ in \d+\.\d\d s", line) for line in lines), lines
