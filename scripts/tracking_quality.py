@@ -1,0 +1,69 @@
+#!/usr/bin/env python3
+"""Tracking quality over a fixed sweep of full-scale runs.
+
+Runs full_scale at 10 and 20 agents x 5 days, p_detect 0.6, 0.9 and 0.95,
+seeds 3, 11 and 23, through simulate, observe and one tracking pass
+(fusion.track_run), and prints per cell the agent-days that needed the
+Viterbi leak retry, the predict-only agent-ticks of the forward filter, and
+the share of agent-ticks where the per-tick argmax and the decoded path
+match the ground truth; then the means over the cells. Takes about 30 s on
+one core (Python 3.11, numpy 2.4).
+
+    PYTHONPATH=src python scripts/tracking_quality.py
+"""
+
+import sys
+
+import numpy as np
+
+from officelab.config import parse_config
+from officelab.formats import trajectories_to_paths
+from officelab.fusion import argmax_paths, event_columns, track_run
+from officelab.presets import full_scale_config
+from officelab.sensors import generate_event_log
+from officelab.simulate import run_simulation
+
+AGENTS = (10, 20)
+P_DETECT = (0.6, 0.9, 0.95)
+SEEDS = (3, 11, 23)
+DAYS = 5
+
+
+def _accuracy(paths: dict[int, dict[int, list[int]]], truth: dict[int, dict[int, list[int]]]) -> float:
+    hits = total = 0
+    for agent, days in truth.items():
+        for day, locations in days.items():
+            hits += int(np.sum(np.equal(paths[agent][day], locations)))
+            total += len(locations)
+    return hits / total
+
+
+def main() -> int:
+    print("agents p_detect seed  leak_retries predict_only argmax_acc decoded_acc")
+    rows = []
+    for n_agents in AGENTS:
+        for p_detect in P_DETECT:
+            for seed in SEEDS:
+                config = parse_config(full_scale_config(seed=seed, p_detect=p_detect, days=DAYS, n_agents=n_agents))
+                records = run_simulation(config)
+                truth = trajectories_to_paths(records)
+                events = generate_event_log(records, config.sensors, config.rng_seed)
+                tracks = track_run(event_columns(events, config), config)
+                decoded: dict[int, dict[int, list[int]]] = {}
+                for d in tracks.decoded:
+                    decoded.setdefault(d.agent, {})[d.day] = list(d.path)
+                row = (
+                    tracks.retries,
+                    sum(m.predict_only for m in tracks.beliefs),
+                    _accuracy(argmax_paths(tracks.beliefs), truth),
+                    _accuracy(decoded, truth),
+                )
+                rows.append(row)
+                print(f"{n_agents:6d} {p_detect:8.2f} {seed:4d}  {row[0]:12d} {row[1]:12d} {row[2]:10.4f} {row[3]:11.4f}")
+    retries, predict_only, argmax_acc, decoded_acc = np.mean(rows, axis=0)
+    print(f"mean over {len(rows)} cells: {retries:.2f} {predict_only:.2f} {argmax_acc:.4f} {decoded_acc:.4f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

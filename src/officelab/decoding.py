@@ -109,13 +109,13 @@ def decode_agents(
     """Decode one day of every agent at once, degrading gracefully on contradictory evidence.
 
     ``initial`` is (agents, n), ``kernels`` (agents, n, n), ``evidence``
-    (ticks, agents, n). The per-agent likelihood does not model reports
-    produced by confusing other agents, so real event logs can pin the
-    evidence to locations no feasible path reaches. Rows with no positive
-    path are re-decoded together with a tiny uniform leak added per tick
-    (mirroring fuse_run's predict-only fallback); the leak preserves each
-    tick's argmax ordering. Returns the paths in row order and the number of
-    rows that needed the leak.
+    (ticks, agents, n). The likelihood explains any simulated event log,
+    but evidence from outside the model (a certain sensor's report that no
+    move reaches, a hand-edited event log) can leave a row with no positive
+    path. Such rows are re-decoded together with a tiny uniform leak added
+    per tick (mirroring fuse_run's predict-only fallback); the leak preserves
+    each tick's argmax ordering. Returns the paths in row order and the
+    number of rows that needed the leak.
     """
     initial = np.asarray(initial, dtype=np.float64)
     kernels = np.asarray(kernels, dtype=np.float64)

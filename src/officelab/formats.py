@@ -8,13 +8,15 @@ runs produce byte-identical files.
 from __future__ import annotations
 
 import json
+from itertools import chain, product
 from pathlib import Path
 from sys import intern
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
 from .analytics import OccupancyDistribution, PatternReport, SurpriseScore
+from .config import WorldConfig
 from .contacts import GraphMetrics
 from .errors import ValidationError
 from .fusion import BeliefMatrix
@@ -22,13 +24,22 @@ from .sensors import ObservationEvent
 from .simulate import TrajectoryRecord
 
 BELIEF_WRITE_FLOOR = 1e-6  # rows below this are omitted from the belief CSV
-PATHS_HEADER = "agent,day,tick,location\n"  # trajectories.csv and the *_paths.csv tables
+PATHS_HEADER = "agent,day,tick,location"  # trajectories.csv and the *_paths.csv tables
 
 T = TypeVar("T")
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _write_csv(path: Path, header: str, rows: Iterable[str], source: str | None = None) -> None:
+    """A ``# source=`` line when ``source`` is given, the header, then the rows, each ending in a newline."""
+    with open(path, "w") as fh:
+        if source is not None:
+            fh.write(f"# source={source}\n")
+        fh.write(f"{header}\n")
+        fh.writelines(rows)
 
 
 def _malformed(path: Path, lineno: int, exc: Exception) -> ValidationError:
@@ -77,11 +88,23 @@ def read_trajectories_jsonl(path: Path, n_locations: int) -> list[TrajectoryReco
     )
 
 
+def check_agent_ticks(records: Sequence[TrajectoryRecord], config: WorldConfig, path: Path) -> None:
+    """Raise ValidationError unless ``records``, read from ``path`` one a line, hold each configured agent-tick once;
+    a record off those agent-ticks or repeating one is named by its line, a missing agent-tick by itself."""
+    missing = set(product((a.id for a in config.agents), range(config.days), range(config.ticks_per_day)))
+    for lineno, r in enumerate(records, 1):
+        try:
+            missing.remove((r.agent, r.day, r.tick))
+        except (KeyError, TypeError):  # TypeError: an unhashable field
+            problem = ValueError(f"agent {r.agent} at day {r.day} tick {r.tick} repeats a record or is not configured")
+            raise _malformed(path, lineno, problem) from None
+    if missing:
+        agent, day, tick = min(missing)
+        raise ValidationError(f"{path} has no record of agent {agent} at day {day} tick {tick}")
+
+
 def write_trajectories_csv(records: Iterable[TrajectoryRecord], path: Path) -> None:
-    with open(path, "w") as fh:
-        fh.write(PATHS_HEADER)
-        for r in records:
-            fh.write(f"{r.agent},{r.day},{r.tick},{r.location}\n")
+    _write_csv(path, PATHS_HEADER, (f"{r.agent},{r.day},{r.tick},{r.location}\n" for r in records))
 
 
 def write_events_jsonl(events: Iterable[ObservationEvent], path: Path) -> None:
@@ -102,25 +125,20 @@ def read_events_jsonl(path: Path) -> list[ObservationEvent]:
 
 
 def write_beliefs_csv(beliefs: Sequence[BeliefMatrix], path: Path) -> None:
-    with open(path, "w") as fh:
-        fh.write("day,tick,agent,location,probability\n")
+    def rows() -> Iterator[str]:
         for m in beliefs:
-            rows, locs = np.nonzero(m.probs >= BELIEF_WRITE_FLOOR)
+            agent, loc = np.nonzero(m.probs >= BELIEF_WRITE_FLOOR)
             prefix = f"{m.day},{m.tick},"
-            fh.writelines(
-                f"{prefix}{m.agents[i]},{loc},{_fmt(p)}\n"
-                for i, loc, p in zip(rows.tolist(), locs.tolist(), m.probs[rows, locs].tolist())
-            )
+            for i, x, p in zip(agent.tolist(), loc.tolist(), m.probs[agent, loc].tolist()):
+                yield f"{prefix}{m.agents[i]},{x},{_fmt(p)}\n"
+
+    _write_csv(path, "day,tick,agent,location,probability", rows())
 
 
 def write_paths_csv(paths: dict[int, dict[int, Sequence[int]]], path: Path) -> None:
     """agent -> day -> location sequence, one row per (agent, day, tick)."""
-    with open(path, "w") as fh:
-        fh.write(PATHS_HEADER)
-        for agent in sorted(paths):
-            for day in sorted(paths[agent]):
-                for tick, loc in enumerate(paths[agent][day]):
-                    fh.write(f"{agent},{day},{tick},{loc}\n")
+    rows = (f"{a},{d},{t},{x}\n" for a in sorted(paths) for d in sorted(paths[a]) for t, x in enumerate(paths[a][d]))
+    _write_csv(path, PATHS_HEADER, rows)
 
 
 def read_paths_csv(path: Path, n_locations: int) -> dict[int, dict[int, list[int]]]:
@@ -132,8 +150,8 @@ def read_paths_csv(path: Path, n_locations: int) -> dict[int, dict[int, list[int
     """
     paths: dict[int, dict[int, list[int]]] = {}
     with open(path) as fh:
-        if fh.readline() != PATHS_HEADER:
-            raise _malformed(path, 1, ValueError(f"expected the header {PATHS_HEADER.strip()!r}"))
+        if fh.readline() != f"{PATHS_HEADER}\n":
+            raise _malformed(path, 1, ValueError(f"expected the header {PATHS_HEADER!r}"))
         try:
             for lineno, line in enumerate(fh, 2):
                 agent, day, tick, loc = map(int, line.split(","))
@@ -147,10 +165,8 @@ def read_paths_csv(path: Path, n_locations: int) -> dict[int, dict[int, list[int
 
 
 def write_decode_scores_csv(scores: dict[tuple[int, int], float], path: Path) -> None:
-    with open(path, "w") as fh:
-        fh.write("agent,day,log_score\n")
-        for agent, day in sorted(scores):
-            fh.write(f"{agent},{day},{_fmt(scores[(agent, day)])}\n")
+    rows = (f"{agent},{day},{_fmt(scores[(agent, day)])}\n" for agent, day in sorted(scores))
+    _write_csv(path, "agent,day,log_score", rows)
 
 
 def trajectories_to_paths(records: Iterable[TrajectoryRecord]) -> dict[int, dict[int, list[int]]]:
@@ -164,32 +180,23 @@ def trajectories_to_paths(records: Iterable[TrajectoryRecord]) -> dict[int, dict
     }
 
 
-def write_occupancy_csv(
-    dists: Sequence[OccupancyDistribution], path: Path, source: str
-) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# source={source}\n")
-        fh.write("agent,scope,location,probability\n")
-        for dist in dists:
-            for loc, p in enumerate(dist.probs):
-                fh.write(f"{dist.agent},{dist.scope},{loc},{_fmt(p)}\n")
+def write_occupancy_csv(dists: Sequence[OccupancyDistribution], path: Path, source: str) -> None:
+    rows = (f"{dist.agent},{dist.scope},{loc},{_fmt(p)}\n" for dist in dists for loc, p in enumerate(dist.probs))
+    _write_csv(path, "agent,scope,location,probability", rows, source)
 
 
 def write_surprise_csv(scores: Sequence[SurpriseScore], path: Path, source: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# source={source}\n")
-        fh.write("agent,day,bits\n")
-        for s in sorted(scores, key=lambda s: (s.agent, s.day)):
-            fh.write(f"{s.agent},{s.day},{_fmt(s.bits)}\n")
+    rows = (f"{s.agent},{s.day},{_fmt(s.bits)}\n" for s in sorted(scores, key=lambda s: (s.agent, s.day)))
+    _write_csv(path, "agent,day,bits", rows, source)
 
 
 def write_patterns_csv(reports: Sequence[PatternReport], path: Path, source: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# source={source}\n")
-        fh.write("agent,pattern,support\n")
-        for report in sorted(reports, key=lambda r: r.agent):
-            for pattern, support, _ in report.patterns:
-                fh.write(f"{report.agent},{'-'.join(str(x) for x in pattern)},{support}\n")
+    rows = (
+        f"{report.agent},{'-'.join(str(x) for x in pattern)},{support}\n"
+        for report in sorted(reports, key=lambda r: r.agent)
+        for pattern, support, _ in report.patterns
+    )
+    _write_csv(path, "agent,pattern,support", rows, source)
 
 
 def write_fig_panels_csv(
@@ -201,31 +208,21 @@ def write_fig_panels_csv(
 ) -> None:
     """Plot-ready long table with three panels: (a) pooled occupancy per
     location, (b) per-day occupancy, (c) per-day surprise."""
-    with open(path, "w") as fh:
-        fh.write(f"# source={source}\n")
-        fh.write("panel,agent,day,location,value\n")
-        for agent in sorted(baselines):
-            for loc, p in enumerate(baselines[agent].probs):
-                fh.write(f"a,{agent},,{loc},{_fmt(p)}\n")
-        for agent in sorted(day_dists):
-            for day in sorted(day_dists[agent]):
-                for loc, p in enumerate(day_dists[agent][day].probs):
-                    fh.write(f"b,{agent},{day},{loc},{_fmt(p)}\n")
-        for agent in sorted(scores):
-            for day in sorted(scores[agent]):
-                fh.write(f"c,{agent},{day},,{_fmt(scores[agent][day].bits)}\n")
+    pooled = (f"a,{a},,{x},{_fmt(p)}\n" for a in sorted(baselines) for x, p in enumerate(baselines[a].probs))
+    per_day = (
+        f"b,{a},{d},{x},{_fmt(p)}\n" for a in sorted(day_dists) for d in sorted(day_dists[a])
+        for x, p in enumerate(day_dists[a][d].probs)
+    )
+    surprise = (f"c,{a},{d},,{_fmt(scores[a][d].bits)}\n" for a in sorted(scores) for d in sorted(scores[a]))
+    _write_csv(path, "panel,agent,day,location,value", chain(pooled, per_day, surprise), source)
 
 
 def write_node_metrics_csv(metrics: GraphMetrics, path: Path) -> None:
-    with open(path, "w") as fh:
-        fh.write("agent,in_degree,out_degree,weighted_degree\n")
-        for agent in sorted(metrics.node_metrics):
-            m = metrics.node_metrics[agent]
-            fh.write(f"{agent},{m['in_degree']},{m['out_degree']},{m['weighted_degree']}\n")
+    nodes = metrics.node_metrics
+    rows = (f"{a},{m['in_degree']},{m['out_degree']},{m['weighted_degree']}\n" for a, m in sorted(nodes.items()))
+    _write_csv(path, "agent,in_degree,out_degree,weighted_degree", rows)
 
 
 def write_department_matrix_csv(metrics: GraphMetrics, path: Path) -> None:
-    with open(path, "w") as fh:
-        fh.write("from_department,to_department,weight\n")
-        for (src, dst), w in sorted(metrics.department_matrix.items()):
-            fh.write(f"{src},{dst},{w}\n")
+    rows = (f"{src},{dst},{w}\n" for (src, dst), w in sorted(metrics.department_matrix.items()))
+    _write_csv(path, "from_department,to_department,weight", rows)

@@ -5,7 +5,7 @@ enter as one validated integer column table (event_columns, through
 LikelihoodModel._columns, the one place events are converted and checked);
 each day's reports become one (ticks, agents, locations) evidence block
 (LikelihoodModel.evidence: one stable sort of the columns groups the reports,
-one-report factors are computed per chunk of groups). track_run builds the
+their factors are computed per chunk of groups). track_run builds the
 motion model and the agents' start (a point mass at home) once, then in one
 loop over the days builds each day's block once and feeds it to the forward
 filter, which advances all agents together, each through its own motion
@@ -14,9 +14,10 @@ decoding.decode_agents. fuse_run and decode_run are its single-stage halves.
 Tick 0 is update-only, prediction applies from tick 1.
 
 The per-agent likelihood treats only reports naming the agent as evidence
-and explains them as true detections or false positives; reports produced by
-confusing some other agent are not modeled (beliefs are independent across
-agents), which is exactly the mismatch the belief floor absorbs.
+(beliefs are independent across agents): per sensor, at most one true
+detection plus Poisson clutter (LikelihoodModel), so the filter's
+predict-only fallback and decoding's leak retry serve only evidence that no
+model explains, such as a hand-edited events.jsonl.
 """
 
 from __future__ import annotations
@@ -105,13 +106,14 @@ def _integers(values: Sequence, name: str) -> np.ndarray:
 class LikelihoodModel:
     """Evidence likelihoods over locations, one row per agent-tick.
 
-    For each sensor the report pattern (locations of reports naming the
-    agent) is explained by: true detection with rate p_detect*(1-p_confuse)
-    at the agent's location, plus at most one false positive naming the
-    agent with rate p_false_positive/n_agents, uniform over the coverage.
-    A row is the product of all silence terms times, per reporting sensor,
-    its report factor over its silence term. A zero silence term (certain
-    detection) stays out of that product and applies only where it was silent.
+    Per sensor, the reports naming the agent are at most one true detection,
+    rate p_detect*(1-p_confuse) at the agent's location, plus Poisson clutter
+    (Bar-Shalom, Willett & Tian, "Tracking and Data Fusion", 2011) of
+    intensity q/(|coverage|*(1-q)) on the coverage, the odds of one false
+    positive naming the agent there (q = p_false_positive/n_agents). A row is
+    the product of all silence terms times, per reporting sensor, its report
+    factor over its silence term. A zero silence term (certain detection)
+    stays out of that product and applies only where it was silent.
     """
 
     def __init__(self, sensors: Sequence[SensorSpec], plan: FloorPlan, n_agents: int | None = None):
@@ -135,17 +137,8 @@ class LikelihoodModel:
         self._silent_product = np.prod(silent, axis=0)
         self._miss = 1.0 - self._d  # (sensors, n)
         self._hit = self._d * (1.0 - q)[:, None]  # (sensors, n) true report at the agent's location
-
-    def _multi_report_ratio(self, idx: int, report_locs: list[int]) -> np.ndarray:
-        """Factor over silence for two or more reports from one sensor."""
-        d, fp_at = self._d[idx], self._fp_at[idx]
-        f = np.zeros_like(d)
-        if len(report_locs) == 2:
-            for y in set(report_locs):
-                f[y] = d[y] * fp_at[report_locs[0] if report_locs[1] == y else report_locs[1]]
-        # three or more reports naming one agent cannot come from one sensor
-        # under this model (one true + one false positive at most)
-        return f / self._silent[idx]
+        # (sensors, n) clutter intensity, 0 where q = 1 leaves the odds of a false positive unbounded
+        self._clutter = np.divide(self._fp_at, 1.0 - q[:, None], out=np.zeros_like(self._fp_at), where=q[:, None] < 1)
 
     def _columns(
         self, events: Iterable[ObservationEvent], days: int, ticks: int, agents: Sequence[int]
@@ -183,11 +176,10 @@ class LikelihoodModel:
     def _groups(self, columns: EventColumns, ticks: int, n_agents: int):
         """Reports grouped by (day, tick, agent, sensor) in one stable sort.
 
-        Returns per group its flat (day, tick, agent) cell, its sensor, the
-        location of its first report and, for a group with several reports,
-        its row of ``several`` (-1 for one report), the groups ordered by cell
-        and then by the position of their first event; and ``several``: one
-        factor-over-silence row per group with several reports.
+        Returns per group its flat (day, tick, agent) cell and its sensor, the
+        groups ordered by cell and then by the position of their first event;
+        the report locations, group after group, each group's in event order;
+        and ``edges``: group g's reports are ``loc[edges[g]:edges[g + 1]]``.
         """
         idx, day, tick, col, loc = columns
         n_sensors = max(len(self._silent), 1)
@@ -199,20 +191,25 @@ class LikelihoodModel:
         size = np.diff(start, append=key.size)
         by_row = np.lexsort((order[start], key[start] // n_sensors))
         start, size = start[by_row], size[by_row]
-        first = order[start]
-        multi = np.flatnonzero(size > 1)
-        row = np.full(first.size, -1)
-        row[multi] = np.arange(multi.size)
-        several = [self._multi_report_ratio(idx[first[g]], loc[order[start[g] : start[g] + size[g]]].tolist()) for g in multi]
-        return cell[first], idx[first], loc[first], row, np.reshape(several, (-1, self.plan.n))
+        edges = np.append(0, np.cumsum(size))
+        regrouped = order[np.repeat(start - edges[:-1], size) + np.arange(key.size)]
+        lead = order[start]
+        return cell[lead], idx[lead], loc[regrouped], edges
 
-    def _factors(self, sensor: np.ndarray, loc: np.ndarray, row: np.ndarray, several: np.ndarray) -> np.ndarray:
-        """(groups, n) factors over silence: one report from ``sensor`` at ``loc``, or row ``row`` of ``several``."""
-        f = self._miss[sensor] * self._fp_at[sensor, loc][:, None]
-        f[np.arange(loc.size), loc] += self._hit[sensor, loc]
+    def _factors(self, sensor: np.ndarray, first: np.ndarray, loc: np.ndarray) -> np.ndarray:
+        """(groups, n) factors over silence; group g holds loc[first[g]:first[g + 1]], the last group to the end:
+        [miss(x)·fp_at(y_1)·L_1 + Σ_r [x = y_r]·hit(y_r)·L_r] / silent(x), L_r the other reports' clutter product."""
+        size = np.diff(first, append=loc.size)
+        of = np.repeat(np.arange(sensor.size), size)  # each report's group
+        clutter = self._clutter[sensor[of], loc]
+        zero = clutter == 0.0
+        clutter[zero] = 1.0
+        # L_r: the group's product over its nonzero intensities without report r's, and 0 if another is 0
+        others = np.repeat(np.multiply.reduceat(clutter, first), size) / clutter
+        others[np.repeat(np.add.reduceat(zero, first, dtype=np.int64), size) > zero] = 0.0
+        f = self._miss[sensor] * (self._fp_at[sensor, loc[first]] * others[first])[:, None]
+        np.add.at(f, (of, loc), self._hit[sensor[of], loc] * others)
         f /= self._silent[sensor]
-        taken = row >= 0
-        f[taken] = several[row[taken]]
         return f
 
     def evidence(self, columns: EventColumns, days: int, ticks: int, n_agents: int) -> Iterator[np.ndarray]:
@@ -223,16 +220,17 @@ class LikelihoodModel:
         agent-tick row, the sensors of a row in order of first appearance in
         the events; an agent-tick no event names is silence.
         """
-        cell, sensor, loc, row, several = self._groups(columns, ticks, n_agents)
+        cell, sensor, loc, edges = self._groups(columns, ticks, n_agents)
         per_day = ticks * n_agents
         bounds = np.searchsorted(cell, np.arange(days + 1) * per_day)
         for d in range(days):
             lo, hi = bounds[d], bounds[d + 1]
-            rows, reporter, at, multi = cell[lo:hi] - d * per_day, sensor[lo:hi], loc[lo:hi], row[lo:hi]
+            rows, reporter = cell[lo:hi] - d * per_day, sensor[lo:hi]
             block = np.tile(self._silent_product, (per_day, 1))
-            for c in range(0, hi - lo, EVIDENCE_CHUNK):
-                part = slice(c, c + EVIDENCE_CHUNK)
-                np.multiply.at(block, rows[part], self._factors(reporter[part], at[part], multi[part], several))
+            for c in range(lo, hi, EVIDENCE_CHUNK):
+                e = min(c + EVIDENCE_CHUNK, hi)
+                at = loc[edges[c] : edges[e]]
+                np.multiply.at(block, rows[c - lo : e - lo], self._factors(sensor[c:e], edges[c:e] - edges[c], at))
             if self._certain_ids.size:
                 reported = np.isin(reporter, self._certain_ids)
                 silent = np.ones((self._certain_ids.size, per_day))

@@ -27,6 +27,7 @@ from .contacts import export_graph, extract_contacts, graph_metrics
 from .decoding import DecodedPath
 from .errors import OfficeLabError
 from .formats import (
+    check_agent_ticks,
     read_events_jsonl,
     read_paths_csv,
     read_trajectories_jsonl,
@@ -148,7 +149,9 @@ def stage_simulate(config: WorldConfig, out_dir: Path, manifest: RunManifest, ha
 
 def stage_observe(config: WorldConfig, out_dir: Path, manifest: RunManifest, handoff: Handoff | None = None) -> str:
     if handoff is None:
-        records = read_trajectories_jsonl(manifest.path_of("simulate", "trajectories", out_dir), config.floor_plan.n)
+        path = manifest.path_of("simulate", "trajectories", out_dir)
+        records = read_trajectories_jsonl(path, config.floor_plan.n)
+        check_agent_ticks(records, config, path)
     else:
         records, handoff.records = handoff.records, None
     events = generate_event_log(records, config.sensors, config.rng_seed)

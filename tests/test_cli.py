@@ -193,6 +193,10 @@ def _repeat_last_row(text: str) -> str:
     return text + text.splitlines(keepends=True)[-1]
 
 
+def _append_first_row(text: str) -> str:
+    return text + text.splitlines(keepends=True)[0]
+
+
 def _last_location_off_the_plan(text: str) -> str:
     # the location is the last number of a row, in the CSV tables and in trajectories.jsonl
     *head, last = text.splitlines(keepends=True)
@@ -212,6 +216,7 @@ def _last_location_off_the_plan(text: str) -> str:
         ("analyze", "decoded_paths.csv", _last_location_off_the_plan, -1),
         ("graph", "decoded_paths.csv", _last_location_off_the_plan, -1),
         ("observe", "trajectories.jsonl", _last_location_off_the_plan, -1),
+        ("observe", "trajectories.jsonl", _append_first_row, -1),
     ],
     ids=(
         "events",
@@ -223,6 +228,7 @@ def _last_location_off_the_plan(text: str) -> str:
         "decoded_paths_location_analyze",
         "decoded_paths_location_graph",
         "trajectories_location",
+        "trajectories_repeated_line",
     ),
 )
 def test_malformed_handoff_file_exits_2_naming_file_and_line(tmp_path, capsys, stage, name, corrupt, line):
@@ -239,3 +245,18 @@ def test_malformed_handoff_file_exits_2_naming_file_and_line(tmp_path, capsys, s
     if line < 0:
         line += len(path.read_text().splitlines()) + 1
     assert f"{name} line {line} is malformed" in err
+
+
+def test_trajectories_lacking_an_agent_tick_exit_2_naming_it(tmp_path, capsys):
+    out = tmp_path / "run"
+    config = ["--config", str(CONFIGS / "demo.json"), "--out", str(out)]
+    assert main(["pipeline", *config]) == 0
+    path = out / "trajectories.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    gone = json.loads(lines[10])
+    path.write_text("".join(lines[:10] + lines[11:]))
+    capsys.readouterr()
+    assert main(["observe", *config]) == 2
+    err = capsys.readouterr().err
+    assert "stage observe failed" in err
+    assert f"no record of agent {gone['agent']} at day {gone['day']} tick {gone['tick']}" in err

@@ -22,6 +22,7 @@ from officelab.fusion import (
     motion_model_for,
     track_run,
 )
+from officelab.presets import full_scale_config
 from officelab.sensors import ObservationEvent, SensorSpec, generate_event_log
 from officelab.simulate import run_simulation
 from officelab.world import AgentProfile, StayProbs
@@ -33,19 +34,22 @@ from conftest import line_plan, minimal_config_doc, uniform_agent
 
 def _pattern_probability(spec: SensorSpec, x: int, pattern: list[int], n_agents: int) -> float:
     """Independent oracle: enumerate every way one sensor can produce the
-    given agent-naming report pattern when the agent stands at x."""
+    given agent-naming report pattern when the agent stands at x. Each report
+    is either the true detection (at most one, and only at x) or clutter,
+    whose intensity at a covered y is q*u/(1-q), the odds of one false
+    positive there."""
     d = spec.p_detect * (1.0 - spec.p_confuse) if x in spec.coverage else 0.0
     q = spec.p_false_positive / n_agents
     u = 1.0 / len(spec.coverage)
     total = 0.0
-    for true_detection in (False, True):
-        p_true = d if true_detection else 1.0 - d
-        base = [x] if true_detection else []
-        for fp_loc in (None, *spec.coverage):
-            p_fp = (1.0 - q) if fp_loc is None else q * u
-            reports = base + ([fp_loc] if fp_loc is not None else [])
-            if sorted(reports) == sorted(pattern):
-                total += p_true * p_fp
+    for true_report in (None, *range(len(pattern))):
+        if true_report is not None and pattern[true_report] != x:
+            continue
+        p = (1.0 - d if true_report is None else d) * (1.0 - q)
+        for r, y in enumerate(pattern):
+            if r != true_report:
+                p *= q * u / (1.0 - q) if y in spec.coverage else 0.0
+        total += p
     return total
 
 
@@ -66,6 +70,7 @@ def test_likelihood_matches_pattern_enumeration_oracle():
         [ObservationEvent("door", 0, 0, 0, 3)],
         [ObservationEvent("door", 0, 0, 0, 1), ObservationEvent("door", 0, 0, 0, 3)],
         [ObservationEvent("cam", 0, 0, 0, 1), ObservationEvent("door", 0, 0, 0, 1)],
+        [ObservationEvent("cam", 0, 0, 0, 1), ObservationEvent("cam", 0, 0, 0, 0), ObservationEvent("cam", 0, 0, 0, 1)],
     ]
     for events in patterns:
         weights = likelihood_of_events(events, agent=0, sensors=specs, plan=plan, n_agents=3)
@@ -151,13 +156,20 @@ def _reference_day_evidence(sensors, n: int, events, day: int, ticks: int, agent
         for sensor_id, locs in by_sensor.items():
             i = index[sensor_id]
             d, q, fp_at = params[i]
-            f = np.zeros(n)
             if len(locs) == 1:
                 f = (1.0 - d) * fp_at[locs[0]]
                 f[locs[0]] += d[locs[0]] * (1.0 - q)
-            elif len(locs) == 2:
-                for y in set(locs):
-                    f[y] = d[y] * fp_at[locs[0] if locs[1] == y else locs[1]]
+            else:  # count form: others[r] is the product of the other reports' clutter intensities
+                clutter = [fp_at[y] / (1.0 - q) for y in locs]
+                nonzero = [c if c else 1.0 for c in clutter]
+                product = nonzero[0]
+                for c in nonzero[1:]:
+                    product *= c
+                zeros = sum(c == 0.0 for c in clutter)
+                others = [0.0 if zeros > (c == 0.0) else product / z for c, z in zip(clutter, nonzero)]
+                f = (1.0 - d) * (fp_at[locs[0]] * others[0])
+                for y, other in zip(locs, others):
+                    f[y] += d[y] * (1.0 - q) * other
             block[tick, agents.index(agent)] *= f / silent[i]
             if i in silent_at:
                 silent_at[i][tick, agents.index(agent)] = False
@@ -170,7 +182,9 @@ def _reference_day_evidence(sensors, n: int, events, day: int, ticks: int, agent
 @settings(max_examples=60, deadline=None)
 def test_evidence_equals_per_report_loop_bit_for_bit(seed, n_agents, certain):
     # reports from sensors listed out of id order, 1-, 2- and 3-report groups,
-    # confusions and false positives, and certain sensors whose silence zeroes
+    # confusions and false positives, certain sensors whose silence zeroes, and
+    # zero clutter intensities: a sensor without false positives, and reports
+    # off their sensor's coverage
     rng = np.random.default_rng(seed)
     plan = line_plan(5)
     sensors = [
@@ -187,7 +201,7 @@ def test_evidence_equals_per_report_loop_bit_for_bit(seed, n_agents, certain):
         events.append(
             ObservationEvent(
                 s.id, int(rng.integers(days)), int(rng.integers(ticks)), agents[int(rng.integers(n_agents))],
-                int(s.coverage[int(rng.integers(len(s.coverage)))]),
+                int(s.coverage[int(rng.integers(len(s.coverage)))]) if rng.random() < 0.9 else int(rng.integers(plan.n)),
             )
         )
     model = LikelihoodModel(sensors, plan, n_agents=n_agents)
@@ -201,6 +215,25 @@ def test_evidence_equals_per_report_loop_bit_for_bit(seed, n_agents, certain):
         assert block.shape == ref.shape
         assert np.array_equal(block, ref)
         assert np.array_equal(chunked[day], ref)
+
+
+def test_three_reports_from_one_sensor_peak_where_two_agree():
+    plan = line_plan(4)
+    spec = SensorSpec("cam", "camera", (0, 1, 2, 3), p_detect=0.9, p_false_positive=0.05, p_confuse=0.05)
+    events = [ObservationEvent("cam", 0, 0, 0, y) for y in (2, 0, 2)]
+    w = likelihood_of_events(events, 0, [spec], plan, n_agents=3)
+    assert (w > 0).all()
+    assert w.argmax() == 2 and w[2] > w[0] > w[1] == w[3]
+
+
+def test_full_scale_run_needs_no_fallback():
+    # at 20 agents, reports naming one agent from one sensor often come in two
+    # and sometimes in three; the clutter model explains every one of them
+    cfg = parse_config(full_scale_config(seed=3, p_detect=0.9, days=1, ticks_per_day=300, n_agents=20))
+    events = generate_event_log(run_simulation(cfg), cfg.sensors, cfg.rng_seed)
+    tracks = track_run(event_columns(events, cfg), cfg)
+    assert tracks.retries == 0
+    assert sum(m.predict_only for m in tracks.beliefs) == 0
 
 
 # --- motion models ------------------------------------------------------------
