@@ -17,7 +17,7 @@ from typing import Any
 
 from .contacts import ContactRule
 from .errors import ParseError, ValidationError
-from .sensors import SENSOR_KINDS, SensorSpec
+from .sensors import SENSOR_KINDS, SensorSpec, false_positive_share
 from .world import LOCATION_TAGS, AgentProfile, FloorPlan, ScheduleEvent, StayProbs
 
 DEST_SUM_TOL = 1e-9
@@ -249,6 +249,8 @@ def _parse_document(doc: dict) -> WorldConfig:
     if len(set(sensor_ids)) != len(sensor_ids):
         dup = next(s for s in sensor_ids if sensor_ids.count(s) > 1)
         raise ValidationError(f"duplicate sensor id {dup!r}")
+    for s in sensors:  # the tracker's clutter model needs q < 1
+        false_positive_share(s, len(agents))
 
     rule_doc = doc.get("contact_rule", {})
     rule = ContactRule(

@@ -2,16 +2,18 @@
 
 Line-delimited JSON for event-like streams, CSV for tabular reports. Field
 order and float rendering (shortest round-trip repr) are fixed so identical
-runs produce byte-identical files.
+runs produce byte-identical files. Every agent,day,tick,location table a stage
+reads (trajectories.csv and the *_paths.csv tables) goes through read_paths_csv,
+which checks it against the config; trajectories.jsonl is an export, not read.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain, product
+from itertools import chain
 from pathlib import Path
 from sys import intern
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -25,8 +27,6 @@ from .simulate import TrajectoryRecord
 
 BELIEF_WRITE_FLOOR = 1e-6  # rows below this are omitted from the belief CSV
 PATHS_HEADER = "agent,day,tick,location"  # trajectories.csv and the *_paths.csv tables
-
-T = TypeVar("T")
 
 
 def _fmt(x: float) -> str:
@@ -46,61 +46,11 @@ def _malformed(path: Path, lineno: int, exc: Exception) -> ValidationError:
     return ValidationError(f"{path} line {lineno} is malformed: {exc!r}")
 
 
-def _read_jsonl(path: Path, build: Callable[[dict], T]) -> list[T]:
-    """``build(obj)`` for each line's JSON object; a malformed line raises ValidationError naming it.
-
-    Lines go through the decoder's ``raw_decode`` rather than ``json.loads``,
-    which sets up each call anew; the line is stripped of JSON whitespace and
-    data after its object is rejected, as ``json.loads`` does.
-    """
-    decode = json.JSONDecoder().raw_decode
-    out = []
-    with open(path) as fh:
-        try:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip(" \t\n\r")
-                obj, end = decode(line)
-                if end != len(line):
-                    raise json.JSONDecodeError("Extra data", line, end)
-                out.append(build(obj))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise _malformed(path, lineno, exc) from None
-    return out
-
-
 def write_trajectories_jsonl(records: Iterable[TrajectoryRecord], path: Path) -> None:
     """One JSON object per line, as ``json.dumps`` renders it."""
     with open(path, "w") as fh:
         for r in records:
             fh.write(f'{{"agent": {r.agent}, "day": {r.day}, "tick": {r.tick}, "location": {r.location}}}\n')
-
-
-def _on_plan(location: int, n_locations: int) -> int:
-    if not 0 <= location < n_locations:
-        raise ValueError(f"location {location} is outside the floor plan's 0..{n_locations - 1}")
-    return location
-
-
-def read_trajectories_jsonl(path: Path, n_locations: int) -> list[TrajectoryRecord]:
-    """Records in file order; a location outside 0..n_locations-1 raises ValidationError naming its line."""
-    return _read_jsonl(
-        path, lambda d: TrajectoryRecord(d["agent"], d["day"], d["tick"], _on_plan(d["location"], n_locations))
-    )
-
-
-def check_agent_ticks(records: Sequence[TrajectoryRecord], config: WorldConfig, path: Path) -> None:
-    """Raise ValidationError unless ``records``, read from ``path`` one a line, hold each configured agent-tick once;
-    a record off those agent-ticks or repeating one is named by its line, a missing agent-tick by itself."""
-    missing = set(product((a.id for a in config.agents), range(config.days), range(config.ticks_per_day)))
-    for lineno, r in enumerate(records, 1):
-        try:
-            missing.remove((r.agent, r.day, r.tick))
-        except (KeyError, TypeError):  # TypeError: an unhashable field
-            problem = ValueError(f"agent {r.agent} at day {r.day} tick {r.tick} repeats a record or is not configured")
-            raise _malformed(path, lineno, problem) from None
-    if missing:
-        agent, day, tick = min(missing)
-        raise ValidationError(f"{path} has no record of agent {agent} at day {day} tick {tick}")
 
 
 def write_trajectories_csv(records: Iterable[TrajectoryRecord], path: Path) -> None:
@@ -117,11 +67,26 @@ def write_events_jsonl(events: Iterable[ObservationEvent], path: Path) -> None:
 
 
 def read_events_jsonl(path: Path) -> list[ObservationEvent]:
-    """Events in file order; each sensor id is held once (interned), not once per event."""
-    return _read_jsonl(
-        path,
-        lambda d: ObservationEvent(intern(d["sensor"]), d["day"], d["tick"], d["reported_agent"], d["location"]),
-    )
+    """Events in file order; a malformed line raises ValidationError naming it.
+
+    Lines go through the decoder's ``raw_decode`` rather than ``json.loads``,
+    which sets up each call anew; the line is stripped of JSON whitespace and
+    data after its object is rejected, as ``json.loads`` does. Each sensor id
+    is held once (interned), not once per event.
+    """
+    decode = json.JSONDecoder().raw_decode
+    out = []
+    with open(path) as fh:
+        try:
+            for lineno, line in enumerate(fh, 1):
+                line = line.strip(" \t\n\r")
+                d, end = decode(line)
+                if end != len(line):
+                    raise json.JSONDecodeError("Extra data", line, end)
+                out.append(ObservationEvent(intern(d["sensor"]), d["day"], d["tick"], d["reported_agent"], d["location"]))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise _malformed(path, lineno, exc) from None
+    return out
 
 
 def write_beliefs_csv(beliefs: Sequence[BeliefMatrix], path: Path) -> None:
@@ -141,27 +106,44 @@ def write_paths_csv(paths: dict[int, dict[int, Sequence[int]]], path: Path) -> N
     _write_csv(path, PATHS_HEADER, rows)
 
 
-def read_paths_csv(path: Path, n_locations: int) -> dict[int, dict[int, list[int]]]:
-    """agent -> day -> locations, from the table write_paths_csv and write_trajectories_csv write.
+def read_paths_csv(path: Path, config: WorldConfig) -> list[TrajectoryRecord]:
+    """Records in file order, from the table write_paths_csv and write_trajectories_csv write.
 
-    Each row's tick must be the next one of its (agent, day) path and its
-    location one of 0..n_locations-1; a row out of order, repeated or off the
-    floor plan raises ValidationError naming its line.
+    Each row must name a configured agent and day, be the next tick of its
+    (agent, day) path and below ticks_per_day, and lie on the floor plan; a
+    row that does not raises ValidationError naming its line. The table must
+    also hold every configured agent-tick; after the last row, the first one
+    missing raises ValidationError naming it.
     """
-    paths: dict[int, dict[int, list[int]]] = {}
+    n, ticks = config.floor_plan.n, config.ticks_per_day
+    next_tick = {(a.id, day): 0 for a in config.agents for day in range(config.days)}
+    records = []
     with open(path) as fh:
         if fh.readline() != f"{PATHS_HEADER}\n":
             raise _malformed(path, 1, ValueError(f"expected the header {PATHS_HEADER!r}"))
         try:
             for lineno, line in enumerate(fh, 2):
                 agent, day, tick, loc = map(int, line.split(","))
-                seq = paths.setdefault(agent, {}).setdefault(day, [])
-                if tick != len(seq):
-                    raise ValueError(f"tick {tick} of agent {agent} on day {day}, expected tick {len(seq)}")
-                seq.append(_on_plan(loc, n_locations))
+                expected = next_tick.get((agent, day))
+                if expected is None:
+                    raise ValueError(f"agent {agent} at day {day} is not configured")
+                if not 0 <= tick < ticks:
+                    raise ValueError(f"tick {tick} of agent {agent} at day {day} is outside the day's 0..{ticks - 1}")
+                if tick < expected:
+                    raise ValueError(f"agent {agent} at day {day} tick {tick} repeats a row")
+                if tick > expected:
+                    raise ValueError(f"no record of agent {agent} at day {day} tick {expected} before tick {tick}")
+                if not 0 <= loc < n:
+                    raise ValueError(f"location {loc} is outside the floor plan's 0..{n - 1}")
+                next_tick[agent, day] = tick + 1
+                records.append(TrajectoryRecord(agent, day, tick, loc))
         except ValueError as exc:
             raise _malformed(path, lineno, exc) from None
-    return paths
+    missing = [(agent, day, tick) for (agent, day), tick in next_tick.items() if tick < ticks]
+    if missing:
+        agent, day, tick = min(missing)
+        raise ValidationError(f"{path} has no record of agent {agent} at day {day} tick {tick}")
+    return records
 
 
 def write_decode_scores_csv(scores: dict[tuple[int, int], float], path: Path) -> None:

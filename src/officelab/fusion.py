@@ -32,7 +32,7 @@ import numpy as np
 from .config import WorldConfig
 from .decoding import DecodedPath, decode_agents
 from .errors import ValidationError
-from .sensors import ObservationEvent, SensorSpec
+from .sensors import ObservationEvent, SensorSpec, false_positive_share
 from .world import FloorPlan
 
 log = logging.getLogger("officelab.fusion")
@@ -125,7 +125,7 @@ class LikelihoodModel:
             mask[i, list(s.coverage)] = 1.0
         p_detect = np.array([s.p_detect * (1.0 - s.p_confuse) for s in sensors]).reshape(-1, 1)
         self._d = p_detect * mask  # (sensors, n) true-detection rate
-        q = np.array([s.p_false_positive / n_agents if n_agents else s.p_false_positive for s in sensors])
+        q = np.array([false_positive_share(s, n_agents) for s in sensors])
         coverage = np.array([len(s.coverage) for s in sensors]).reshape(-1, 1)
         self._fp_at = mask * (q[:, None] / coverage)  # (sensors, n) density of the false positive
         silent = (1.0 - self._d) * (1.0 - q[:, None])
@@ -137,8 +137,7 @@ class LikelihoodModel:
         self._silent_product = np.prod(silent, axis=0)
         self._miss = 1.0 - self._d  # (sensors, n)
         self._hit = self._d * (1.0 - q)[:, None]  # (sensors, n) true report at the agent's location
-        # (sensors, n) clutter intensity, 0 where q = 1 leaves the odds of a false positive unbounded
-        self._clutter = np.divide(self._fp_at, 1.0 - q[:, None], out=np.zeros_like(self._fp_at), where=q[:, None] < 1)
+        self._clutter = self._fp_at / (1.0 - q[:, None])  # (sensors, n) clutter intensity
 
     def _columns(
         self, events: Iterable[ObservationEvent], days: int, ticks: int, agents: Sequence[int]
@@ -263,7 +262,7 @@ def likelihood_of_events(
 
 def event_columns(events: Iterable[ObservationEvent], config: WorldConfig) -> EventColumns:
     """The events as the tracker's column table, checked against ``config``'s sensors, plan, days, ticks and agents."""
-    model = LikelihoodModel(config.sensors, config.floor_plan)
+    model = LikelihoodModel(config.sensors, config.floor_plan, n_agents=len(config.agents))
     return model._columns(events, config.days, config.ticks_per_day, [a.id for a in config.agents])
 
 

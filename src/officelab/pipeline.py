@@ -3,12 +3,13 @@
 Every stage writes its files into one output directory and records them in a
 manifest, so every stage can be rerun in isolation with identical results: a
 stage run on its own reads its inputs back from those files, checked line by
-line. Within one run_pipeline call the stages hand their products on in
-memory instead (a Handoff): simulate's records go to observe, observe's
-event column table to fuse, which filters and decodes in one pass over the
-evidence, and the analytics source's paths to analyze and graph; nothing is
-read back. All randomness flows from the config seed through named
-substreams.
+line against the config (observe reads trajectories.csv; trajectories.jsonl
+is an export, read by no stage). Within one run_pipeline call the stages hand
+their products on in memory instead (a Handoff): simulate's records go to
+observe, observe's event column table to fuse, which filters and decodes in
+one pass over the evidence, and the analytics source's paths to analyze and
+graph; nothing is read back. All randomness flows from the config seed
+through named substreams.
 """
 
 from __future__ import annotations
@@ -27,10 +28,8 @@ from .contacts import export_graph, extract_contacts, graph_metrics
 from .decoding import DecodedPath
 from .errors import OfficeLabError
 from .formats import (
-    check_agent_ticks,
     read_events_jsonl,
     read_paths_csv,
-    read_trajectories_jsonl,
     trajectories_to_paths,
     write_beliefs_csv,
     write_decode_scores_csv,
@@ -149,9 +148,7 @@ def stage_simulate(config: WorldConfig, out_dir: Path, manifest: RunManifest, ha
 
 def stage_observe(config: WorldConfig, out_dir: Path, manifest: RunManifest, handoff: Handoff | None = None) -> str:
     if handoff is None:
-        path = manifest.path_of("simulate", "trajectories", out_dir)
-        records = read_trajectories_jsonl(path, config.floor_plan.n)
-        check_agent_ticks(records, config, path)
+        records = read_paths_csv(manifest.path_of("simulate", "trajectories_csv", out_dir), config)
     else:
         records, handoff.records = handoff.records, None
     events = generate_event_log(records, config.sensors, config.rng_seed)
@@ -206,7 +203,7 @@ def _paths_for_source(
         raise StageError(f"unknown analytics source {source!r}")
     if handoff is not None:
         return handoff.paths
-    return read_paths_csv(manifest.path_of(*files[source], out_dir), config.floor_plan.n)
+    return trajectories_to_paths(read_paths_csv(manifest.path_of(*files[source], out_dir), config))
 
 
 def stage_analyze(
@@ -219,9 +216,7 @@ def stage_analyze(
     all_scores = {}
     reports = []
     for profile in config.agents:
-        agent_paths = paths.get(profile.id, {})
-        if not agent_paths:
-            continue
+        agent_paths = paths[profile.id]
         baseline, dists, scores = surprise_by_day(
             profile.id,
             agent_paths,

@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from .errors import ValidationError
 from .rng import OBSERVE, substream
 
 if TYPE_CHECKING:
@@ -29,6 +30,15 @@ class SensorSpec:
     p_detect: float = 0.9
     p_false_positive: float = 0.01  # per tick
     p_confuse: float = 0.05  # report a uniformly random wrong identity
+
+
+def false_positive_share(spec: SensorSpec, n_agents: int | None) -> float:
+    """q, the chance per tick that ``spec``'s false positive names one given agent of ``n_agents`` (None or 0: any);
+    ValidationError naming the sensor at q = 1, where the tracker's clutter odds q/(1 - q) are unbounded."""
+    q = spec.p_false_positive / n_agents if n_agents else spec.p_false_positive
+    if q >= 1.0:
+        raise ValidationError(f"sensor {spec.id}'s false positive names the one agent every tick (p_false_positive 1)")
+    return q
 
 
 class ObservationEvent(NamedTuple):

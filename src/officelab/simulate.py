@@ -15,7 +15,7 @@ of the tick, before anyone moves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,8 +24,7 @@ from .rng import SIMULATE, substream
 from .world import AgentProfile, FloorPlan
 
 
-@dataclass(frozen=True)
-class TrajectoryRecord:
+class TrajectoryRecord(NamedTuple):
     agent: int
     day: int
     tick: int

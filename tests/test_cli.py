@@ -49,6 +49,21 @@ def test_invalid_config_exits_1_without_partial_outputs(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_false_positive_naming_the_one_agent_every_tick_exits_1_naming_the_sensor(tmp_path, capsys):
+    # with one agent, p_false_positive 1 makes q = 1, where the clutter odds q/(1 - q) are unbounded
+    doc = _noiseless_doc()
+    doc["sensors"][0]["p_false_positive"] = 1.0
+    path = tmp_path / "always.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(path), "--out", str(out)]) == 1
+    assert "sensor cam's false positive names the one agent every tick" in capsys.readouterr().err
+    assert not out.exists()
+    doc["agents"].append({**doc["agents"][0], "id": 1, "home": 1})  # two agents: q = 1/2
+    path.write_text(json.dumps(doc))
+    assert main(["pipeline", "--config", str(path), "--out", str(out)]) == 0
+
+
 def test_same_invocation_twice_writes_identical_trajectories(config_path, tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):
@@ -193,12 +208,8 @@ def _repeat_last_row(text: str) -> str:
     return text + text.splitlines(keepends=True)[-1]
 
 
-def _append_first_row(text: str) -> str:
-    return text + text.splitlines(keepends=True)[0]
-
-
 def _last_location_off_the_plan(text: str) -> str:
-    # the location is the last number of a row, in the CSV tables and in trajectories.jsonl
+    # the location is the last number of a row
     *head, last = text.splitlines(keepends=True)
     return "".join([*head, re.sub(r"\d+(\D*)$", r"99\1", last)])
 
@@ -208,15 +219,15 @@ def _last_location_off_the_plan(text: str) -> str:
     "stage, name, corrupt, line",
     [
         ("fuse", "events.jsonl", _truncate_last_line, -1),
-        ("observe", "trajectories.jsonl", _truncate_last_line, -1),
+        ("observe", "trajectories.csv", _truncate_last_line, -1),
         ("analyze", "decoded_paths.csv", _append_non_integer_row, -1),
         ("analyze", "trajectories.csv", _swap_header_columns, 1),
         ("analyze", "decoded_paths.csv", _swap_last_two_rows, -2),
         ("analyze", "decoded_paths.csv", _repeat_last_row, -1),
         ("analyze", "decoded_paths.csv", _last_location_off_the_plan, -1),
         ("graph", "decoded_paths.csv", _last_location_off_the_plan, -1),
-        ("observe", "trajectories.jsonl", _last_location_off_the_plan, -1),
-        ("observe", "trajectories.jsonl", _append_first_row, -1),
+        ("observe", "trajectories.csv", _last_location_off_the_plan, -1),
+        ("observe", "trajectories.csv", _repeat_last_row, -1),
     ],
     ids=(
         "events",
@@ -251,12 +262,45 @@ def test_trajectories_lacking_an_agent_tick_exit_2_naming_it(tmp_path, capsys):
     out = tmp_path / "run"
     config = ["--config", str(CONFIGS / "demo.json"), "--out", str(out)]
     assert main(["pipeline", *config]) == 0
-    path = out / "trajectories.jsonl"
+    path = out / "trajectories.csv"
     lines = path.read_text().splitlines(keepends=True)
-    gone = json.loads(lines[10])
+    agent, day, tick, _ = lines[10].split(",")
     path.write_text("".join(lines[:10] + lines[11:]))
     capsys.readouterr()
     assert main(["observe", *config]) == 2
     err = capsys.readouterr().err
     assert "stage observe failed" in err
-    assert f"no record of agent {gone['agent']} at day {gone['day']} tick {gone['tick']}" in err
+    assert f"no record of agent {agent} at day {day} tick {tick}" in err
+
+
+def _drop_agent(agent: int):
+    return lambda text: "".join(row for row in text.splitlines(keepends=True) if not row.startswith(f"{agent},"))
+
+
+def _drop_day(agent: int, day: int):
+    return lambda text: "".join(row for row in text.splitlines(keepends=True) if not row.startswith(f"{agent},{day},"))
+
+
+# demo has agents 0, 1 and 2, days 0..4 and ticks 0..119
+@pytest.mark.parametrize("stage", ["analyze", "graph"])
+@pytest.mark.parametrize(
+    "corrupt, named",
+    [
+        (_drop_agent(2), "has no record of agent 2 at day 0 tick 0"),
+        (_drop_day(0, 4), "has no record of agent 0 at day 4 tick 0"),
+        (lambda text: text + "7,0,0,1\n", "line 1802 is malformed: ValueError('agent 7 at day 0 is not configured')"),
+        (lambda text: text + "2,4,120,1\n", "line 1802 is malformed: ValueError(\"tick 120 of agent 2 at day 4 is outside"),
+    ],
+    ids=("lacks_agent", "lacks_day", "unconfigured_agent", "tick_past_the_day"),
+)
+def test_decoded_paths_off_the_configured_agent_ticks_exit_2_naming_them(tmp_path, capsys, stage, corrupt, named):
+    out = tmp_path / "run"
+    config = ["--config", str(CONFIGS / "demo.json"), "--out", str(out), "--analytics-source", "decoded"]
+    assert main(["pipeline", *config]) == 0
+    path = out / "decoded_paths.csv"
+    path.write_text(corrupt(path.read_text()))
+    capsys.readouterr()
+    assert main([stage, *config]) == 2
+    err = capsys.readouterr().err
+    assert f"stage {stage} failed" in err
+    assert f"decoded_paths.csv {named}" in err

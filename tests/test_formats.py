@@ -5,13 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from officelab.config import load_config
+from officelab.config import WorldConfig, load_config
 from officelab.errors import NoPathError, ValidationError
 from officelab.formats import (
     read_events_jsonl,
     read_paths_csv,
-    read_trajectories_jsonl,
     trajectories_to_paths,
     write_beliefs_csv,
     write_events_jsonl,
@@ -24,12 +25,19 @@ from officelab.sensors import ObservationEvent
 from officelab.simulate import TrajectoryRecord, run_simulation
 from officelab.world import FloorPlan
 
+from conftest import line_plan, uniform_agent
+
+
+def _config(agents, days: int, ticks: int, n: int) -> WorldConfig:
+    plan = line_plan(n)
+    return WorldConfig(plan, tuple(uniform_agent(a, 0, n) for a in agents), ticks, days, rng_seed=0)
+
 
 def test_trajectories_round_trip(tmp_path):
     records = [TrajectoryRecord(a, d, t, (a + t) % 3) for a in range(2) for d in range(2) for t in range(4)]
-    path = tmp_path / "t.jsonl"
-    write_trajectories_jsonl(records, path)
-    assert read_trajectories_jsonl(path, 3) == records
+    path = tmp_path / "t.csv"
+    write_trajectories_csv(records, path)
+    assert read_paths_csv(path, _config(range(2), 2, 4, 3)) == records
 
 
 def test_events_round_trip_with_stable_field_order(tmp_path):
@@ -78,37 +86,85 @@ def test_events_reader_takes_what_json_loads_takes(tmp_path):
 
 
 def test_paths_csv_round_trip(tmp_path):
-    paths = {0: {0: [1, 1, 2], 1: [0, 2, 2]}, 3: {0: [2, 0, 1]}}
+    paths = {0: {0: [1, 1, 2], 1: [0, 2, 2]}, 3: {0: [2, 0, 1], 1: [1, 1, 0]}}
     file = tmp_path / "p.csv"
     write_paths_csv(paths, file)
-    assert read_paths_csv(file, 3) == paths
+    assert trajectories_to_paths(read_paths_csv(file, _config((0, 3), 2, 3, 3))) == paths
 
 
 def test_readers_reject_a_location_off_the_floor_plan_naming_its_line(tmp_path):
     records = [TrajectoryRecord(0, 0, t, x) for t, x in enumerate((0, 2, -1))]
-    write_trajectories_jsonl(records[:2], tmp_path / "t.jsonl")
-    assert read_trajectories_jsonl(tmp_path / "t.jsonl", 3) == records[:2]
-    with pytest.raises(ValidationError, match=r"t.jsonl line 2 is malformed.*location 2 is outside the floor plan's 0..1"):
-        read_trajectories_jsonl(tmp_path / "t.jsonl", 2)
-    write_trajectories_jsonl(records, tmp_path / "t.jsonl")
-    with pytest.raises(ValidationError, match=r"t.jsonl line 3 is malformed.*location -1"):
-        read_trajectories_jsonl(tmp_path / "t.jsonl", 3)
     write_trajectories_csv(records[:2], tmp_path / "p.csv")
-    assert read_paths_csv(tmp_path / "p.csv", 3) == {0: {0: [0, 2]}}
+    assert read_paths_csv(tmp_path / "p.csv", _config((0,), 1, 2, 3)) == records[:2]
     with pytest.raises(ValidationError, match=r"p.csv line 3 is malformed.*location 2 is outside the floor plan's 0..1"):
-        read_paths_csv(tmp_path / "p.csv", 2)
+        read_paths_csv(tmp_path / "p.csv", _config((0,), 1, 2, 2))
     write_trajectories_csv(records, tmp_path / "p.csv")
     with pytest.raises(ValidationError, match=r"p.csv line 4 is malformed.*location -1"):
-        read_paths_csv(tmp_path / "p.csv", 3)
+        read_paths_csv(tmp_path / "p.csv", _config((0,), 1, 3, 3))
+
+
+def test_paths_reader_rejects_rows_off_the_configured_agent_ticks(tmp_path):
+    config = _config((0, 1), 1, 2, 3)
+    rows = ["0,0,0,1", "1,0,0,2", "1,0,1,0", "0,0,1,1"]
+    path = tmp_path / "p.csv"
+    for extra, problem in (
+        ("2,0,0,0", "agent 2 at day 0 is not configured"),
+        ("0,1,0,0", "agent 0 at day 1 is not configured"),
+        ("0,0,2,0", "tick 2 of agent 0 at day 0 is outside the day's 0..1"),
+        ("0,0,-1,0", "tick -1 of agent 0 at day 0 is outside the day's 0..1"),
+        ("1,0,1,0", "agent 1 at day 0 tick 1 repeats a row"),
+    ):
+        path.write_text("\n".join(["agent,day,tick,location", *rows, extra, ""]))
+        with pytest.raises(ValidationError, match=f"p.csv line 6 is malformed.*{problem}"):
+            read_paths_csv(path, config)
+    path.write_text("\n".join(["agent,day,tick,location", "0,0,1,1", ""]))
+    with pytest.raises(ValidationError, match="p.csv line 2 is malformed.*no record of agent 0 at day 0 tick 0 before tick 1"):
+        read_paths_csv(path, config)
+    path.write_text("\n".join(["agent,day,tick,location", *rows[:3], ""]))
+    with pytest.raises(ValidationError, match="p.csv has no record of agent 0 at day 0 tick 1"):
+        read_paths_csv(path, config)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_paths_reader_reads_back_the_written_table_and_names_a_lost_or_repeated_row(tmp_path_factory, data):
+    agents = data.draw(st.lists(st.integers(0, 40), min_size=1, max_size=3, unique=True), label="agents")
+    days, ticks, n = (data.draw(st.integers(1, k)) for k in (3, 4, 4))
+    config = _config(agents, days, ticks, n)
+    records = [
+        TrajectoryRecord(a, d, t, data.draw(st.integers(0, n - 1)))
+        for d in range(days) for t in range(ticks) for a in agents
+    ]
+    path = tmp_path_factory.mktemp("paths") / "p.csv"
+    if data.draw(st.booleans(), label="paths table"):  # agent-major, as decode and fuse write it
+        write_paths_csv(trajectories_to_paths(records), path)
+        records.sort()
+    else:  # tick-major, as simulate writes it
+        write_trajectories_csv(records, path)
+    assert read_paths_csv(path, config) == records
+    header, *rows = path.read_text().splitlines(keepends=True)
+    i = data.draw(st.integers(0, len(rows) - 1), label="row")
+    if data.draw(st.booleans(), label="repeat"):
+        j = data.draw(st.integers(i + 1, len(rows)), label="copy at")
+        path.write_text("".join([header, *rows[:j], rows[i], *rows[j:]]))
+        with pytest.raises(ValidationError, match=f"p.csv line {j + 2} is malformed.*repeats a row"):
+            read_paths_csv(path, config)
+    else:
+        path.write_text("".join([header, *rows[:i], *rows[i + 1 :]]))
+        r = records[i]
+        with pytest.raises(ValidationError, match=f"no record of agent {r.agent} at day {r.day} tick {r.tick}"):
+            read_paths_csv(path, config)
 
 
 def test_trajectories_csv_reads_as_the_grouped_records(tmp_path):
-    # analytics on ground truth reads trajectories.csv through read_paths_csv
+    # observe reads trajectories.csv through read_paths_csv, and analytics on ground truth groups what it reads
     config = load_config(Path(__file__).resolve().parent.parent / "configs" / "demo.json")
     records = run_simulation(config)
     file = tmp_path / "trajectories.csv"
     write_trajectories_csv(records, file)
-    paths, grouped = read_paths_csv(file, config.floor_plan.n), trajectories_to_paths(records)
+    read = read_paths_csv(file, config)
+    assert read == records
+    paths, grouped = trajectories_to_paths(read), trajectories_to_paths(records)
     assert paths == grouped
     assert list(paths) == list(grouped)
     assert all(list(paths[a]) == list(grouped[a]) for a in paths)

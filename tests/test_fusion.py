@@ -112,6 +112,21 @@ def test_two_sensor_reports_multiply():
     assert np.allclose(joint, wa * wb, atol=1e-12)
 
 
+def test_a_sensor_whose_false_positive_always_names_the_agent_is_rejected():
+    # q = 1: the clutter odds q/(1 - q) are unbounded, so no intensity can stand for them
+    plan = line_plan(3)
+    spec = SensorSpec("cam", "camera", (0, 1), p_detect=0.9, p_false_positive=1.0, p_confuse=0.0)
+    events = [ObservationEvent("cam", 0, 0, 0, y) for y in (0, 1)]
+    for build in (
+        lambda: LikelihoodModel([spec], plan, n_agents=1),
+        lambda: LikelihoodModel([spec], plan),
+        lambda: likelihood_of_events(events, 0, [spec], plan, n_agents=1),
+    ):
+        with pytest.raises(ValidationError, match="sensor cam's false positive names the one agent every tick"):
+            build()
+    assert (likelihood_of_events(events, 0, [spec], plan, n_agents=2)[:2] > 0).all()
+
+
 def test_unknown_sensor_or_agent_in_reports_is_named():
     plan = line_plan(2)
     model = LikelihoodModel([SensorSpec("cam", "camera", (0, 1))], plan, n_agents=1)

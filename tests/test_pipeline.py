@@ -13,7 +13,7 @@ import pytest
 
 from officelab.config import dump_config, load_config, parse_config
 from officelab.decoding import decode_day
-from officelab.formats import read_paths_csv, read_trajectories_jsonl, trajectories_to_paths, write_trajectories_jsonl
+from officelab.formats import read_paths_csv, trajectories_to_paths, write_trajectories_jsonl
 from officelab.fusion import LikelihoodModel
 from officelab.pipeline import open_manifest, run_pipeline, run_stage
 from officelab.presets import full_scale_config
@@ -86,9 +86,8 @@ def test_full_scale_pipeline_end_to_end(tmp_path):
     manifest = run_pipeline(config, str(config_path), out, source="truth")
     assert set(manifest.outputs) == {"simulate", "observe", "fuse", "decode", "analyze", "graph"}
 
-    n = config.floor_plan.n
-    truth = trajectories_to_paths(read_trajectories_jsonl(out / "trajectories.jsonl", n))
-    decoded = read_paths_csv(out / "decoded_paths.csv", n)
+    truth = trajectories_to_paths(read_paths_csv(out / "trajectories.csv", config))
+    decoded = trajectories_to_paths(read_paths_csv(out / "decoded_paths.csv", config))
     assert set(decoded) == set(truth)
     # decoded paths should track ground truth closely under the default sensors
     agree = total = 0
@@ -106,8 +105,8 @@ def test_config_without_agents_fuses_and_decodes_to_empty_outputs(tmp_path):
         run_stage(stage, config, tmp_path, manifest)
     assert (tmp_path / "events.jsonl").read_text() == ""
     assert (tmp_path / "beliefs.csv").read_text() == "day,tick,agent,location,probability\n"
-    assert read_paths_csv(tmp_path / "argmax_paths.csv", config.floor_plan.n) == {}
-    assert read_paths_csv(tmp_path / "decoded_paths.csv", config.floor_plan.n) == {}
+    assert read_paths_csv(tmp_path / "argmax_paths.csv", config) == []
+    assert read_paths_csv(tmp_path / "decoded_paths.csv", config) == []
     assert (tmp_path / "decode_scores.csv").read_text().count("\n") == 1
 
 
@@ -126,7 +125,6 @@ def test_pipeline_reads_none_of_its_handoffs_and_builds_evidence_once(tmp_path, 
 
     with (
         mock.patch("officelab.pipeline.read_events_jsonl", unread),
-        mock.patch("officelab.pipeline.read_trajectories_jsonl", unread),
         mock.patch("officelab.pipeline.read_paths_csv", unread),
         mock.patch.object(LikelihoodModel, "evidence", counted),
     ):
