@@ -10,6 +10,7 @@ nothing depends on it.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field, replace
 from numbers import Integral
 from pathlib import Path
@@ -55,6 +56,18 @@ def _count(value: Any, key: str, minimum: int) -> int:
     if not isinstance(value, Integral) or isinstance(value, bool) or value < minimum:
         raise ValidationError(f"{key} must be an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def _flag(value: Any, key: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValidationError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
+def _alpha(value: Any, key: str) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or not 0.0 <= value <= sys.float_info.max:
+        raise ValidationError(f"{key} must be a finite number >= 0, got {value!r}")
+    return float(value)
 
 
 def _int_keyed(mapping: dict, what: str) -> dict[int, Any]:
@@ -254,12 +267,10 @@ def _parse_document(doc: dict) -> WorldConfig:
 
     rule_doc = doc.get("contact_rule", {})
     rule = ContactRule(
-        min_consecutive_ticks=int(rule_doc.get("min_consecutive_ticks", 10)),
+        min_consecutive_ticks=_count(rule_doc.get("min_consecutive_ticks", 10), "contact_rule.min_consecutive_ticks", 1),
         excluded_tags=frozenset(rule_doc.get("excluded_tags", ("printer",))),
-        officemate_exclusion=bool(rule_doc.get("officemate_exclusion", True)),
+        officemate_exclusion=_flag(rule_doc.get("officemate_exclusion", True), "contact_rule.officemate_exclusion"),
     )
-    if rule.min_consecutive_ticks < 1:
-        raise ValidationError("contact_rule.min_consecutive_ticks must be >= 1")
     for tag in rule.excluded_tags:
         if tag not in LOCATION_TAGS:
             raise ValidationError(f"contact_rule excludes unknown tag {tag!r}")
@@ -269,15 +280,13 @@ def _parse_document(doc: dict) -> WorldConfig:
 
     an = doc.get("analytics", {})
     analytics = AnalyticsSettings(
-        baseline_alpha=float(an.get("baseline_alpha", 1.0)),
-        day_alpha=float(an.get("day_alpha", 0.0)),
-        min_support=int(an.get("min_support", 3)),
-        min_len=int(an.get("min_len", 2)),
-        max_len=int(an.get("max_len", 5)),
+        baseline_alpha=_alpha(an.get("baseline_alpha", 1.0), "analytics.baseline_alpha"),
+        day_alpha=_alpha(an.get("day_alpha", 0.0), "analytics.day_alpha"),
+        min_support=_count(an.get("min_support", 3), "analytics.min_support", 1),
+        min_len=_count(an.get("min_len", 2), "analytics.min_len", 2),
+        max_len=_count(an.get("max_len", 5), "analytics.max_len", 2),
     )
-    if analytics.baseline_alpha < 0 or analytics.day_alpha < 0:
-        raise ValidationError("analytics smoothing alphas must be nonnegative")
-    if not 2 <= analytics.min_len <= analytics.max_len:
+    if not analytics.min_len <= analytics.max_len:
         raise ValidationError("analytics pattern lengths must satisfy 2 <= min_len <= max_len")
 
     return WorldConfig(

@@ -152,14 +152,28 @@ def write_decode_scores_csv(scores: dict[tuple[int, int], float], path: Path) ->
 
 
 def trajectories_to_paths(records: Iterable[TrajectoryRecord]) -> dict[int, dict[int, list[int]]]:
-    """Group trajectory records into agent -> day -> tick-ordered sequence."""
-    keyed: dict[int, dict[int, list[tuple[int, int]]]] = {}
-    for r in records:
-        keyed.setdefault(r.agent, {}).setdefault(r.day, []).append((r.tick, r.location))
-    return {
-        agent: {day: [loc for _, loc in sorted(ticks)] for day, ticks in days.items()}
-        for agent, days in keyed.items()
-    }
+    """Group trajectory records into agent -> day -> tick-ordered sequence.
+
+    Locations are appended as they come: run_simulation and read_paths_csv
+    give each path's ticks as 0, 1, 2, ... Only a path whose ticks arrive
+    otherwise is sorted, by tick (equal ticks by location).
+    """
+    records = records if isinstance(records, list) else list(records)
+    paths: dict[int, dict[int, list[int]]] = {}
+    unordered = set()
+    for agent, day, tick, loc in records:
+        path = paths.setdefault(agent, {}).setdefault(day, [])
+        if tick != len(path):
+            unordered.add((agent, day))
+        path.append(loc)
+    if unordered:
+        keyed: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for agent, day, tick, loc in records:
+            if (agent, day) in unordered:
+                keyed.setdefault((agent, day), []).append((tick, loc))
+        for (agent, day), ticks in keyed.items():
+            paths[agent][day] = [loc for _, loc in sorted(ticks)]
+    return paths
 
 
 def write_occupancy_csv(dists: Sequence[OccupancyDistribution], path: Path, source: str) -> None:

@@ -49,6 +49,17 @@ def test_invalid_config_exits_1_without_partial_outputs(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_string_flag_in_contact_rule_exits_1_naming_the_key(tmp_path, capsys):
+    doc = minimal_config_doc()
+    doc["contact_rule"] = {"officemate_exclusion": "false"}  # a string, which bool() would read as True
+    path = tmp_path / "flag.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+    assert "contact_rule.officemate_exclusion must be true or false" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_a_false_positive_naming_the_one_agent_every_tick_exits_1_naming_the_sensor(tmp_path, capsys):
     # with one agent, p_false_positive 1 makes q = 1, where the clutter odds q/(1 - q) are unbounded
     doc = _noiseless_doc()

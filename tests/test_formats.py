@@ -190,6 +190,25 @@ def test_trajectories_group_into_tick_ordered_paths():
     assert trajectories_to_paths(records) == {0: {0: [4, 5], 1: [2]}}
 
 
+@given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 5), st.integers(0, 9)), max_size=40))
+@settings(max_examples=100, deadline=None)
+def test_grouping_sorts_each_path_by_tick_then_location(rows):
+    # shuffled, with gaps and with repeated ticks, or each path's ticks 0, 1, 2, ... in order:
+    # the same as sorting every path
+    counts = {}
+    in_order = []
+    for a, d, _, x in rows:
+        in_order.append(TrajectoryRecord(a, d, counts.get((a, d), 0), x))
+        counts[a, d] = counts.get((a, d), 0) + 1
+    for records in ([TrajectoryRecord(*row) for row in rows], in_order):
+        keyed = {}
+        for r in records:
+            keyed.setdefault(r.agent, {}).setdefault(r.day, []).append((r.tick, r.location))
+        expected = {a: {d: [x for _, x in sorted(ticks)] for d, ticks in days.items()} for a, days in keyed.items()}
+        assert trajectories_to_paths(records) == expected
+        assert trajectories_to_paths(iter(records)) == expected
+
+
 def test_next_hop_defends_against_unreachable_targets():
     # bypasses config validation: two disconnected components
     plan = FloorPlan((0, 1, 2, 3), frozenset({(0, 1), (2, 3)}))

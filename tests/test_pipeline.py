@@ -13,10 +13,11 @@ import pytest
 
 from officelab.config import dump_config, load_config, parse_config
 from officelab.decoding import decode_day
-from officelab.formats import read_paths_csv, trajectories_to_paths, write_trajectories_jsonl
+from officelab.formats import read_paths_csv, trajectories_to_paths, write_events_jsonl, write_trajectories_jsonl
 from officelab.fusion import LikelihoodModel
 from officelab.pipeline import open_manifest, run_pipeline, run_stage
 from officelab.presets import full_scale_config
+from officelab.sensors import generate_event_log
 from officelab.simulate import run_simulation
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -45,11 +46,22 @@ def test_demo_rng_outputs_are_pinned(tmp_path):
 FULL_SCALE_20_TRAJECTORIES_SHA256 = "da5a4e1d68bbd99c89098bac127bb66f8bc87e1d0526be27913c80a73dd38775"
 
 
+# the same run's events: thousands of confusions and false positives, where demo's
+# pin sees few, so this digest pins the observe draw order where it branches most
+FULL_SCALE_20_EVENTS_SHA256 = "233f9c47ef453fc7f1388a3e126f5919665c0cb320cfbca72a2a29ca5cb0978e"
+
+
 def test_full_scale_20_agent_trajectories_are_pinned(tmp_path):
     config = parse_config(full_scale_config(seed=3, n_agents=20, days=2, ticks_per_day=300))
     write_trajectories_jsonl(run_simulation(config), tmp_path / "trajectories.jsonl")
     digest = hashlib.sha256((tmp_path / "trajectories.jsonl").read_bytes()).hexdigest()
     assert digest == FULL_SCALE_20_TRAJECTORIES_SHA256
+
+
+def test_full_scale_20_agent_events_are_pinned(tmp_path):
+    config = parse_config(full_scale_config(seed=3, n_agents=20, days=2, ticks_per_day=300))
+    write_events_jsonl(generate_event_log(run_simulation(config), config.sensors, config.rng_seed), tmp_path / "e.jsonl")
+    assert hashlib.sha256((tmp_path / "e.jsonl").read_bytes()).hexdigest() == FULL_SCALE_20_EVENTS_SHA256
 
 
 def test_decode_day_survives_contradictory_evidence():

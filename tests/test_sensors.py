@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from officelab import sensors as sensor_module
 from officelab.rng import OBSERVE, substream
 from officelab.sensors import ObservationEvent, SensorSpec, generate_event_log, observe_tick
 from officelab.simulate import TrajectoryRecord
@@ -155,3 +159,60 @@ def test_observe_tick_matches_the_agent_scan_draw_for_draw():
         got = observe_tick(truth, sensors, fast, day=1, tick=tick)
         assert got == _observe_tick_reference(truth, sensors, slow, day=1, tick=tick)
     assert fast.random() == slow.random()  # same number of draws consumed
+
+
+def test_choice_and_integers_draw_the_same_values():
+    # observe draws its wrong identities and false positives with integers(0, k); the event
+    # stream (and the pinned digests) date from rng.choice(k), so the two must stay one draw
+    for k in (1, 2, 3, 19, 20, 50, 1000):
+        by_choice, by_integers = substream(k, OBSERVE, 0), substream(k, OBSERVE, 0)
+        assert [int(by_choice.choice(k)) for _ in range(200)] == [int(by_integers.integers(0, k)) for _ in range(200)]
+        assert by_choice.bit_generator.state == by_integers.bit_generator.state
+
+
+_probabilities = st.sampled_from([0.0, 0.05, 0.3, 0.5, 0.9, 1.0])
+
+
+@st.composite
+def _sensor_sets(draw):
+    n = draw(st.integers(1, 6))
+    sensors = []
+    for i in range(n):
+        coverage = draw(st.lists(st.integers(0, 5), min_size=1, max_size=4))  # repeats allowed
+        sensors.append(
+            SensorSpec(
+                f"s{draw(st.integers(0, 99)):02d}{i}",
+                "camera",
+                tuple(sorted(coverage)),
+                p_detect=draw(_probabilities),
+                p_false_positive=draw(_probabilities),
+                p_confuse=draw(_probabilities),
+            )
+        )
+    return sensors
+
+
+@st.composite
+def _record_sets(draw):
+    # per (day, tick), any nonempty subset of the agents, so the agents can change between ticks
+    agents = draw(st.lists(st.integers(0, 30), min_size=1, max_size=4, unique=True))
+    records = []
+    for day in draw(st.lists(st.integers(0, 3), min_size=1, max_size=2, unique=True)):
+        for tick in sorted(draw(st.lists(st.integers(0, 40), min_size=1, max_size=25, unique=True))):
+            present = draw(st.lists(st.sampled_from(agents), min_size=1, unique=True))
+            records += [TrajectoryRecord(a, day, tick, draw(st.integers(0, 6))) for a in present]
+    return records
+
+
+@given(_sensor_sets(), _record_sets(), st.integers(0, 2**32), st.sampled_from([2, 3, 5, 8, sensor_module._BLOCK]))
+@settings(max_examples=150, deadline=None)
+def test_event_log_equals_the_scalar_scan_tick_by_tick(specs, records, seed, block):
+    # small blocks run out mid-tick, so every way a block can end is crossed
+    ordered = sorted(specs, key=lambda s: s.id)
+    expected, streams = [], {}
+    for day, tick in sorted({(r.day, r.tick) for r in records}):
+        truth = {r.agent: r.location for r in records if (r.day, r.tick) == (day, tick)}
+        rng = streams.setdefault(day, substream(seed, OBSERVE, day))
+        expected += _observe_tick_reference(truth, ordered, rng, day=day, tick=tick)
+    with mock.patch.object(sensor_module, "_BLOCK", block):
+        assert generate_event_log(records, specs, seed) == expected

@@ -94,6 +94,26 @@ def test_malformed_json_is_a_parse_error(tmp_path):
             lambda d: d.update(sensors=[{"id": "cam", "coverage": [1, 0, 1]}]),
             "sensor cam covers location 1 more than once",
         ),
+        # contact_rule and analytics go through the same typed checks as the rest
+        (
+            lambda d: d.update(contact_rule={"officemate_exclusion": "false"}),
+            "contact_rule.officemate_exclusion must be true or false, got 'false'",
+        ),
+        (
+            lambda d: d.update(contact_rule={"min_consecutive_ticks": 2.7}),
+            "contact_rule.min_consecutive_ticks must be an integer >= 1, got 2.7",
+        ),
+        (lambda d: d.update(analytics={"max_len": 4.9}), "analytics.max_len must be an integer >= 2, got 4.9"),
+        (lambda d: d.update(analytics={"min_support": True}), "analytics.min_support must be an integer >= 1, got True"),
+        (
+            lambda d: d.update(analytics={"baseline_alpha": "nan"}),
+            "analytics.baseline_alpha must be a finite number >= 0, got 'nan'",
+        ),
+        (
+            lambda d: d.update(analytics={"day_alpha": float("nan")}),
+            "analytics.day_alpha must be a finite number >= 0, got nan",
+        ),
+        (lambda d: d.update(analytics={"day_alpha": 10**400}), "analytics.day_alpha must be a finite number >= 0"),
     ],
 )
 def test_invariant_violations_are_named(mutate, match):
