@@ -64,6 +64,12 @@ def _flag(value: Any, key: str) -> bool:
     return value
 
 
+def _strings(value: Any, key: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValidationError(f"{key} must be a list of strings, got {value!r}")
+    return value
+
+
 def _alpha(value: Any, key: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool) or not 0.0 <= value <= sys.float_info.max:
         raise ValidationError(f"{key} must be a finite number >= 0, got {value!r}")
@@ -266,9 +272,10 @@ def _parse_document(doc: dict) -> WorldConfig:
         false_positive_share(s, len(agents))
 
     rule_doc = doc.get("contact_rule", {})
+    tags = _strings(rule_doc.get("excluded_tags", ["printer"]), "contact_rule.excluded_tags")
     rule = ContactRule(
         min_consecutive_ticks=_count(rule_doc.get("min_consecutive_ticks", 10), "contact_rule.min_consecutive_ticks", 1),
-        excluded_tags=frozenset(rule_doc.get("excluded_tags", ("printer",))),
+        excluded_tags=frozenset(tags),
         officemate_exclusion=_flag(rule_doc.get("officemate_exclusion", True), "contact_rule.officemate_exclusion"),
     )
     for tag in rule.excluded_tags:

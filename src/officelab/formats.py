@@ -21,8 +21,8 @@ from .analytics import OccupancyDistribution, PatternReport, SurpriseScore
 from .config import WorldConfig
 from .contacts import GraphMetrics
 from .errors import ValidationError
-from .fusion import BeliefMatrix
-from .sensors import ObservationEvent
+from .fusion import BeliefMatrix, field_columns
+from .sensors import EventColumns
 from .simulate import TrajectoryRecord
 
 BELIEF_WRITE_FLOOR = 1e-6  # rows below this are omitted from the belief CSV
@@ -57,25 +57,30 @@ def write_trajectories_csv(records: Iterable[TrajectoryRecord], path: Path) -> N
     _write_csv(path, PATHS_HEADER, (f"{r.agent},{r.day},{r.tick},{r.location}\n" for r in records))
 
 
-def write_events_jsonl(events: Iterable[ObservationEvent], path: Path) -> None:
-    """One JSON object per line, as ``json.dumps`` renders it; each sensor id is encoded once."""
-    quoted: dict[str, str] = {}
+def write_events_jsonl(columns: EventColumns, path: Path, config: WorldConfig) -> None:
+    """One JSON object per line, as ``json.dumps`` renders it, from ``config``'s column table, a day at a time;
+    each sensor id is encoded once per day."""
+    agents = [a.id for a in config.agents]
+    starts = np.flatnonzero(np.diff(columns.day, prepend=-1)).tolist()
     with open(path, "w") as fh:
-        for sensor, day, tick, agent, loc in events:
-            name = quoted.get(sensor) or quoted.setdefault(sensor, json.dumps(sensor))
-            fh.write(f'{{"sensor": {name}, "day": {day}, "tick": {tick}, "reported_agent": {agent}, "location": {loc}}}\n')
+        for lo, hi in zip(starts, starts[1:] + [len(columns.day)]):
+            head = [f'{{"sensor": {json.dumps(s.id)}, "day": {columns.day[lo]}, "tick": ' for s in config.sensors]
+            rows = zip(*(c[lo:hi].tolist() for c in (columns.sensor, columns.tick, columns.agent, columns.location)))
+            fh.writelines(f'{head[s]}{t}, "reported_agent": {agents[a]}, "location": {x}}}\n' for s, t, a, x in rows)
 
 
-def read_events_jsonl(path: Path) -> list[ObservationEvent]:
-    """Events in file order; a malformed line raises ValidationError naming it.
+def read_events_jsonl(path: Path, config: WorldConfig) -> EventColumns:
+    """The events as ``config``'s column table (fusion.field_columns checks them); a malformed line raises
+    ValidationError naming it.
 
     Lines go through the decoder's ``raw_decode`` rather than ``json.loads``,
     which sets up each call anew; the line is stripped of JSON whitespace and
-    data after its object is rejected, as ``json.loads`` does. Each sensor id
-    is held once (interned), not once per event.
+    data after its object is rejected, as ``json.loads`` does. Each field goes
+    to its own list, and each sensor id is held once (interned).
     """
     decode = json.JSONDecoder().raw_decode
-    out = []
+    fields: tuple[list, ...] = ([], [], [], [], [])
+    sensor, day, tick, agent, loc = (f.append for f in fields)
     with open(path) as fh:
         try:
             for lineno, line in enumerate(fh, 1):
@@ -83,10 +88,14 @@ def read_events_jsonl(path: Path) -> list[ObservationEvent]:
                 d, end = decode(line)
                 if end != len(line):
                     raise json.JSONDecodeError("Extra data", line, end)
-                out.append(ObservationEvent(intern(d["sensor"]), d["day"], d["tick"], d["reported_agent"], d["location"]))
+                sensor(intern(d["sensor"]))
+                day(d["day"])
+                tick(d["tick"])
+                agent(d["reported_agent"])
+                loc(d["location"])
         except (ValueError, KeyError, TypeError) as exc:
             raise _malformed(path, lineno, exc) from None
-    return out
+    return field_columns(fields, config)
 
 
 def write_beliefs_csv(beliefs: Sequence[BeliefMatrix], path: Path) -> None:

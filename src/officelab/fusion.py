@@ -1,7 +1,8 @@
 """Bayesian location tracking: stacked predict/update over one evidence block per day.
 
 Beliefs are per-agent categorical distributions over location bins. Events
-enter as one validated integer column table (event_columns, through
+enter as one validated integer column table (sensors.EventColumns: observe
+emits it, and events read back or given as ObservationEvents pass through
 LikelihoodModel._columns, the one place events are converted and checked);
 each day's reports become one (ticks, agents, locations) evidence block
 (LikelihoodModel.evidence: one stable sort of the columns groups the reports,
@@ -24,15 +25,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .config import WorldConfig
 from .decoding import DecodedPath, decode_agents
 from .errors import ValidationError
-from .sensors import ObservationEvent, SensorSpec, false_positive_share
+from .sensors import EventColumns, ObservationEvent, SensorSpec, false_positive_share
 from .world import FloorPlan
 
 log = logging.getLogger("officelab.fusion")
@@ -86,16 +86,6 @@ def motion_model_for(config: WorldConfig) -> MotionModel:
     return MotionModel(tuple(a.id for a in config.agents), np.reshape(kernels, (-1, plan.n, plan.n)))
 
 
-class EventColumns(NamedTuple):
-    """Events as validated int64 columns, one entry per event in event order."""
-
-    sensor: np.ndarray  # index into the tracker's sensor list
-    day: np.ndarray
-    tick: np.ndarray
-    agent: np.ndarray  # the reported agent's column (its index in the tracked agent order)
-    location: np.ndarray
-
-
 def _integers(values: Sequence, name: str) -> np.ndarray:
     column = np.array(values)
     if column.size and column.dtype.kind not in "iu":
@@ -139,34 +129,25 @@ class LikelihoodModel:
         self._hit = self._d * (1.0 - q)[:, None]  # (sensors, n) true report at the agent's location
         self._clutter = self._fp_at / (1.0 - q[:, None])  # (sensors, n) clutter intensity
 
-    def _columns(
-        self, events: Iterable[ObservationEvent], days: int, ticks: int, agents: Sequence[int]
-    ) -> EventColumns:
-        """The events as integer columns; an event naming a day, agent, tick, sensor or location outside
-        the arguments, the model's sensors or its plan raises ValidationError naming the first one.
-
-        The fields are converted one at a time, so only one field's list of
-        Python objects exists next to the events at any moment.
-        """
-        events = events if isinstance(events, Sequence) else list(events)
-
-        def field(i: int) -> list:
-            return list(map(itemgetter(i), events))
-
-        day, tick, loc = _integers(field(1), "day"), _integers(field(2), "tick"), _integers(field(4), "location")
+    def _columns(self, fields: Sequence[Sequence], days: int, ticks: int, agents: Sequence[int]) -> EventColumns:
+        """The events' five fields (sensor ids, days, ticks, reported agents, locations) as integer columns;
+        an event naming a day, agent, tick, sensor or location outside the arguments, the model's sensors or its
+        plan raises ValidationError naming the first one."""
+        sensors, day, tick, agent, loc = fields
+        day, tick, loc = _integers(day, "day"), _integers(tick, "tick"), _integers(loc, "location")
         column = {a: i for i, a in enumerate(agents)}
-        col = np.array([column.get(a, -1) for a in map(itemgetter(3), events)], dtype=np.int64)
-        idx = np.array([self._index.get(s, -1) for s in map(itemgetter(0), events)], dtype=np.int64)
+        col = np.array([column.get(a, -1) for a in agent], dtype=np.int64)
+        idx = np.array([self._index.get(s, -1) for s in sensors], dtype=np.int64)
         bad = np.flatnonzero((day < 0) | (day >= days))
         if bad.size:
             raise ValidationError(f"events name day {day[bad[0]]}; the config has days 0..{days - 1}")
         bad = np.flatnonzero((col < 0) | (tick < 0) | (tick >= ticks))
         if bad.size:
             k = bad[0]
-            raise ValidationError(f"events name agent {events[k][3]} at tick {tick[k]}; the config has {list(agents)}")
+            raise ValidationError(f"events name agent {agent[k]} at tick {tick[k]}; the config has {list(agents)}")
         bad = np.flatnonzero(idx < 0)
         if bad.size:
-            raise ValidationError(f"events name sensor {events[bad[0]][0]!r}, which the config does not define")
+            raise ValidationError(f"events name sensor {sensors[bad[0]]!r}, which the config does not define")
         bad = np.flatnonzero((loc < 0) | (loc >= self.plan.n))
         if bad.size:
             raise ValidationError(f"events name location {loc[bad[0]]}; the floor plan has 0..{self.plan.n - 1}")
@@ -240,7 +221,7 @@ class LikelihoodModel:
     def tick_likelihood(self, reports: dict[str, list[int]]) -> np.ndarray:
         """One agent-tick's likelihood; ``reports`` maps sensor id -> report locations ({} = silence)."""
         events = [ObservationEvent(s, 0, 0, 0, y) for s, locs in reports.items() for y in locs]
-        return next(self.evidence(self._columns(events, 1, 1, (0,)), 1, 1, 1))[0, 0]
+        return next(self.evidence(self._columns(_fields(events), 1, 1, (0,)), 1, 1, 1))[0, 0]
 
 
 def likelihood_of_events(
@@ -257,13 +238,24 @@ def likelihood_of_events(
         raise ValidationError(f"events span several ticks: {sorted(ticks)}")
     mine = [ev._replace(day=0, tick=0) for ev in events if ev.reported_agent == agent]
     model = LikelihoodModel(sensors, plan, n_agents=n_agents)
-    return next(model.evidence(model._columns(mine, 1, 1, (agent,)), 1, 1, 1))[0, 0]
+    return next(model.evidence(model._columns(_fields(mine), 1, 1, (agent,)), 1, 1, 1))[0, 0]
 
 
-def event_columns(events: Iterable[ObservationEvent], config: WorldConfig) -> EventColumns:
-    """The events as the tracker's column table, checked against ``config``'s sensors, plan, days, ticks and agents."""
+def _fields(events: Iterable[ObservationEvent]) -> list[Sequence]:
+    """The events' five fields, each as one sequence."""
+    return list(zip(*events)) or [()] * 5
+
+
+def field_columns(fields: Sequence[Sequence], config: WorldConfig) -> EventColumns:
+    """Events given as their five fields (sensor ids, days, ticks, reported agents, locations) as the tracker's
+    column table, checked against ``config``'s sensors, plan, days, ticks and agents."""
     model = LikelihoodModel(config.sensors, config.floor_plan, n_agents=len(config.agents))
-    return model._columns(events, config.days, config.ticks_per_day, [a.id for a in config.agents])
+    return model._columns(fields, config.days, config.ticks_per_day, [a.id for a in config.agents])
+
+
+def event_columns(events: Iterable[ObservationEvent] | EventColumns, config: WorldConfig) -> EventColumns:
+    """The events as the tracker's column table for ``config`` (field_columns); a column table passes as it is."""
+    return events if isinstance(events, EventColumns) else field_columns(_fields(events), config)
 
 
 @dataclass(frozen=True)
@@ -347,7 +339,7 @@ def track_run(
 
 
 def fuse_run(
-    events: Iterable[ObservationEvent],
+    events: Iterable[ObservationEvent] | EventColumns,
     config: WorldConfig,
     motion: MotionModel | None = None,
 ) -> list[BeliefMatrix]:
@@ -355,7 +347,7 @@ def fuse_run(
     return track_run(event_columns(events, config), config, motion, decode=False).beliefs
 
 
-def decode_run(events: Iterable[ObservationEvent], config: WorldConfig) -> tuple[list[DecodedPath], int]:
+def decode_run(events: Iterable[ObservationEvent] | EventColumns, config: WorldConfig) -> tuple[list[DecodedPath], int]:
     """Most likely path of every agent-day, days in order, and the count of agent-days that needed the leak retry:
     track_run without filtering."""
     tracks = track_run(event_columns(events, config), config, fuse=False)

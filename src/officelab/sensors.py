@@ -5,21 +5,31 @@ coverage set. Default noise levels are synthetic (real likelihoods for this
 kind of network are not public): p_detect 0.9, p_false_positive 0.01,
 p_confuse 0.05.
 
-Draw order, part of the determinism contract: ticks in order; within a tick,
-sensors in the order given; per sensor, one detection uniform for each
-covered agent in id order (a detected agent with p_confuse > 0, and another
-agent to name, then draws a confusion uniform, and a confused one an integer
-for the wrong identity), then, if p_false_positive > 0, one false-positive
-uniform (a firing one draws an integer for the agent, then one for the
-location). One private kernel, ``_observe_run``, produces exactly this scalar
-stream for a run of ticks with the same agents while drawing the uniforms in
-blocks; ``observe_tick`` and ``generate_event_log`` both call it.
+Draw layout (version 2 of the observe substream), part of the determinism
+contract. Day d draws from ``substream(seed, OBSERVE, d)``, sensors sorted by
+id, agents sorted by id, ``loc[t, a]`` agent a's location at the day's tick t,
+and A agents:
+
+- detections: the covered cells are ``np.nonzero(covers[loc])``, covers[loc]
+  of shape (tick, agent, sensor) in C order, and ``rng.random((3, m))`` draws
+  for them. Row 0 detects (< p_detect), row 1 confuses (< p_confuse, only with
+  two agents or more), row 2 names the wrong identity floor(u * (A - 1)),
+  skipping the agent itself;
+- false positives: ``rng.random((3, ticks, sensors))``. Row 0 fires
+  (< p_false_positive), row 1 names the agent floor(u * A), row 2 the
+  coverage entry floor(u * len(coverage)).
+
+A day without agents or sensors draws nothing. One sort puts the events in
+file order: tick, sensor id, the detections in agent order, then the false
+positive. ``_observe_day`` computes a day with numpy; ``observe``
+runs a (days, ticks, agents) location table into the tracker's EventColumns;
+``generate_event_log`` and ``observe_tick`` give its events as ObservationEvents.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from itertools import chain, repeat
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -31,9 +41,6 @@ if TYPE_CHECKING:
     from .simulate import TrajectoryRecord
 
 SENSOR_KINDS = ("camera", "tag_reader", "biometric")
-
-_BLOCK = 128  # uniforms drawn per rng.random call; at least 2, the most one slot draws
-_CHUNK_CELLS = 1 << 16  # (tick, sensor, agent) cells of the slot program built at once
 
 
 @dataclass(frozen=True)
@@ -63,103 +70,75 @@ class ObservationEvent(NamedTuple):
     location: int
 
 
-_event = partial(tuple.__new__, ObservationEvent)  # ObservationEvent((fields)) without its Python-level __new__
+class EventColumns(NamedTuple):
+    """Events as int64 columns, one entry per event in event order."""
+
+    sensor: np.ndarray  # index into the config's sensor list
+    day: np.ndarray
+    tick: np.ndarray
+    agent: np.ndarray  # the reported agent's column (its index in the config's agent order)
+    location: np.ndarray
 
 
-def _observe_run(
-    locations: np.ndarray,
-    ticks: Sequence[int],
-    agent_ids: list[int],
-    sensors: Sequence[SensorSpec],
-    rng: np.random.Generator,
-    day: int,
-) -> list[ObservationEvent]:
-    """Events for consecutive ticks that all have the agents ``agent_ids`` (ascending), in draw order.
+_NONE = np.zeros(0, dtype=np.int64)
 
-    ``locations[t, a]`` is where ``agent_ids[a]`` stands at ``ticks[t]``. The
-    draws are laid out first as a slot program: per tick, per sensor, one
-    detection slot per covered agent, then the false-positive slot. The
-    uniforms come in blocks of ``rng.random(_BLOCK)`` and one Python loop walks
-    the slots. Before each integer draw, and before returning, the generator
-    is put back where the scalar scan would stand: the state saved when the
-    block was drawn is restored (its buffered uint32 with it), then the
-    ``used`` uniforms are drawn again.
+
+def _observe_day(loc: np.ndarray, sensors: Sequence[SensorSpec], rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    """One day's (tick, sensor, reported agent, location) columns in file order, drawn as the module docstring lays out.
+
+    ``loc[t, a]`` is where agent column ``a`` stands at the day's tick ``t``;
+    agents and sensors are indexed by position, in the order they draw in.
     """
-    n_agents = len(agent_ids)
-    if not n_agents or not sensors:
-        return []
-    if locations.min() < 0:
-        raise ValidationError(f"location {int(locations.min())} of day {day} is negative")
-    width = max(int(locations.max()), *(max(spec.coverage, default=0) for spec in sensors)) + 1
-    covers = np.zeros((width, len(sensors)), dtype=bool)  # location -> the sensors covering it
-    for j, spec in enumerate(sensors):
-        covers[list(spec.coverage), j] = True  # a repeated coverage entry detects once
-    fp_on = np.array([spec.p_false_positive > 0.0 for spec in sensors])
-    thresholds = [p for spec in sensors for p in (spec.p_detect, spec.p_false_positive)]  # by slot code
-    ids = [spec.id for spec in sensors]
-    confuse = [spec.p_confuse if n_agents > 1 else 0.0 for spec in sensors]
+    ticks, n_agents = loc.shape
+    if not loc.size or not sensors:
+        return (_NONE,) * 4
+    if loc.min() < 0:
+        raise ValidationError(f"location {int(loc.min())} is negative")
     coverage = [spec.coverage for spec in sensors]
+    sizes = np.array([len(c) for c in coverage])
+    width = max(int(loc.max()), *(max(c, default=0) for c in coverage)) + 1
+    covers = np.zeros((width, len(sensors)), dtype=bool)  # location -> the sensors covering it
+    entries = np.zeros((len(sensors), max(sizes.max(), 1)), dtype=np.int64)  # sensor -> its coverage entries
+    for j, c in enumerate(coverage):
+        covers[list(c), j] = True  # a repeated coverage entry detects once
+        entries[j, : len(c)] = c
+    p_detect, p_confuse, p_false_positive = np.array(
+        [(spec.p_detect, spec.p_confuse, spec.p_false_positive if spec.coverage else 0.0) for spec in sensors]
+    ).T
 
-    bits = rng.bit_generator
-    saved = None
-    block: list[float] = []
-    used = 0
+    t, a, s = np.unravel_index(np.flatnonzero(covers[loc]), (ticks, n_agents, len(sensors)))  # np.nonzero's cells
+    u = rng.random((3, t.size))
+    hit = u[0] < p_detect[s]
+    t, a, s, u = t[hit], a[hit], s[hit], u[:, hit]
+    wrong = (u[2] * (n_agents - 1)).astype(np.int64)
+    reported = np.where((u[1] < p_confuse[s]) & (n_agents > 1), wrong + (wrong >= a), a)
 
-    def rewind() -> None:  # to where the scalar scan stands: the block's start, then the uniforms used
-        bits.state = saved
-        rng.random(used)
+    v = rng.random((3, ticks, len(sensors)))
+    ft, fs = np.nonzero(v[0] < p_false_positive)
+    named = (v[1, ft, fs] * n_agents).astype(np.int64)
+    at = entries[fs, (v[2, ft, fs] * sizes[fs]).astype(np.int64)]
 
-    events: list[ObservationEvent] = []
-    step = max(1, _CHUNK_CELLS // (len(sensors) * (n_agents + 1)))
-    for t0 in range(0, len(locations), step):
-        here = locations[t0 : t0 + step]
-        program = np.empty((len(here), len(sensors), n_agents + 1), dtype=bool)  # tick, sensor, agent or false positive
-        program[:, :, :n_agents] = covers[here].transpose(0, 2, 1)
-        program[:, :, n_agents] = fp_on
-        t, cell = np.divmod(np.flatnonzero(program), program[0].size)
-        s, a = np.divmod(cell, n_agents + 1)
-        # per slot: its code 2 * sensor (+1 for the false positive), agent and tick in the chunk; a firing
-        # slot looks up its tick and location, so the lists hold no per-slot floats or large ints
-        code, a, t = (2 * s + (a == n_agents)).tolist(), a.tolist(), t.tolist()
-        rows = here.tolist()
+    tick, sensor = np.concatenate((t, ft)), np.concatenate((s, fs))
+    slot = np.concatenate((a, np.full(ft.size, n_agents)))  # the detected agent's column; n_agents: the false positive
+    order = np.argsort((tick * len(sensors) + sensor) * (n_agents + 1) + slot)
+    return tick[order], sensor[order], np.concatenate((reported, named))[order], np.concatenate((loc[t, a], at))[order]
 
-        k, n = 0, len(code)
-        while k < n:
-            stop = min(n, k + (len(block) - used) // 2)  # a slot draws at most two uniforms
-            if stop == k:  # the next block, drawn from where the scalar scan stands
-                if used < len(block):
-                    rewind()
-                saved = bits.state
-                block = rng.random(min(_BLOCK, 2 * (n - k))).tolist()
-                used = 0
-                continue
-            for slot in range(k, stop):
-                used += 1
-                if block[used - 1] >= thresholds[code[slot]]:  # a miss, or no false positive
-                    continue
-                sensor, i = code[slot] >> 1, t[slot]
-                if code[slot] & 1:
-                    rewind()
-                    named = agent_ids[int(rng.integers(0, n_agents))]
-                    at = coverage[sensor][int(rng.integers(0, len(coverage[sensor])))]
-                    events.append(_event((ids[sensor], day, ticks[t0 + i], named, int(at))))
-                else:
-                    agent, p_confuse = a[slot], confuse[sensor]
-                    if p_confuse:
-                        used += 1
-                    if not p_confuse or block[used - 1] >= p_confuse:  # reported as itself
-                        events.append(_event((ids[sensor], day, ticks[t0 + i], agent_ids[agent], rows[i][agent])))
-                        continue
-                    rewind()
-                    other = int(rng.integers(0, n_agents - 1))  # the same draw as choice() over the others
-                    reported = agent_ids[other + (other >= agent)]
-                    events.append(_event((ids[sensor], day, ticks[t0 + i], reported, rows[i][agent])))
-                block, used = [], 0  # the integer draws moved the generator past the block
-                break
-            k = slot + 1
-    if used < len(block):
-        rewind()
-    return events
+
+def observe(locations: np.ndarray, agents: Sequence[int], sensors: Sequence[SensorSpec], seed: int) -> EventColumns:
+    """The events of ``locations[day, tick, a]``, where agent ``agents[a]`` stands, as EventColumns.
+
+    Agent column ``a`` names ``agents[a]`` and sensor index ``j`` names
+    ``sensors[j]``; the draws follow the module docstring, day d on its own
+    substream, so days can be regenerated independently.
+    """
+    by_id = np.array(sorted(range(len(sensors)), key=lambda j: sensors[j].id), dtype=np.int64)
+    ordered = [sensors[j] for j in by_id]
+    column = np.argsort(agents)
+    days = [(_NONE,) * 5]
+    for day in range(len(locations)):
+        tick, s, a, x = _observe_day(locations[day][:, column], ordered, substream(seed, OBSERVE, day))
+        days.append((by_id[s], np.full(tick.size, day, dtype=np.int64), tick, column[a], x))
+    return EventColumns(*map(np.concatenate, zip(*days)))
 
 
 def observe_tick(
@@ -169,20 +148,12 @@ def observe_tick(
     day: int = 0,
     tick: int = 0,
 ) -> list[ObservationEvent]:
-    """Noisy events for one tick of ground truth (agent -> location).
-
-    Per sensor: each covered agent is detected with p_detect (identity swapped
-    with p_confuse), and one false positive naming a random agent at a random
-    covered location fires with p_false_positive. Sensors are processed in
-    list order, agents in id order (the draw order of the module docstring).
-    This is the one-tick case of the kernel that ``generate_event_log`` runs
-    over whole days: the slots draw from one block of uniforms and the state
-    is restored before each integer draw and at the end, so the generator
-    ends where one scalar draw at a time would leave it.
-    """
-    agent_ids = sorted(truth)
-    row = np.array([[truth[agent] for agent in agent_ids]], dtype=np.int64)
-    return _observe_run(row, [tick], agent_ids, sensors, rng, day)
+    """Noisy events for one tick of ground truth (agent -> location): a one-tick day of the module docstring's
+    layout, drawn from ``rng``, with the sensors in the order given rather than by id."""
+    agents = sorted(truth)
+    loc = np.array([[truth[agent] for agent in agents]], dtype=np.int64).reshape(1, -1)
+    _, s, a, x = (c.tolist() for c in _observe_day(loc, sensors, rng))
+    return [ObservationEvent(sensors[j].id, day, tick, agents[i], at) for j, i, at in zip(s, a, x)]
 
 
 def generate_event_log(
@@ -192,32 +163,23 @@ def generate_event_log(
 ) -> list[ObservationEvent]:
     """Full event log for a trajectory set, ordered by (day, tick, sensor id).
 
-    Each day draws from its own substream, so days can be regenerated (or
-    parallelized) independently. A (day, tick) holds the records that name
-    it (a repeated agent-tick keeps its last location). Each run of the
-    day's ticks with the same agents, the whole day for a simulated or
-    checked table, goes through the kernel at once: slots in tick, then
-    sensor id order, the uniforms drawn in blocks, the state restored before
-    each integer draw. The events and the draws equal those of
-    ``observe_tick`` called tick by tick.
+    Each day present draws from its own substream as the module docstring
+    lays out, over the day's ticks (ascending, not necessarily consecutive)
+    and agents. A day whose records are not a full tick x agent grid, every
+    agent once at every tick, raises ValidationError naming the day.
     """
-    by_day_tick: dict[tuple[int, int], dict[int, int]] = {}
-    for rec in records:
-        by_day_tick.setdefault((rec.day, rec.tick), {})[rec.agent] = rec.location
-    ordered_sensors = sorted(sensors, key=lambda s: s.id)
-    runs: list[tuple[int, list[int], list[int], list[list[int]]]] = []  # day, agents, ticks, locations
-    for day, tick in sorted(by_day_tick):
-        truth = by_day_tick[(day, tick)]
-        agent_ids = sorted(truth)
-        if not runs or runs[-1][0] != day or runs[-1][1] != agent_ids:
-            runs.append((day, agent_ids, [], []))
-        runs[-1][2].append(tick)
-        runs[-1][3].append([truth[agent] for agent in agent_ids])
-    del by_day_tick
+    table = np.fromiter(chain.from_iterable(records), dtype=np.int64).reshape(-1, 4)  # agent, day, tick, location
+    ordered = sorted(sensors, key=lambda spec: spec.id)
     events: list[ObservationEvent] = []
-    rng = None
-    for i, (day, agent_ids, ticks, rows) in enumerate(runs):
-        if i == 0 or runs[i - 1][0] != day:
-            rng = substream(seed, OBSERVE, day)
-        events.extend(_observe_run(np.array(rows, dtype=np.int64), ticks, agent_ids, ordered_sensors, rng, day))
+    for day in np.unique(table[:, 1]).tolist():
+        rows = table[table[:, 1] == day]
+        agents, col = np.unique(rows[:, 0], return_inverse=True)
+        ticks, row = np.unique(rows[:, 2], return_inverse=True)
+        if len(rows) != ticks.size * agents.size or np.unique(row * agents.size + col).size != len(rows):
+            raise ValidationError(f"the records of day {day} are not a full tick x agent grid")
+        loc = np.empty((ticks.size, agents.size), dtype=np.int64)
+        loc[row, col] = rows[:, 3]
+        t, s, a, x = _observe_day(loc, ordered, substream(seed, OBSERVE, day))
+        names = [ordered[j].id for j in s.tolist()]
+        events += map(ObservationEvent, names, repeat(day), ticks[t].tolist(), agents[a].tolist(), x.tolist())
     return events

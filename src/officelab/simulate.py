@@ -36,7 +36,8 @@ def _pick_destination(profile: AgentProfile, tick: int, day: int, rng: np.random
 
     The earliest-starting active schedule event wins (ties: lowest target id)
     and fires with its own probability; otherwise sample the destination
-    distribution.
+    distribution, drawing what rng.choice(k, p=p) over destination_arrays
+    would, from the profile's cached cdf.
     """
     active = [ev for ev in profile.schedule if ev.active(tick, day)]
     if active:
@@ -44,8 +45,7 @@ def _pick_destination(profile: AgentProfile, tick: int, day: int, rng: np.random
         ev = active[0]
         if rng.random() < ev.probability:
             return ev.target
-    locs, probs = profile.destination_arrays
-    return int(locs[rng.choice(len(locs), p=probs)])
+    return int(profile.destination_arrays[0][profile.destination_cdf.searchsorted(rng.random(), side="right")])
 
 
 def step_agent(
@@ -69,7 +69,7 @@ def step_agent(
     if destination != location:
         if fluctuation_rate > 0.0 and rng.random() < fluctuation_rate:
             ns = plan.neighbors[location]
-            return ns[rng.choice(len(ns))], destination
+            return ns[rng.integers(0, len(ns))], destination  # the draw of rng.choice(len(ns))
         return int(plan.next_hop[location, destination]), destination
 
     stay = min(1.0, profile.stay_at(location, plan) + co_present * profile.delta_p)

@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConvergenceError, NoPathError
+from .errors import ConvergenceError, NoPathError, ValidationError
 
 LOCATION_TAGS = ("office", "meeting_room", "printer", "corridor", "lunch_area", "other")
 
@@ -139,6 +139,17 @@ class AgentProfile:
         locs = np.array(sorted(self.destinations), dtype=np.int64)
         probs = np.array([self.destinations[int(d)] for d in locs], dtype=np.float64)
         return locs, probs
+
+    @cached_property
+    def destination_cdf(self) -> np.ndarray:
+        """The cdf over destination_arrays' locations as Generator.choice(k, p=p) builds it (cumsum, then divided
+        by its last entry), with choice's checks: p non-negative and summing to 1 within sqrt(eps)."""
+        p = self.destination_arrays[1]
+        if not ((p >= 0).all() and abs(p.sum() - 1.0) <= np.sqrt(np.finfo(np.float64).eps)):
+            raise ValidationError(f"destinations of agent {self.id} are not a probability distribution: {p.tolist()}")
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        return cdf
 
 
 # --- stationary occupancy oracle -------------------------------------------

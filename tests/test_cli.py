@@ -60,6 +60,18 @@ def test_a_string_flag_in_contact_rule_exits_1_naming_the_key(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tags", ["printer", ["printer", 3]])
+def test_excluded_tags_other_than_a_list_of_strings_exit_1_naming_the_key(tmp_path, capsys, tags):
+    doc = minimal_config_doc()
+    doc["contact_rule"] = {"excluded_tags": tags}  # a bare string would be read letter by letter
+    path = tmp_path / "tags.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+    assert "contact_rule.excluded_tags must be a list of strings" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_a_false_positive_naming_the_one_agent_every_tick_exits_1_naming_the_sensor(tmp_path, capsys):
     # with one agent, p_false_positive 1 makes q = 1, where the clutter odds q/(1 - q) are unbounded
     doc = _noiseless_doc()

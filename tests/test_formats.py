@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from officelab.formats import (
     write_trajectories_jsonl,
 )
 from officelab.fusion import BeliefMatrix
-from officelab.sensors import ObservationEvent
+from officelab.sensors import EventColumns, ObservationEvent, SensorSpec
 from officelab.simulate import TrajectoryRecord, run_simulation
 from officelab.world import FloorPlan
 
@@ -40,11 +41,28 @@ def test_trajectories_round_trip(tmp_path):
     assert read_paths_csv(path, _config(range(2), 2, 4, 3)) == records
 
 
+def _event_config(sensor_ids, agents, days: int, ticks: int, n: int) -> WorldConfig:
+    sensors = tuple(SensorSpec(s, "camera", (0,)) for s in sensor_ids)
+    return dataclasses.replace(_config(agents, days, ticks, n), sensors=sensors)
+
+
+def _columns(events, config: WorldConfig) -> EventColumns:
+    """The tracker's column table of ``events`` (sensor ids and agents as ``config`` lists them)."""
+    sensors, agents = [s.id for s in config.sensors], [a.id for a in config.agents]
+    rows = [(sensors.index(s), d, t, agents.index(a), x) for s, d, t, a, x in events]
+    return EventColumns(*(np.array(c, dtype=np.int64).reshape(-1) for c in (zip(*rows) if rows else [()] * 5)))
+
+
+def _assert_same_columns(got: EventColumns, expected: EventColumns) -> None:
+    assert all(np.array_equal(g, e) and g.dtype == np.int64 for g, e in zip(got, expected))
+
+
 def test_events_round_trip_with_stable_field_order(tmp_path):
-    events = [ObservationEvent("cam0", 0, 3, 1, 2), ObservationEvent("tag1", 1, 0, 0, 5)]
+    config = _event_config(("tag1", "cam0"), (0, 1), 2, 4, 6)
+    columns = _columns([ObservationEvent("cam0", 0, 3, 1, 2), ObservationEvent("tag1", 1, 0, 0, 5)], config)
     path = tmp_path / "e.jsonl"
-    write_events_jsonl(events, path)
-    assert read_events_jsonl(path) == events
+    write_events_jsonl(columns, path, config)
+    _assert_same_columns(read_events_jsonl(path, config), columns)
     first = path.read_text().splitlines()[0]
     assert first.index('"sensor"') < first.index('"day"') < first.index('"tick"')
     assert first.index('"tick"') < first.index('"reported_agent"') < first.index('"location"')
@@ -56,33 +74,39 @@ def _json_dumps_lines(objects) -> str:
 
 def test_jsonl_writers_match_json_dumps_byte_for_byte(tmp_path):
     # ids needing escapes: a quote, a backslash, a non-ASCII letter, a control character
+    sensor_ids = ("cam0", 'say "hi"', "back\\slash", "caméra", "tab\there")
+    config = _event_config(sensor_ids, (17, 0), 4, 300, 50)
     events = [
         ObservationEvent(sensor, day, tick, agent, loc)
-        for sensor in ("cam0", 'say "hi"', "back\\slash", "caméra", "tab\there")
+        for sensor in sensor_ids
         for day, tick, agent, loc in ((0, 0, 0, 0), (3, 299, 17, 49))
     ]
-    write_events_jsonl(events, tmp_path / "e.jsonl")
+    columns = _columns(events, config)
+    write_events_jsonl(columns, tmp_path / "e.jsonl", config)
     assert (tmp_path / "e.jsonl").read_text() == _json_dumps_lines(
         {"sensor": e.sensor, "day": e.day, "tick": e.tick, "reported_agent": e.reported_agent, "location": e.location}
         for e in events
     )
-    assert read_events_jsonl(tmp_path / "e.jsonl") == events
+    _assert_same_columns(read_events_jsonl(tmp_path / "e.jsonl", config), columns)
     records = [TrajectoryRecord(a, d, t, x) for a, d, t, x in ((0, 0, 0, 0), (12, 4, 99_999, 49))]
     write_trajectories_jsonl(records, tmp_path / "t.jsonl")
     assert (tmp_path / "t.jsonl").read_text() == _json_dumps_lines(
         {"agent": r.agent, "day": r.day, "tick": r.tick, "location": r.location} for r in records
     )
+    write_events_jsonl(_columns([], config), tmp_path / "none.jsonl", config)
+    assert (tmp_path / "none.jsonl").read_text() == ""
 
 
 def test_events_reader_takes_what_json_loads_takes(tmp_path):
+    config = _event_config(("cam0",), (0, 1), 1, 4, 3)
     line = '{"sensor": "cam0", "day": 0, "tick": 3, "reported_agent": 1, "location": 2}'
     path = tmp_path / "e.jsonl"
     path.write_text(f"{line}\n  {line}  \n{line.replace(', ', ',')}")  # padded, compact, no final newline
-    assert read_events_jsonl(path) == [ObservationEvent("cam0", 0, 3, 1, 2)] * 3
+    _assert_same_columns(read_events_jsonl(path, config), _columns([ObservationEvent("cam0", 0, 3, 1, 2)] * 3, config))
     for bad in (line + " x", line[:-1], "", "[1, 2]", line.replace('"tick"', '"tock"'), "\f" + line):  # \f is not JSON whitespace
         path.write_text(f"{line}\n{bad}\n")
         with pytest.raises(ValidationError, match="line 2 is malformed"):
-            read_events_jsonl(path)
+            read_events_jsonl(path, config)
 
 
 def test_paths_csv_round_trip(tmp_path):

@@ -14,6 +14,7 @@ from officelab.errors import ValidationError
 from officelab.fusion import (
     BELIEF_FLOOR,
     LikelihoodModel,
+    _fields,
     argmax_paths,
     decode_run,
     event_columns,
@@ -142,7 +143,7 @@ def test_unknown_sensor_or_agent_in_reports_is_named():
     ]
     for event, named in cases:
         with pytest.raises(ValidationError, match=named):
-            model._columns([ObservationEvent("cam", 0, 0, 0, 0), event], days=5, ticks=1, agents=(0,))
+            model._columns(_fields([ObservationEvent("cam", 0, 0, 0, 0), event]), days=5, ticks=1, agents=(0,))
 
 
 def _reference_day_evidence(sensors, n: int, events, day: int, ticks: int, agents) -> np.ndarray:
@@ -220,7 +221,7 @@ def test_evidence_equals_per_report_loop_bit_for_bit(seed, n_agents, certain):
             )
         )
     model = LikelihoodModel(sensors, plan, n_agents=n_agents)
-    columns = model._columns(events, days, ticks, agents)
+    columns = model._columns(_fields(events), days, ticks, agents)
     blocks = list(model.evidence(columns, days, ticks, n_agents))
     with mock.patch("officelab.fusion.EVIDENCE_CHUNK", 3):  # factors applied a few groups at a time
         chunked = list(model.evidence(columns, days, ticks, n_agents))

@@ -14,7 +14,7 @@ import pytest
 from officelab.config import dump_config, load_config, parse_config
 from officelab.decoding import decode_day
 from officelab.formats import read_paths_csv, trajectories_to_paths, write_events_jsonl, write_trajectories_jsonl
-from officelab.fusion import LikelihoodModel
+from officelab.fusion import LikelihoodModel, event_columns
 from officelab.pipeline import open_manifest, run_pipeline, run_stage
 from officelab.presets import full_scale_config
 from officelab.sensors import generate_event_log
@@ -27,7 +27,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # simulate and observe substreams and the bytes of both JSONL writers
 DEMO_RNG_OUTPUTS_SHA256 = {
     "trajectories.jsonl": "d94621ccccb2e8a0f5c015c14d852bf13d2909fbcaa0d5862b7b2a59f72a77b6",
-    "events.jsonl": "9f6b39532b582280470b0b97d13d5c13e34f1a538258e2eace3bb5c7f40ddd69",
+    "events.jsonl": "65351596bd6e778bf6d9f4a2d2d843fc3591ed2dc413d2ed872208ac5dabbcfb",
 }
 
 
@@ -47,8 +47,8 @@ FULL_SCALE_20_TRAJECTORIES_SHA256 = "da5a4e1d68bbd99c89098bac127bb66f8bc87e1d052
 
 
 # the same run's events: thousands of confusions and false positives, where demo's
-# pin sees few, so this digest pins the observe draw order where it branches most
-FULL_SCALE_20_EVENTS_SHA256 = "233f9c47ef453fc7f1388a3e126f5919665c0cb320cfbca72a2a29ca5cb0978e"
+# pin sees few, so this digest pins the observe draw layout where most of its draws decide an event
+FULL_SCALE_20_EVENTS_SHA256 = "b4ddccd8ee6b82775097c9c2192906ca691d73e83187fbbeb15d285bb57be185"
 
 
 def test_full_scale_20_agent_trajectories_are_pinned(tmp_path):
@@ -60,7 +60,8 @@ def test_full_scale_20_agent_trajectories_are_pinned(tmp_path):
 
 def test_full_scale_20_agent_events_are_pinned(tmp_path):
     config = parse_config(full_scale_config(seed=3, n_agents=20, days=2, ticks_per_day=300))
-    write_events_jsonl(generate_event_log(run_simulation(config), config.sensors, config.rng_seed), tmp_path / "e.jsonl")
+    events = generate_event_log(run_simulation(config), config.sensors, config.rng_seed)
+    write_events_jsonl(event_columns(events, config), tmp_path / "e.jsonl", config)
     assert hashlib.sha256((tmp_path / "e.jsonl").read_bytes()).hexdigest() == FULL_SCALE_20_EVENTS_SHA256
 
 

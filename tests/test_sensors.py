@@ -1,15 +1,15 @@
 from __future__ import annotations
 
 import math
-from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from officelab import sensors as sensor_module
+from officelab.errors import ValidationError
 from officelab.rng import OBSERVE, substream
-from officelab.sensors import ObservationEvent, SensorSpec, generate_event_log, observe_tick
+from officelab.sensors import ObservationEvent, SensorSpec, generate_event_log, observe, observe_tick
 from officelab.simulate import TrajectoryRecord
 
 
@@ -116,29 +116,42 @@ def test_raising_p_detect_raises_mean_detection_count():
     assert high > low
 
 
-def _observe_tick_reference(truth, sensors, rng, day=0, tick=0):
-    """observe_tick as a scan of every agent per sensor against a frozenset of its coverage."""
-    agent_ids = sorted(truth)
+def _observe_day_reference(rows, sensors, rng, day=0, ticks=None):
+    """The observe layout as a plain scalar scan: ``rows[t]`` maps agent -> location at the day's tick ``ticks[t]``,
+    sensors draw in list order, agents in id order; one uniform triple per covered cell, one per (tick, sensor)."""
+    agents = sorted(rows[0]) if rows else []
+    ticks = list(ticks or range(len(rows)))
+    if not agents or not sensors:
+        return []
+    n = len(agents)
+    cells = [
+        (t, a, s)
+        for t in range(len(rows))
+        for a in range(n)
+        for s in range(len(sensors))
+        if rows[t][agents[a]] in sensors[s].coverage
+    ]
+    u = rng.random((3, len(cells))).tolist()
+    v = rng.random((3, len(rows), len(sensors))).tolist()
+    draws = {cell: (u[0][k], u[1][k], u[2][k]) for k, cell in enumerate(cells)}
     events = []
-    if not agent_ids:
-        return events
-    for spec in sensors:
-        covered = frozenset(spec.coverage)
-        for agent in agent_ids:
-            loc = truth[agent]
-            if loc not in covered:
-                continue
-            if rng.random() >= spec.p_detect:
-                continue
-            reported = agent
-            if spec.p_confuse > 0.0 and len(agent_ids) > 1 and rng.random() < spec.p_confuse:
-                others = [a for a in agent_ids if a != agent]
-                reported = others[rng.choice(len(others))]
-            events.append(ObservationEvent(spec.id, day, tick, reported, loc))
-        if spec.p_false_positive > 0.0 and rng.random() < spec.p_false_positive:
-            agent = agent_ids[rng.choice(len(agent_ids))]
-            loc = spec.coverage[rng.choice(len(spec.coverage))]
-            events.append(ObservationEvent(spec.id, day, tick, int(agent), int(loc)))
+    for t in range(len(rows)):
+        for s, spec in enumerate(sensors):
+            for a, agent in enumerate(agents):
+                if (t, a, s) not in draws:
+                    continue
+                detect, confuse, pick = draws[t, a, s]
+                if detect >= spec.p_detect:
+                    continue
+                reported = agent
+                if n > 1 and confuse < spec.p_confuse:
+                    others = agents[:a] + agents[a + 1 :]
+                    reported = others[int(pick * (n - 1))]
+                events.append(ObservationEvent(spec.id, day, ticks[t], reported, rows[t][agent]))
+            if v[0][t][s] < spec.p_false_positive:
+                named = agents[int(v[1][t][s] * n)]
+                at = spec.coverage[int(v[2][t][s] * len(spec.coverage))]
+                events.append(ObservationEvent(spec.id, day, ticks[t], named, at))
     return events
 
 
@@ -157,17 +170,42 @@ def test_observe_tick_matches_the_agent_scan_draw_for_draw():
         agents = [3, 8, 11, 40][: 1 + tick % 4]
         truth = {a: int(placement.integers(0, 6)) for a in agents}
         got = observe_tick(truth, sensors, fast, day=1, tick=tick)
-        assert got == _observe_tick_reference(truth, sensors, slow, day=1, tick=tick)
+        assert got == _observe_day_reference([truth], sensors, slow, day=1, ticks=[tick])
     assert fast.random() == slow.random()  # same number of draws consumed
 
 
-def test_choice_and_integers_draw_the_same_values():
-    # observe draws its wrong identities and false positives with integers(0, k); the event
-    # stream (and the pinned digests) date from rng.choice(k), so the two must stay one draw
-    for k in (1, 2, 3, 19, 20, 50, 1000):
-        by_choice, by_integers = substream(k, OBSERVE, 0), substream(k, OBSERVE, 0)
-        assert [int(by_choice.choice(k)) for _ in range(200)] == [int(by_integers.integers(0, k)) for _ in range(200)]
-        assert by_choice.bit_generator.state == by_integers.bit_generator.state
+def test_event_log_rejects_a_day_that_is_not_a_full_tick_by_agent_grid():
+    sensors = [_noiseless("cam", (0, 1))]
+    full = [TrajectoryRecord(a, 1, t, 0) for a in (0, 1) for t in range(3)]
+    assert len(generate_event_log(full, sensors, seed=0)) == len(full)
+    missing, repeated = full[:-1], full + full[-1:]
+    swapped = full[:-1] + [TrajectoryRecord(0, 1, 2, 1)]  # as many records as cells, one cell twice
+    for records in (missing, repeated, swapped):
+        with pytest.raises(ValidationError, match="records of day 1 are not a full tick x agent grid"):
+            generate_event_log(records, sensors, seed=0)
+
+
+def test_observe_columns_name_the_events_of_the_event_log():
+    # agents and sensors given out of id order: columns index them as given, the draws go by id
+    sensors = [
+        SensorSpec("tag", "tag_reader", (1, 2), p_detect=0.8, p_false_positive=0.3, p_confuse=0.5),
+        SensorSpec("cam", "camera", (0, 1), p_detect=0.9, p_false_positive=0.2, p_confuse=0.4),
+    ]
+    agents = [7, 2, 5]
+    placement = np.random.default_rng(3)
+    locations = placement.integers(0, 3, size=(2, 40, len(agents)))
+    records = [
+        TrajectoryRecord(agent, day, tick, int(locations[day, tick, a]))
+        for day in range(2)
+        for tick in range(40)
+        for a, agent in enumerate(agents)
+    ]
+    columns = observe(locations, agents, sensors, seed=11)
+    named = [
+        ObservationEvent(sensors[s].id, d, t, agents[a], x) for s, d, t, a, x in zip(*(c.tolist() for c in columns))
+    ]
+    assert named == generate_event_log(records, sensors, seed=11)
+    assert len(named) > 100
 
 
 _probabilities = st.sampled_from([0.0, 0.05, 0.3, 0.5, 0.9, 1.0])
@@ -194,25 +232,22 @@ def _sensor_sets(draw):
 
 @st.composite
 def _record_sets(draw):
-    # per (day, tick), any nonempty subset of the agents, so the agents can change between ticks
+    # per day, every agent at each of the day's ticks (ascending, not necessarily consecutive), records in any order
     agents = draw(st.lists(st.integers(0, 30), min_size=1, max_size=4, unique=True))
     records = []
     for day in draw(st.lists(st.integers(0, 3), min_size=1, max_size=2, unique=True)):
         for tick in sorted(draw(st.lists(st.integers(0, 40), min_size=1, max_size=25, unique=True))):
-            present = draw(st.lists(st.sampled_from(agents), min_size=1, unique=True))
-            records += [TrajectoryRecord(a, day, tick, draw(st.integers(0, 6))) for a in present]
-    return records
+            records += [TrajectoryRecord(a, day, tick, draw(st.integers(0, 6))) for a in agents]
+    return draw(st.permutations(records))
 
 
-@given(_sensor_sets(), _record_sets(), st.integers(0, 2**32), st.sampled_from([2, 3, 5, 8, sensor_module._BLOCK]))
+@given(_sensor_sets(), _record_sets(), st.integers(0, 2**32))
 @settings(max_examples=150, deadline=None)
-def test_event_log_equals_the_scalar_scan_tick_by_tick(specs, records, seed, block):
-    # small blocks run out mid-tick, so every way a block can end is crossed
+def test_event_log_equals_the_scalar_layout_day_by_day(specs, records, seed):
     ordered = sorted(specs, key=lambda s: s.id)
-    expected, streams = [], {}
-    for day, tick in sorted({(r.day, r.tick) for r in records}):
-        truth = {r.agent: r.location for r in records if (r.day, r.tick) == (day, tick)}
-        rng = streams.setdefault(day, substream(seed, OBSERVE, day))
-        expected += _observe_tick_reference(truth, ordered, rng, day=day, tick=tick)
-    with mock.patch.object(sensor_module, "_BLOCK", block):
-        assert generate_event_log(records, specs, seed) == expected
+    expected = []
+    for day in sorted({r.day for r in records}):
+        ticks = sorted({r.tick for r in records if r.day == day})
+        rows = [{r.agent: r.location for r in records if (r.day, r.tick) == (day, tick)} for tick in ticks]
+        expected += _observe_day_reference(rows, ordered, substream(seed, OBSERVE, day), day=day, ticks=ticks)
+    assert generate_event_log(records, specs, seed) == expected

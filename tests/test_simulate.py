@@ -4,10 +4,12 @@ import dataclasses
 from collections import Counter
 
 import numpy as np
+import pytest
 
 from officelab.config import WorldConfig
+from officelab.errors import ValidationError
 from officelab.rng import SIMULATE, substream
-from officelab.simulate import run_simulation, step_agent
+from officelab.simulate import _pick_destination, run_simulation, step_agent
 from officelab.world import AgentProfile, FloorPlan, ScheduleEvent, StayProbs, stationary_distribution
 
 from conftest import line_plan, uniform_agent
@@ -161,3 +163,26 @@ def test_adding_an_agent_does_not_perturb_existing_streams():
     solo_path = [r.location for r in run_simulation(solo)]
     duo_path = [r.location for r in run_simulation(duo) if r.agent == 0]
     assert solo_path == duo_path
+
+
+def test_pick_destination_draws_as_choice_with_p():
+    # the trajectory pins date from rng.choice(k, p=p) for destinations and rng.choice(k) for detours; the
+    # simulator draws them from the profile's cdf and with integers(0, k), so draws and generator states must agree
+    vectors = ([1.0], [0.5, 0.5], [0.1, 0.0, 0.9], [0.2, 0.3, 0.1, 0.25, 0.15], [0.0, 1.0], [1 / 3] * 3)
+    for seed, p in enumerate(vectors):
+        prof = AgentProfile(0, 0, StayProbs(default=0.0), {10 * i: x for i, x in enumerate(p)})
+        by_cdf, by_choice = substream(seed, SIMULATE, 0), substream(seed, SIMULATE, 0)
+        drawn = [_pick_destination(prof, tick=0, day=0, rng=by_cdf) for _ in range(300)]
+        assert drawn == [10 * int(by_choice.choice(len(p), p=p)) for _ in range(300)]
+        assert by_cdf.bit_generator.state == by_choice.bit_generator.state
+    for k in (1, 2, 3, 19, 20, 50, 1000):
+        by_choice, by_integers = substream(k, SIMULATE, 0), substream(k, SIMULATE, 0)
+        assert [int(by_choice.choice(k)) for _ in range(200)] == [int(by_integers.integers(0, k)) for _ in range(200)]
+        assert by_choice.bit_generator.state == by_integers.bit_generator.state
+
+
+@pytest.mark.parametrize("destinations", [{0: 0.5, 1: 0.6}, {0: 1.5, 1: -0.5}, {0: float("nan"), 1: 1.0}, {}])
+def test_a_destination_distribution_choice_would_reject_is_a_validation_error(destinations):
+    prof = AgentProfile(3, 0, StayProbs(default=0.0), destinations)
+    with pytest.raises(ValidationError, match="destinations of agent 3 are not a probability distribution"):
+        _pick_destination(prof, tick=0, day=0, rng=substream(0, SIMULATE, 0))
