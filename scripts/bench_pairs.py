@@ -1,18 +1,18 @@
 #!/usr/bin/env python3
 """Compare two source checkouts on the benchmark in alternating pairs; write BENCH_<pr>.json.
 
-    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --pr 11 [--pairs full_scale_20=10,demo_stages=6,long_walk=6]
-        [--seconds 36] [--first-seed 17] [--traced-pairs 3] [--out BENCH_11.json] [--what TEXT]
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --pr N [--what TEXT]
 
 Each checkout runs its own ``bench/run.py`` (so each side builds from its own
-``src/``). Pair i of a workload runs both sides on seed first-seed + i, one
-after the other; the side that runs first alternates from pair to pair,
-starting with the parent. Every run reports its own median over its repeats;
-the file gives, per side, the median and quartiles (numpy linear) of those
-run medians, how many pairs the change won, and its relative change of the
-medians. Then ``--traced-pairs`` alternating pairs of traced full_scale_20
-runs (``--trace 1``) on the first seed give the per-layer figures, with the
-metrics each side reported absent. The runs go one at a time.
+``src/``) for the benchmark's 36 s. Pair i of a workload runs both sides on
+seed 17 + i, one after the other; the side that runs first alternates from
+pair to pair, starting with the parent; every workload gets 10 pairs. Every
+run reports its own median over its repeats; the file gives, per side, the
+median and quartiles (numpy linear) of those run medians, how many pairs the
+change won, and its relative change of the medians. Then 3 alternating pairs
+of traced full_scale_20 runs (``--trace 1``) on seed 17 give the per-layer
+figures, with the metrics each side reported absent. The runs go one at a
+time.
 """
 
 from __future__ import annotations
@@ -37,11 +37,16 @@ TRACED = (
     "trace.untraced_total_s",
 )
 SIDES = ("parent", "change")
+WORKLOADS = ("full_scale_20", "demo_stages", "long_walk")
+PAIRS = 10
+TRACED_PAIRS = 3
+SECONDS = 36.0  # BENCHMARK.json's run_seconds
+FIRST_SEED = 17
 
 
-def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
+def run(checkout: Path, workload: str, seed: int, trace: int) -> tuple[dict, dict]:
     """The last stdout line of one bench/run.py call in ``checkout``, and the full record it wrote."""
-    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", f"{SECONDS:g}",
            "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
     record = checkout / ".bench_out" / f"{workload}-seed{seed}-trace{trace}.json"
@@ -57,24 +62,24 @@ def order(i: int) -> tuple[str, str]:
     return SIDES if i % 2 == 0 else SIDES[::-1]
 
 
-def compare(dirs: dict[str, Path], workload: str, pairs: int, first_seed: int, seconds: float, machine: dict) -> dict:
-    seeds = [first_seed + i for i in range(pairs)]
+def compare(dirs: dict[str, Path], workload: str, machine: dict) -> dict:
+    seeds = [FIRST_SEED + i for i in range(PAIRS)]
     values = {side: {m: [] for m in END_TO_END} for side in SIDES}
     counts = {side: {"failed": 0, "attempted": 0} for side in SIDES}
     for i, seed in enumerate(seeds):
         for side in order(i):
-            result, record = run(dirs[side], workload, seed, seconds, trace=0)
+            result, record = run(dirs[side], workload, seed, trace=0)
             machine.update(record["machine"])
             for m in END_TO_END:
                 values[side][m].append(result["metrics"][m]["value"])
             counts[side]["failed"] += result["failed"]
             counts[side]["attempted"] += result["attempted"]
             print(f"{workload} seed {seed} {side}: total_s {values[side]['total_s'][-1]:.3f}", file=sys.stderr)
-    out: dict = {"seeds": seeds, "pairs": pairs, "first_in_pair": [order(i)[0] for i in range(pairs)]}
+    out: dict = {"seeds": seeds, "pairs": PAIRS, "first_in_pair": [order(i)[0] for i in range(PAIRS)]}
     for side in SIDES:
         out[side] = {m: summary(values[side][m]) for m in END_TO_END} | counts[side]
     out["change_lower_in_pairs"] = {
-        m: f"{sum(c < p for p, c in zip(values['parent'][m], values['change'][m]))}/{pairs}" for m in END_TO_END
+        m: f"{sum(c < p for p, c in zip(values['parent'][m], values['change'][m]))}/{PAIRS}" for m in END_TO_END
     }
     out["change_vs_parent_median"] = {
         m: round(out["change"][m]["median"] / out["parent"][m]["median"] - 1.0, 4) for m in END_TO_END
@@ -82,13 +87,13 @@ def compare(dirs: dict[str, Path], workload: str, pairs: int, first_seed: int, s
     return out
 
 
-def traced(dirs: dict[str, Path], pairs: int, seed: int, seconds: float, machine: dict) -> dict:
+def traced(dirs: dict[str, Path], machine: dict) -> dict:
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
     first: dict[str, dict] = {}
     absent: dict[str, list] = {}
-    for i in range(pairs):
+    for i in range(TRACED_PAIRS):
         for side in order(i):
-            result, record = run(dirs[side], "full_scale_20", seed, seconds, trace=1)
+            result, record = run(dirs[side], "full_scale_20", FIRST_SEED, trace=1)
             metrics = {name: m["value"] for name, m in result["metrics"].items()}
             first.setdefault(side, metrics)
             absent[side] = record["absent_metrics"]
@@ -97,7 +102,7 @@ def traced(dirs: dict[str, Path], pairs: int, seed: int, seconds: float, machine
             print(f"traced full_scale_20 {side}: observe_s {metrics.get('observe_s', 0.0):.3f}", file=sys.stderr)
     out = {
         side: {
-            "seed": seed,
+            "seed": FIRST_SEED,
             "n": len(runs[side]),
             "absent_metrics": absent[side],
             "median": {k: float(np.median([r[k] for r in runs[side]])) for k in TRACED},
@@ -119,31 +124,24 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
     ap.add_argument("--pr", type=int, required=True)
-    ap.add_argument("--pairs", default="full_scale_20=10,demo_stages=6,long_walk=6", help="workload=pairs,...")
-    ap.add_argument("--seconds", type=float, default=36.0)
-    ap.add_argument("--first-seed", type=int, default=17)
-    ap.add_argument("--traced-pairs", type=int, default=3)
-    ap.add_argument("--out", type=Path)
     ap.add_argument("--what", default="")
     args = ap.parse_args(argv)
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    plan = {w: int(n) for w, n in (item.split("=") for item in args.pairs.split(","))}
 
     machine: dict = {}
     report: dict = {
         "pr": args.pr,
         "what": args.what,
-        "command": f"python3 bench/run.py --workload <w> --seed <s> --seconds {args.seconds:g} --trace 0",
+        "command": f"python3 bench/run.py --workload <w> --seed <s> --seconds {SECONDS:g} --trace 0",
         "method": "alternating pairs on the same seed, the side that runs first alternating from pair to pair; "
         "each run reports its own median over its repeats; below are the median and quartiles (numpy linear) "
         "of those run medians",
         "parent_commit": commit(dirs["parent"]),
-        "workloads": {w: compare(dirs, w, n, args.first_seed, args.seconds, machine) for w, n in plan.items()},
+        "workloads": {w: compare(dirs, w, machine) for w in WORKLOADS},
+        "traced_full_scale_20": traced(dirs, machine),
     }
-    if args.traced_pairs:
-        report["traced_full_scale_20"] = traced(dirs, args.traced_pairs, args.first_seed, args.seconds, machine)
     report["machine"] = machine
-    out = args.out or Path(f"BENCH_{args.pr}.json")
+    out = Path(f"BENCH_{args.pr}.json")
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
     return 0

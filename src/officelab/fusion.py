@@ -11,7 +11,8 @@ motion model and the agents' start (a point mass at home) once, then in one
 loop over the days builds each day's block once and feeds it to the forward
 filter, which advances all agents together, each through its own motion
 kernel (predict), reweighted by its row of the block (update), and to
-decoding.decode_agents. fuse_run and decode_run are its single-stage halves.
+decoding.decode_agents. fuse_run and decode_run are its halves on a list of
+ObservationEvents.
 Tick 0 is update-only, prediction applies from tick 1.
 
 The per-agent likelihood treats only reports naming the agent as evidence
@@ -253,9 +254,9 @@ def field_columns(fields: Sequence[Sequence], config: WorldConfig) -> EventColum
     return model._columns(fields, config.days, config.ticks_per_day, [a.id for a in config.agents])
 
 
-def event_columns(events: Iterable[ObservationEvent] | EventColumns, config: WorldConfig) -> EventColumns:
-    """The events as the tracker's column table for ``config`` (field_columns); a column table passes as it is."""
-    return events if isinstance(events, EventColumns) else field_columns(_fields(events), config)
+def event_columns(events: Iterable[ObservationEvent], config: WorldConfig) -> EventColumns:
+    """The events as the tracker's column table for ``config`` (field_columns)."""
+    return field_columns(_fields(events), config)
 
 
 @dataclass(frozen=True)
@@ -339,7 +340,7 @@ def track_run(
 
 
 def fuse_run(
-    events: Iterable[ObservationEvent] | EventColumns,
+    events: Iterable[ObservationEvent],
     config: WorldConfig,
     motion: MotionModel | None = None,
 ) -> list[BeliefMatrix]:
@@ -347,7 +348,7 @@ def fuse_run(
     return track_run(event_columns(events, config), config, motion, decode=False).beliefs
 
 
-def decode_run(events: Iterable[ObservationEvent] | EventColumns, config: WorldConfig) -> tuple[list[DecodedPath], int]:
+def decode_run(events: Iterable[ObservationEvent], config: WorldConfig) -> tuple[list[DecodedPath], int]:
     """Most likely path of every agent-day, days in order, and the count of agent-days that needed the leak retry:
     track_run without filtering."""
     tracks = track_run(event_columns(events, config), config, fuse=False)

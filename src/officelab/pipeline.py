@@ -19,10 +19,7 @@ import logging
 import time
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
-from itertools import chain
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .analytics import mine_frequent_patterns, surprise_by_day
@@ -47,8 +44,8 @@ from .formats import (
     write_trajectories_csv,
     write_trajectories_jsonl,
 )
-from .fusion import argmax_paths, decode_run, fuse_run, track_run
-from .sensors import EventColumns, observe
+from .fusion import argmax_paths, track_run
+from .sensors import EventColumns, location_grid, observe
 from .simulate import TrajectoryRecord, run_simulation
 
 log = logging.getLogger("officelab.pipeline")
@@ -149,24 +146,14 @@ def stage_simulate(config: WorldConfig, out_dir: Path, manifest: RunManifest, ha
     return f"{len(records)} records"
 
 
-def _locations(records: list[TrajectoryRecord], config: WorldConfig) -> np.ndarray:
-    """locations[day, tick, a] of a complete agent-tick table, column a the config's agent a."""
-    agent, day, tick, loc = np.fromiter(chain.from_iterable(records), dtype=np.int64).reshape(-1, 4).T
-    ids = np.array([a.id for a in config.agents])
-    order = np.argsort(ids)
-    out = np.empty((config.days, config.ticks_per_day, len(ids)), dtype=np.int64)
-    out[day, tick, order[np.searchsorted(ids, agent, sorter=order)]] = loc
-    return out
-
-
 def stage_observe(config: WorldConfig, out_dir: Path, manifest: RunManifest, handoff: Handoff | None = None) -> str:
     if handoff is None:
         records = read_paths_csv(manifest.path_of("simulate", "trajectories_csv", out_dir), config)
     else:
         records, handoff.records = handoff.records, None
-    locations = _locations(records, config)
+    agents, locations = location_grid(records, [a.id for a in config.agents])
     del records  # freed before the events are drawn
-    events = observe(locations, [a.id for a in config.agents], config.sensors, config.rng_seed)
+    events = observe(locations, agents, config.sensors, config.rng_seed)
     write_events_jsonl(events, out_dir / "events.jsonl", config)
     manifest.record("observe", events="events.jsonl")
     manifest.save(out_dir)
@@ -177,12 +164,13 @@ def stage_observe(config: WorldConfig, out_dir: Path, manifest: RunManifest, han
 
 def stage_fuse(config: WorldConfig, out_dir: Path, manifest: RunManifest, handoff: Handoff | None = None) -> str:
     if handoff is None:
-        beliefs = fuse_run(read_events_jsonl(manifest.path_of("observe", "events", out_dir), config), config)
-        also = ""
-    else:  # decode's half of the same pass over the evidence goes on to stage_decode
+        events = read_events_jsonl(manifest.path_of("observe", "events", out_dir), config)
+    else:
         events, handoff.events = handoff.events, None
-        tracks = track_run(events, config)
-        beliefs, handoff.decoded = tracks.beliefs, (tracks.decoded, tracks.retries)
+    tracks = track_run(events, config, decode=handoff is not None)
+    beliefs, also = tracks.beliefs, ""
+    if handoff is not None:  # decode's half of the same pass over the evidence goes on to stage_decode
+        handoff.decoded = (tracks.decoded, tracks.retries)
         also = f" and {len(tracks.decoded)} decoded agent-days"
     write_beliefs_csv(beliefs, out_dir / "beliefs.csv")
     write_paths_csv(argmax_paths(beliefs), out_dir / "argmax_paths.csv")
@@ -194,7 +182,9 @@ def stage_fuse(config: WorldConfig, out_dir: Path, manifest: RunManifest, handof
 
 def stage_decode(config: WorldConfig, out_dir: Path, manifest: RunManifest, handoff: Handoff | None = None) -> str:
     if handoff is None:
-        decoded, retries = decode_run(read_events_jsonl(manifest.path_of("observe", "events", out_dir), config), config)
+        events = read_events_jsonl(manifest.path_of("observe", "events", out_dir), config)
+        tracks = track_run(events, config, fuse=False)
+        decoded, retries = tracks.decoded, tracks.retries
     else:
         (decoded, retries), handoff.decoded = handoff.decoded, None
     paths: dict[int, dict[int, list[int]]] = {}

@@ -21,15 +21,15 @@ and A agents:
 
 A day without agents or sensors draws nothing. One sort puts the events in
 file order: tick, sensor id, the detections in agent order, then the false
-positive. ``_observe_day`` computes a day with numpy; ``observe``
-runs a (days, ticks, agents) location table into the tracker's EventColumns;
-``generate_event_log`` and ``observe_tick`` give its events as ObservationEvents.
+positive. ``_observe_day`` computes a day with numpy; ``location_grid`` checks
+trajectory records into (days, ticks, agents) locations, ``observe`` runs them
+into EventColumns, ``generate_event_log`` and ``observe_tick`` into events.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -83,17 +83,17 @@ class EventColumns(NamedTuple):
 _NONE = np.zeros(0, dtype=np.int64)
 
 
-def _observe_day(loc: np.ndarray, sensors: Sequence[SensorSpec], rng: np.random.Generator) -> tuple[np.ndarray, ...]:
-    """One day's (tick, sensor, reported agent, location) columns in file order, drawn as the module docstring lays out.
-
-    ``loc[t, a]`` is where agent column ``a`` stands at the day's tick ``t``;
-    agents and sensors are indexed by position, in the order they draw in.
-    """
+def _observe_day(
+    loc: np.ndarray, sensors: Sequence[SensorSpec], rng: np.random.Generator, day: int
+) -> tuple[np.ndarray, ...]:
+    """Day ``day``'s (tick, sensor, reported agent, location) columns in file order, drawn as the module docstring
+    lays out. ``loc[t, a]`` is where agent column ``a`` stands at the day's tick ``t``; agents and sensors are
+    indexed by position, in the order they draw in."""
     ticks, n_agents = loc.shape
     if not loc.size or not sensors:
         return (_NONE,) * 4
     if loc.min() < 0:
-        raise ValidationError(f"location {int(loc.min())} is negative")
+        raise ValidationError(f"location {int(loc.min())} of day {day} is negative")
     coverage = [spec.coverage for spec in sensors]
     sizes = np.array([len(c) for c in coverage])
     width = max(int(loc.max()), *(max(c, default=0) for c in coverage)) + 1
@@ -124,6 +124,34 @@ def _observe_day(loc: np.ndarray, sensors: Sequence[SensorSpec], rng: np.random.
     return tick[order], sensor[order], np.concatenate((reported, named))[order], np.concatenate((loc[t, a], at))[order]
 
 
+def location_grid(
+    records: Iterable[TrajectoryRecord], agents: Sequence[int] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The records as (agent ids, locations): ``locations[day, tick, a]`` is where agent ``ids[a]`` stands, over days
+    0..last and ticks 0..last, the agents ``agents`` in that order (by default the records' agents by id). A day
+    whose records are not a full tick x agent grid, every agent once at every tick, raises ValidationError naming it."""
+    agent, day, tick, loc = np.fromiter(chain.from_iterable(records), dtype=np.int64).reshape(-1, 4).T
+    ids = np.unique(agent) if agents is None else np.array(agents, dtype=np.int64).reshape(-1)
+    order = np.argsort(ids)
+    at = order[np.searchsorted(ids, agent, sorter=order).clip(max=ids.size - 1)]
+    col = np.where(ids[at] == agent, at, -1)  # -1: an agent not among ids
+    days, ticks = (max(int(day.max()) + 1, 0), max(int(tick.max()) + 1, 0)) if day.size else (0, 0)
+    per_day = ticks * ids.size
+    fits = (day >= 0) & (tick >= 0) & (col >= 0)
+    if days * ticks * max(ids.size, 1) <= day.size:  # no more cells than records: count them with one bincount
+        cell = (day * ticks + tick) * ids.size + col
+        short = np.flatnonzero(np.bincount(cell[fits], minlength=days * per_day) != 1) // max(per_day, 1)
+    else:  # more cells than records: name the first day with fewer than per_day
+        present, counts = np.unique(day[fits], return_counts=True)
+        short = np.setdiff1d(np.arange(present.size + 1), present[counts >= per_day])[:1]
+    bad = np.concatenate((day[~fits], short))
+    if bad.size:
+        raise ValidationError(f"the records of day {bad.min()} are not a full tick x agent grid")
+    grid = np.empty(days * per_day, dtype=np.int64)
+    grid[cell] = loc
+    return ids, grid.reshape(days, ticks, ids.size)
+
+
 def observe(locations: np.ndarray, agents: Sequence[int], sensors: Sequence[SensorSpec], seed: int) -> EventColumns:
     """The events of ``locations[day, tick, a]``, where agent ``agents[a]`` stands, as EventColumns.
 
@@ -136,7 +164,7 @@ def observe(locations: np.ndarray, agents: Sequence[int], sensors: Sequence[Sens
     column = np.argsort(agents)
     days = [(_NONE,) * 5]
     for day in range(len(locations)):
-        tick, s, a, x = _observe_day(locations[day][:, column], ordered, substream(seed, OBSERVE, day))
+        tick, s, a, x = _observe_day(locations[day][:, column], ordered, substream(seed, OBSERVE, day), day)
         days.append((by_id[s], np.full(tick.size, day, dtype=np.int64), tick, column[a], x))
     return EventColumns(*map(np.concatenate, zip(*days)))
 
@@ -152,7 +180,7 @@ def observe_tick(
     layout, drawn from ``rng``, with the sensors in the order given rather than by id."""
     agents = sorted(truth)
     loc = np.array([[truth[agent] for agent in agents]], dtype=np.int64).reshape(1, -1)
-    _, s, a, x = (c.tolist() for c in _observe_day(loc, sensors, rng))
+    _, s, a, x = (c.tolist() for c in _observe_day(loc, sensors, rng, day))
     return [ObservationEvent(sensors[j].id, day, tick, agents[i], at) for j, i, at in zip(s, a, x)]
 
 
@@ -161,25 +189,9 @@ def generate_event_log(
     sensors: Sequence[SensorSpec],
     seed: int,
 ) -> list[ObservationEvent]:
-    """Full event log for a trajectory set, ordered by (day, tick, sensor id).
-
-    Each day present draws from its own substream as the module docstring
-    lays out, over the day's ticks (ascending, not necessarily consecutive)
-    and agents. A day whose records are not a full tick x agent grid, every
-    agent once at every tick, raises ValidationError naming the day.
-    """
-    table = np.fromiter(chain.from_iterable(records), dtype=np.int64).reshape(-1, 4)  # agent, day, tick, location
-    ordered = sorted(sensors, key=lambda spec: spec.id)
-    events: list[ObservationEvent] = []
-    for day in np.unique(table[:, 1]).tolist():
-        rows = table[table[:, 1] == day]
-        agents, col = np.unique(rows[:, 0], return_inverse=True)
-        ticks, row = np.unique(rows[:, 2], return_inverse=True)
-        if len(rows) != ticks.size * agents.size or np.unique(row * agents.size + col).size != len(rows):
-            raise ValidationError(f"the records of day {day} are not a full tick x agent grid")
-        loc = np.empty((ticks.size, agents.size), dtype=np.int64)
-        loc[row, col] = rows[:, 3]
-        t, s, a, x = _observe_day(loc, ordered, substream(seed, OBSERVE, day))
-        names = [ordered[j].id for j in s.tolist()]
-        events += map(ObservationEvent, names, repeat(day), ticks[t].tolist(), agents[a].tolist(), x.tolist())
-    return events
+    """Full event log for a trajectory set, ordered by (day, tick, sensor id): ``observe`` on the records'
+    location_grid, which raises ValidationError naming a day that is not a full tick x agent grid."""
+    agents, locations = location_grid(records)
+    sensor, day, tick, agent, at = observe(locations, agents, sensors, seed)
+    names = [sensors[j].id for j in sensor.tolist()]
+    return list(map(ObservationEvent, names, day.tolist(), tick.tolist(), agents[agent].tolist(), at.tolist()))

@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 
 from officelab.errors import ValidationError
 from officelab.rng import OBSERVE, substream
-from officelab.sensors import ObservationEvent, SensorSpec, generate_event_log, observe, observe_tick
+from officelab.sensors import (
+    ObservationEvent,
+    SensorSpec,
+    generate_event_log,
+    location_grid,
+    observe,
+    observe_tick,
+)
 from officelab.simulate import TrajectoryRecord
 
 
@@ -176,13 +183,38 @@ def test_observe_tick_matches_the_agent_scan_draw_for_draw():
 
 def test_event_log_rejects_a_day_that_is_not_a_full_tick_by_agent_grid():
     sensors = [_noiseless("cam", (0, 1))]
-    full = [TrajectoryRecord(a, 1, t, 0) for a in (0, 1) for t in range(3)]
+    full = [TrajectoryRecord(a, d, t, 0) for d in (0, 1) for a in (0, 1) for t in range(3)]
     assert len(generate_event_log(full, sensors, seed=0)) == len(full)
-    missing, repeated = full[:-1], full + full[-1:]
-    swapped = full[:-1] + [TrajectoryRecord(0, 1, 2, 1)]  # as many records as cells, one cell twice
-    for records in (missing, repeated, swapped):
+    last = full[-1]
+    cases = {
+        "missing": full[:-1],
+        "repeated": full + [last],
+        "one cell twice": full[:-1] + [last._replace(tick=0)],
+        "a negative tick": full[:-1] + [last._replace(tick=-1)],
+        "a longer day 0": full + [TrajectoryRecord(a, 0, 3, 0) for a in (0, 1)],
+    }
+    for records in cases.values():
         with pytest.raises(ValidationError, match="records of day 1 are not a full tick x agent grid"):
             generate_event_log(records, sensors, seed=0)
+    far = full[:-1] + [last._replace(tick=10**15)]  # day 0 lacks ticks 3.. as well; nothing that size is allocated
+    for records in (full[6:], far):  # day 1 alone names the day missing
+        with pytest.raises(ValidationError, match="records of day 0 are not a full tick x agent grid"):
+            generate_event_log(records, sensors, seed=0)
+
+
+def test_location_grid_puts_the_agents_in_the_order_given():
+    records = [TrajectoryRecord(a, d, t, 10 * a + t) for a in (4, 9) for d in (0, 1) for t in range(2)]
+    ids, grid = location_grid(records, [9, 4])
+    assert ids.tolist() == [9, 4] and grid.tolist() == [[[90, 40], [91, 41]]] * 2
+    with pytest.raises(ValidationError, match="records of day 0 are not a full tick x agent grid"):
+        location_grid(records, [9])  # agent 4 is not among them
+
+
+def test_a_negative_location_is_named_with_its_day():
+    records = _walk_records(5, days=3)
+    records[-1] = records[-1]._replace(location=-1)
+    with pytest.raises(ValidationError, match="location -1 of day 2 is negative"):
+        generate_event_log(records, [_noiseless("cam", (0, 1))], seed=0)
 
 
 def test_observe_columns_name_the_events_of_the_event_log():
@@ -232,12 +264,15 @@ def _sensor_sets(draw):
 
 @st.composite
 def _record_sets(draw):
-    # per day, every agent at each of the day's ticks (ascending, not necessarily consecutive), records in any order
+    # full days: every agent at every tick of every day, records in any order
     agents = draw(st.lists(st.integers(0, 30), min_size=1, max_size=4, unique=True))
-    records = []
-    for day in draw(st.lists(st.integers(0, 3), min_size=1, max_size=2, unique=True)):
-        for tick in sorted(draw(st.lists(st.integers(0, 40), min_size=1, max_size=25, unique=True))):
-            records += [TrajectoryRecord(a, day, tick, draw(st.integers(0, 6))) for a in agents]
+    days, ticks = draw(st.integers(1, 3)), draw(st.integers(1, 25))
+    records = [
+        TrajectoryRecord(a, day, tick, draw(st.integers(0, 6)))
+        for day in range(days)
+        for tick in range(ticks)
+        for a in agents
+    ]
     return draw(st.permutations(records))
 
 
@@ -246,8 +281,8 @@ def _record_sets(draw):
 def test_event_log_equals_the_scalar_layout_day_by_day(specs, records, seed):
     ordered = sorted(specs, key=lambda s: s.id)
     expected = []
-    for day in sorted({r.day for r in records}):
-        ticks = sorted({r.tick for r in records if r.day == day})
-        rows = [{r.agent: r.location for r in records if (r.day, r.tick) == (day, tick)} for tick in ticks]
-        expected += _observe_day_reference(rows, ordered, substream(seed, OBSERVE, day), day=day, ticks=ticks)
+    ticks = max(r.tick for r in records) + 1
+    for day in range(max(r.day for r in records) + 1):
+        rows = [{r.agent: r.location for r in records if (r.day, r.tick) == (day, tick)} for tick in range(ticks)]
+        expected += _observe_day_reference(rows, ordered, substream(seed, OBSERVE, day), day=day)
     assert generate_event_log(records, specs, seed) == expected
