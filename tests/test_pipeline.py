@@ -40,6 +40,33 @@ def test_demo_rng_outputs_are_pinned(tmp_path):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
+# demo's files made from the ground-truth trajectories alone: these digests pin the
+# trajectories CSV writer and every analytics and graph file on the truth source,
+# which c9 only compares between two runs of the same code
+DEMO_TRUTH_OUTPUTS_SHA256 = {
+    "trajectories.csv": "f57aef350bad5b80568370b0c04e3c19fa01c7984cac19c10424a355cbc7f707",
+    "occupancy.csv": "1c30966c15f4359e7c650e57cc08fe42849db7b68dcfb0ba9aed05c883f92628",
+    "patterns.csv": "6eee62fbb781aebe64ce3c4ee810340e01750eeb9ea589c01bbd5a68749b5285",
+    "contacts.dot": "4154df6d9688e93e0d172a0d1565785f1697b39d48d7ae9ae9de3e0e54ac0192",
+    "contact_edges.csv": "a26d5ebc96df3a212acb9e12a27bafdaf6916aca76f07de7aa5f2c87d775e067",
+    "node_metrics.csv": "26ea2b71685db6886a2b50a4c142a7362a46fa78c9e1310f2e9adb273ee66861",
+    "department_matrix.csv": "3336867998dfdfe75a589092081457aec6966e09df2be168f4b5e0c879eabe7d",
+}
+
+
+@pytest.mark.parametrize("handoff", [False, True], ids=["stages", "pipeline"])
+def test_demo_truth_outputs_are_pinned(tmp_path, handoff):
+    config = load_config(CONFIGS / "demo.json")
+    if handoff:
+        run_pipeline(config, str(CONFIGS / "demo.json"), tmp_path, source="truth")
+    else:
+        manifest = open_manifest(config, str(CONFIGS / "demo.json"), tmp_path)
+        for stage in ("simulate", "analyze", "graph"):
+            run_stage(stage, config, tmp_path, manifest, source="truth")
+    for name, digest in DEMO_TRUTH_OUTPUTS_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
 # 20 agents with delta_p > 0 meet in meeting rooms, the lunch area and the
 # corridor of the 50-location floor, so this digest also pins co-presence
 # counting and corridor traffic, which demo's three agents barely exercise
