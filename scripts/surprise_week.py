@@ -13,7 +13,6 @@ import numpy as np
 
 from officelab.analytics import surprise_by_day
 from officelab.config import parse_config
-from officelab.formats import trajectories_to_paths
 from officelab.presets import surprise_week_config
 from officelab.simulate import run_simulation
 
@@ -27,8 +26,7 @@ def main() -> int:
     margins = []
     for seed in range(args.seeds):
         config = parse_config(surprise_week_config(seed))
-        paths = trajectories_to_paths(run_simulation(config))[0]
-        _, _, scores = surprise_by_day(0, paths, config.floor_plan)
+        _, _, scores = surprise_by_day(0, run_simulation(config)[:, :, 0], config.floor_plan)
         bits = [scores[d].bits for d in sorted(scores)]
         margins.append(bits[-1] - max(bits[:-1]))
         if seed < 3:

@@ -17,10 +17,9 @@ import sys
 import numpy as np
 
 from officelab.config import parse_config
-from officelab.formats import trajectories_to_paths
-from officelab.fusion import argmax_paths, event_columns, track_run
+from officelab.fusion import argmax_paths, track_run
 from officelab.presets import full_scale_config
-from officelab.sensors import generate_event_log
+from officelab.sensors import observe
 from officelab.simulate import run_simulation
 
 AGENTS = (10, 20)
@@ -29,13 +28,8 @@ SEEDS = (3, 11, 23)
 DAYS = 5
 
 
-def _accuracy(paths: dict[int, dict[int, list[int]]], truth: dict[int, dict[int, list[int]]]) -> float:
-    hits = total = 0
-    for agent, days in truth.items():
-        for day, locations in days.items():
-            hits += int(np.sum(np.equal(paths[agent][day], locations)))
-            total += len(locations)
-    return hits / total
+def _accuracy(locations: np.ndarray, truth: np.ndarray) -> float:
+    return np.count_nonzero(locations == truth) / truth.size
 
 
 def main() -> int:
@@ -45,13 +39,11 @@ def main() -> int:
         for p_detect in P_DETECT:
             for seed in SEEDS:
                 config = parse_config(full_scale_config(seed=seed, p_detect=p_detect, days=DAYS, n_agents=n_agents))
-                records = run_simulation(config)
-                truth = trajectories_to_paths(records)
-                events = generate_event_log(records, config.sensors, config.rng_seed)
-                tracks = track_run(event_columns(events, config), config)
-                decoded: dict[int, dict[int, list[int]]] = {}
-                for d in tracks.decoded:
-                    decoded.setdefault(d.agent, {})[d.day] = list(d.path)
+                truth = run_simulation(config)
+                events = observe(truth, [a.id for a in config.agents], config.sensors, config.rng_seed)
+                tracks = track_run(events, config)
+                # decoded paths come day by day, agents in config order: (day, agent, tick) -> (day, tick, agent)
+                decoded = np.array([d.path for d in tracks.decoded]).reshape(DAYS, n_agents, -1).swapaxes(1, 2)
                 row = (
                     tracks.retries,
                     sum(m.predict_only for m in tracks.beliefs),

@@ -59,9 +59,7 @@ def occupancy_distribution(
     """
     if len(path) == 0:
         raise ValidationError("occupancy of an empty path is undefined")
-    counts = np.zeros(plan.n)
-    for loc in path:
-        counts[loc] += 1.0
+    counts = np.bincount(path, minlength=plan.n)
     probs = (counts + alpha) / (len(path) + alpha * plan.n)
     return OccupancyDistribution(agent=agent, scope=scope, probs=probs, smoothing_alpha=alpha)
 
@@ -110,22 +108,23 @@ def collapse_runs(seq: Sequence[int]) -> tuple[int, ...]:
 
 def mine_frequent_patterns(
     agent: int,
-    day_paths: dict[int, Sequence[int]],
+    days: np.ndarray,
     min_support: int,
     min_len: int = 2,
     max_len: int = 5,
 ) -> PatternReport:
     """Contiguous movement patterns recurring across days.
 
-    Each day's path is duplicate-collapsed, then every contiguous subsequence
-    with length in [min_len, max_len] is counted once per day it occurs in;
-    patterns meeting min_support are reported sorted by (support desc,
-    length desc, lexicographic).
+    ``days`` is the agent's (days, ticks) column of a locations[day, tick, a]
+    array, one row per day. Each day's path is duplicate-collapsed, then
+    every contiguous subsequence with length in [min_len, max_len] is counted
+    once per day it occurs in; patterns meeting min_support are reported
+    sorted by (support desc, length desc, lexicographic).
     """
     if not (2 <= min_len <= max_len):
         raise ValidationError("pattern lengths must satisfy 2 <= min_len <= max_len")
     day_counts: Counter[tuple[int, ...]] = Counter()
-    for _, path in sorted(day_paths.items()):
+    for path in days.tolist():
         collapsed = collapse_runs(path)
         seen: set[tuple[int, ...]] = set()
         for length in range(min_len, max_len + 1):
@@ -143,23 +142,22 @@ def mine_frequent_patterns(
 
 def surprise_by_day(
     agent: int,
-    day_paths: dict[int, Sequence[int]],
+    days: np.ndarray,
     plan: FloorPlan,
     baseline_alpha: float = 1.0,
     day_alpha: float = 0.0,
 ) -> tuple[OccupancyDistribution, dict[int, OccupancyDistribution], dict[int, SurpriseScore]]:
-    """Baseline, per-day occupancy, and per-day surprise for one agent.
+    """Baseline, per-day occupancy, and per-day surprise for one agent, keyed by day.
 
-    The baseline pools every day's path (the "average day"); smoothing keeps
-    all baseline entries positive so surprise is always finite.
+    ``days`` is the agent's (days, ticks) column of a locations[day, tick, a]
+    array, one row per day. The baseline pools every day's path (the
+    "average day"); smoothing keeps all baseline entries positive so surprise
+    is always finite.
     """
-    pooled: list[int] = []
-    for _, path in sorted(day_paths.items()):
-        pooled.extend(path)
-    baseline = occupancy_distribution(pooled, plan, alpha=baseline_alpha, agent=agent, scope="baseline")
+    baseline = occupancy_distribution(days.ravel(), plan, alpha=baseline_alpha, agent=agent, scope="baseline")
     day_dists = {}
     scores = {}
-    for day, path in sorted(day_paths.items()):
+    for day, path in enumerate(days):
         dist = occupancy_distribution(
             path, plan, alpha=day_alpha, agent=agent, scope=OccupancyDistribution.day_scope(day)
         )

@@ -52,6 +52,12 @@ def _prob(value: Any, what: str) -> float:
     return float(value)
 
 
+def _integer(value: Any, key: str) -> int:
+    if not isinstance(value, Integral) or isinstance(value, bool):
+        raise ValidationError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _count(value: Any, key: str, minimum: int) -> int:
     if not isinstance(value, Integral) or isinstance(value, bool) or value < minimum:
         raise ValidationError(f"{key} must be an integer >= {minimum}, got {value!r}")
@@ -76,9 +82,15 @@ def _alpha(value: Any, key: str) -> float:
     return float(value)
 
 
-def _int_keyed(mapping: dict, what: str) -> dict[int, Any]:
+def _section(value: Any, key: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValidationError(f"{key} must be a JSON object, got {value!r}")
+    return value
+
+
+def _int_keyed(mapping: Any, what: str) -> dict[int, Any]:
     out = {}
-    for k, v in mapping.items():
+    for k, v in _section(mapping, what).items():
         try:
             out[int(k)] = v
         except (TypeError, ValueError):
@@ -86,18 +98,18 @@ def _int_keyed(mapping: dict, what: str) -> dict[int, Any]:
     return out
 
 
-def _parse_floor_plan(doc: dict) -> FloorPlan:
-    locations = doc.get("locations")
+def _parse_floor_plan(doc: Any) -> FloorPlan:
+    locations = _section(doc, "floor_plan").get("locations")
     if not isinstance(locations, list) or not locations:
         raise ValidationError("floor_plan.locations must be a nonempty list")
-    locs = sorted(int(x) for x in locations)
+    locs = sorted(_integer(x, "floor_plan.locations entry") for x in locations)
     if locs != list(range(len(locs))):
         raise ValidationError(f"locations must be dense integer ids 0..{len(locs) - 1}")
     known = set(locs)
 
     edges = set()
     for pair in doc.get("adjacency", []):
-        u, v = int(pair[0]), int(pair[1])
+        u, v = (_integer(x, "floor_plan.adjacency entry") for x in pair[:2])
         if u == v:
             raise ValidationError(f"adjacency contains self-edge at location {u}")
         if u not in known or v not in known:
@@ -117,7 +129,7 @@ def _parse_floor_plan(doc: dict) -> FloorPlan:
         if loc not in known:
             raise ValidationError(f"home_of references unknown location {loc}")
         owner_ids = owners if isinstance(owners, list) else [owners]
-        home_of[loc] = tuple(int(a) for a in owner_ids)
+        home_of[loc] = tuple(_integer(a, f"floor_plan.home_of[{loc}] owner") for a in owner_ids)
 
     plan = FloorPlan(tuple(locs), frozenset(edges), tags, home_of)
     hops = plan.distances[0].tolist()  # -1 marks a location unreachable from 0
@@ -127,16 +139,18 @@ def _parse_floor_plan(doc: dict) -> FloorPlan:
 
 
 def _parse_agent(doc: dict, plan: FloorPlan) -> AgentProfile:
-    agent_id = int(doc["id"])
-    home = int(doc["home"])
+    agent_id = _integer(doc["id"], "agent id")
+    home = _integer(doc["home"], f"home of agent {agent_id}")
     if home not in plan.neighbors:
         raise ValidationError(f"home {home} of agent {agent_id} is not a known location")
 
     sp = doc.get("stay_prob", {})
     if isinstance(sp, (int, float)):
         sp = {"default": sp}
+    elif not isinstance(sp, dict):
+        raise ValidationError(f"stay_prob of agent {agent_id} must be a number or a JSON object, got {sp!r}")
     by_tag = {}
-    for tag, p in sp.get("by_tag", {}).items():
+    for tag, p in _section(sp.get("by_tag", {}), f"stay_prob.by_tag of agent {agent_id}").items():
         if tag not in LOCATION_TAGS:
             raise ValidationError(f"stay_prob of agent {agent_id} names unknown tag {tag!r}")
         by_tag[tag] = _prob(p, f"stay_prob.by_tag[{tag}] of agent {agent_id}")
@@ -164,21 +178,24 @@ def _parse_agent(doc: dict, plan: FloorPlan) -> AgentProfile:
 
     schedule = []
     for ev in doc.get("schedule", []):
-        window = tuple(int(t) for t in ev["window"])
+        window = tuple(_integer(t, f"schedule window bound of agent {agent_id}") for t in ev["window"])
         if len(window) != 2 or window[0] >= window[1]:
             raise ValidationError(f"schedule window {window} of agent {agent_id} must satisfy start < end")
         if window[0] < 0:
             raise ValidationError(f"schedule window {window} of agent {agent_id} has negative start")
-        target = int(ev["target"])
+        target = _integer(ev["target"], f"schedule target of agent {agent_id}")
         if target not in plan.neighbors:
             raise ValidationError(f"schedule of agent {agent_id} targets unknown location {target}")
+        days = ev.get("days")
+        if days is not None:
+            days = tuple(_integer(d, f"schedule days entry of agent {agent_id}") for d in days)
         schedule.append(
             ScheduleEvent(
                 window=window,
                 target=target,
                 probability=_prob(ev.get("probability", 1.0), f"schedule probability of agent {agent_id}"),
                 label=str(ev.get("label", "")),
-                days=tuple(int(d) for d in ev["days"]) if ev.get("days") is not None else None,
+                days=days,
             )
         )
 
@@ -204,7 +221,10 @@ def _parse_sensor(doc: dict, plan: FloorPlan) -> SensorSpec:
     kind = doc.get("kind", "camera")
     if kind not in SENSOR_KINDS:
         raise ValidationError(f"sensor {sensor_id} has unknown kind {kind!r}")
-    coverage = sorted(int(x) for x in doc.get("coverage", []))
+    coverage = doc.get("coverage", [])
+    if not isinstance(coverage, list):
+        raise ValidationError(f"coverage of sensor {sensor_id} must be a list, got {coverage!r}")
+    coverage = sorted(_integer(x, f"coverage entry of sensor {sensor_id}") for x in coverage)
     if not coverage:
         raise ValidationError(f"sensor {sensor_id} has empty coverage")
     for loc in coverage:
@@ -271,7 +291,7 @@ def _parse_document(doc: dict) -> WorldConfig:
     for s in sensors:  # the tracker's clutter model needs q < 1
         false_positive_share(s, len(agents))
 
-    rule_doc = doc.get("contact_rule", {})
+    rule_doc = _section(doc.get("contact_rule", {}), "contact_rule")
     tags = _strings(rule_doc.get("excluded_tags", ["printer"]), "contact_rule.excluded_tags")
     rule = ContactRule(
         min_consecutive_ticks=_count(rule_doc.get("min_consecutive_ticks", 10), "contact_rule.min_consecutive_ticks", 1),
@@ -285,7 +305,7 @@ def _parse_document(doc: dict) -> WorldConfig:
     if doc.get("motion_model", "simulator") != "simulator":  # the tracker's only prior
         raise ValidationError(f"unknown motion_model {doc['motion_model']!r}")
 
-    an = doc.get("analytics", {})
+    an = _section(doc.get("analytics", {}), "analytics")
     analytics = AnalyticsSettings(
         baseline_alpha=_alpha(an.get("baseline_alpha", 1.0), "analytics.baseline_alpha"),
         day_alpha=_alpha(an.get("day_alpha", 0.0), "analytics.day_alpha"),

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Sequence
+
+import numpy as np
 
 from .errors import ValidationError
 from .world import FloorPlan
@@ -71,33 +74,25 @@ def _colocation_intervals(seq_a, seq_b):
 
 
 def extract_contacts(
-    paths: dict[int, dict[int, list[int]]],
+    locations: np.ndarray,
+    agents: Sequence[int],
     plan: FloorPlan,
     rule: ContactRule,
     departments: dict[int, str] | None = None,
 ) -> ContactGraph:
-    """Contact graph from per-agent, per-day location sequences.
+    """Contact graph from ``locations[day, tick, a]``, where agent ``agents[a]`` stands.
 
-    ``paths`` maps agent -> day -> location sequence; all sequences within a
-    day must have equal length. Interval attribution: host's office gets
-    visitor->host; a bin owned by both (shared office) or by neither credits
-    both directions.
+    Interval attribution: host's office gets visitor->host; a bin owned by
+    both (shared office) or by neither credits both directions.
     """
-    agents = sorted(paths)
-    days = sorted({d for seqs in paths.values() for d in seqs})
-    for day in days:
-        lengths = {len(paths[a][day]) for a in agents if day in paths[a]}
-        if len(lengths) > 1:
-            raise ValidationError(f"day {day} paths have mismatched lengths {sorted(lengths)}")
-
+    columns = {agent: locations[:, :, a].tolist() for a, agent in enumerate(agents)}  # agent -> its days
+    ids = sorted(columns)
     departments = departments or {}
     edges: Counter[tuple[int, int]] = Counter()
-    for i, a in enumerate(agents):
-        for b in agents[i + 1 :]:
-            for day in days:
-                if day not in paths[a] or day not in paths[b]:
-                    continue
-                for loc, length in _colocation_intervals(paths[a][day], paths[b][day]):
+    for i, a in enumerate(ids):
+        for b in ids[i + 1 :]:
+            for path_a, path_b in zip(columns[a], columns[b]):
+                for loc, length in _colocation_intervals(path_a, path_b):
                     if length < rule.min_consecutive_ticks:
                         continue
                     if plan.tag(loc) in rule.excluded_tags:
@@ -115,7 +110,7 @@ def extract_contacts(
                         edges[(a, b)] += length
                         edges[(b, a)] += length
 
-    nodes = {a: departments.get(a, "other") for a in agents}
+    nodes = {a: departments.get(a, "other") for a in ids}
     return ContactGraph(nodes=nodes, edges=dict(edges))
 
 

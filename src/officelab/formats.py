@@ -2,7 +2,9 @@
 
 Line-delimited JSON for event-like streams, CSV for tabular reports. Field
 order and float rendering (shortest round-trip repr) are fixed so identical
-runs produce byte-identical files. Every agent,day,tick,location table a stage
+runs produce byte-identical files. An agent,day,tick,location table is written
+from, and read back into, a ``locations[day, tick, a]`` array whose columns
+follow the agent ids given (the config's order). Every such table a stage
 reads (trajectories.csv and the *_paths.csv tables) goes through read_paths_csv,
 which checks it against the config; trajectories.jsonl is an export, not read.
 """
@@ -23,7 +25,6 @@ from .contacts import GraphMetrics
 from .errors import ValidationError
 from .fusion import BeliefMatrix, field_columns
 from .sensors import EventColumns
-from .simulate import TrajectoryRecord
 
 BELIEF_WRITE_FLOOR = 1e-6  # rows below this are omitted from the belief CSV
 PATHS_HEADER = "agent,day,tick,location"  # trajectories.csv and the *_paths.csv tables
@@ -46,15 +47,26 @@ def _malformed(path: Path, lineno: int, exc: Exception) -> ValidationError:
     return ValidationError(f"{path} line {lineno} is malformed: {exc!r}")
 
 
-def write_trajectories_jsonl(records: Iterable[TrajectoryRecord], path: Path) -> None:
-    """One JSON object per line, as ``json.dumps`` renders it."""
+def _tick_major(locations: np.ndarray, agents: Sequence[int], head: str, tail: str, end: str) -> Iterator[str]:
+    """``locations[day, tick, a]`` as text rows, day by day, tick by tick, columns in order: ``head`` formatted
+    with the column's agent id and the day, the tick, ``tail``, the location, ``end``."""
+    ticks, n_agents = locations.shape[1:]
+    tick = np.repeat(np.arange(ticks), n_agents).tolist()
+    for day, table in enumerate(locations):
+        heads = [head.format(agent, day) for agent in agents] * ticks
+        yield from (f"{h}{t}{tail}{x}{end}" for h, t, x in zip(heads, tick, table.ravel().tolist()))
+
+
+def write_trajectories_jsonl(locations: np.ndarray, agents: Sequence[int], path: Path) -> None:
+    """One JSON object per line, as ``json.dumps`` renders it, for agent ``agents[a]`` of ``locations[day, tick, a]``:
+    day by day, tick by tick, columns in order."""
     with open(path, "w") as fh:
-        for r in records:
-            fh.write(f'{{"agent": {r.agent}, "day": {r.day}, "tick": {r.tick}, "location": {r.location}}}\n')
+        fh.writelines(_tick_major(locations, agents, '{{"agent": {}, "day": {}, "tick": ', ', "location": ', "}\n"))
 
 
-def write_trajectories_csv(records: Iterable[TrajectoryRecord], path: Path) -> None:
-    _write_csv(path, PATHS_HEADER, (f"{r.agent},{r.day},{r.tick},{r.location}\n" for r in records))
+def write_trajectories_csv(locations: np.ndarray, agents: Sequence[int], path: Path) -> None:
+    """The rows write_trajectories_jsonl writes, as a paths table."""
+    _write_csv(path, PATHS_HEADER, _tick_major(locations, agents, "{},{},", ",", "\n"))
 
 
 def write_events_jsonl(columns: EventColumns, path: Path, config: WorldConfig) -> None:
@@ -109,14 +121,22 @@ def write_beliefs_csv(beliefs: Sequence[BeliefMatrix], path: Path) -> None:
     _write_csv(path, "day,tick,agent,location,probability", rows())
 
 
-def write_paths_csv(paths: dict[int, dict[int, Sequence[int]]], path: Path) -> None:
-    """agent -> day -> location sequence, one row per (agent, day, tick)."""
-    rows = (f"{a},{d},{t},{x}\n" for a in sorted(paths) for d in sorted(paths[a]) for t, x in enumerate(paths[a][d]))
-    _write_csv(path, PATHS_HEADER, rows)
+def write_paths_csv(locations: np.ndarray, agents: Sequence[int], path: Path) -> None:
+    """``locations[day, tick, a]`` one row per (agent, day, tick): agents by id (``agents[a]`` names column a),
+    then days and ticks in order."""
+
+    def rows() -> Iterator[str]:
+        for a in np.argsort(agents, kind="stable").tolist():
+            for day, walk in enumerate(locations[:, :, a].tolist()):
+                head = f"{agents[a]},{day},"
+                yield from (f"{head}{t},{x}\n" for t, x in enumerate(walk))
+
+    _write_csv(path, PATHS_HEADER, rows())
 
 
-def read_paths_csv(path: Path, config: WorldConfig) -> list[TrajectoryRecord]:
-    """Records in file order, from the table write_paths_csv and write_trajectories_csv write.
+def read_paths_csv(path: Path, config: WorldConfig) -> np.ndarray:
+    """``locations[day, tick, a]`` of the configured agents (column a in config order), from the table
+    write_paths_csv and write_trajectories_csv write.
 
     Each row must name a configured agent and day, be the next tick of its
     (agent, day) path and below ticks_per_day, and lie on the floor plan; a
@@ -124,9 +144,11 @@ def read_paths_csv(path: Path, config: WorldConfig) -> list[TrajectoryRecord]:
     also hold every configured agent-tick; after the last row, the first one
     missing raises ValidationError naming it.
     """
-    n, ticks = config.floor_plan.n, config.ticks_per_day
-    next_tick = {(a.id, day): 0 for a in config.agents for day in range(config.days)}
-    records = []
+    n, ticks, n_agents = config.floor_plan.n, config.ticks_per_day, len(config.agents)
+    # (agent, day) -> the flat index of its tick 0; tick t sits n_agents further on per tick
+    first = {(a.id, day): day * ticks * n_agents + i for i, a in enumerate(config.agents) for day in range(config.days)}
+    next_tick = dict.fromkeys(first, 0)
+    flat = [0] * (config.days * ticks * n_agents)
     with open(path) as fh:
         if fh.readline() != f"{PATHS_HEADER}\n":
             raise _malformed(path, 1, ValueError(f"expected the header {PATHS_HEADER!r}"))
@@ -145,44 +167,19 @@ def read_paths_csv(path: Path, config: WorldConfig) -> list[TrajectoryRecord]:
                 if not 0 <= loc < n:
                     raise ValueError(f"location {loc} is outside the floor plan's 0..{n - 1}")
                 next_tick[agent, day] = tick + 1
-                records.append(TrajectoryRecord(agent, day, tick, loc))
+                flat[first[agent, day] + tick * n_agents] = loc
         except ValueError as exc:
             raise _malformed(path, lineno, exc) from None
     missing = [(agent, day, tick) for (agent, day), tick in next_tick.items() if tick < ticks]
     if missing:
         agent, day, tick = min(missing)
         raise ValidationError(f"{path} has no record of agent {agent} at day {day} tick {tick}")
-    return records
+    return np.array(flat, dtype=np.int64).reshape(config.days, ticks, n_agents)
 
 
 def write_decode_scores_csv(scores: dict[tuple[int, int], float], path: Path) -> None:
     rows = (f"{agent},{day},{_fmt(scores[(agent, day)])}\n" for agent, day in sorted(scores))
     _write_csv(path, "agent,day,log_score", rows)
-
-
-def trajectories_to_paths(records: Iterable[TrajectoryRecord]) -> dict[int, dict[int, list[int]]]:
-    """Group trajectory records into agent -> day -> tick-ordered sequence.
-
-    Locations are appended as they come: run_simulation and read_paths_csv
-    give each path's ticks as 0, 1, 2, ... Only a path whose ticks arrive
-    otherwise is sorted, by tick (equal ticks by location).
-    """
-    records = records if isinstance(records, list) else list(records)
-    paths: dict[int, dict[int, list[int]]] = {}
-    unordered = set()
-    for agent, day, tick, loc in records:
-        path = paths.setdefault(agent, {}).setdefault(day, [])
-        if tick != len(path):
-            unordered.add((agent, day))
-        path.append(loc)
-    if unordered:
-        keyed: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for agent, day, tick, loc in records:
-            if (agent, day) in unordered:
-                keyed.setdefault((agent, day), []).append((tick, loc))
-        for (agent, day), ticks in keyed.items():
-            paths[agent][day] = [loc for _, loc in sorted(ticks)]
-    return paths
 
 
 def write_occupancy_csv(dists: Sequence[OccupancyDistribution], path: Path, source: str) -> None:

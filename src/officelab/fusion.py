@@ -355,10 +355,12 @@ def decode_run(events: Iterable[ObservationEvent], config: WorldConfig) -> tuple
     return tracks.decoded, tracks.retries
 
 
-def argmax_paths(beliefs: Sequence[BeliefMatrix]) -> dict[int, dict[int, list[int]]]:
-    """Per-tick most probable location per agent: agent -> day -> sequence."""
-    paths: dict[int, dict[int, list[int]]] = {}
-    for matrix in sorted(beliefs, key=lambda m: (m.day, m.tick)):
-        for i, agent in enumerate(matrix.agents):
-            paths.setdefault(agent, {}).setdefault(matrix.day, []).append(int(matrix.probs[i].argmax()))
-    return paths
+def argmax_paths(beliefs: Sequence[BeliefMatrix]) -> np.ndarray:
+    """Per-tick most probable location: ``locations[day, tick, a]`` for agent column a of the matrices."""
+    if not beliefs:
+        return np.zeros((0, 0, 0), dtype=np.int64)
+    days, ticks = max(m.day for m in beliefs) + 1, max(m.tick for m in beliefs) + 1
+    locations = np.empty((days, ticks, len(beliefs[0].agents)), dtype=np.int64)
+    for m in beliefs:
+        locations[m.day, m.tick] = m.probs.argmax(axis=1)
+    return locations

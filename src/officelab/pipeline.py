@@ -5,11 +5,13 @@ manifest, so every stage can be rerun in isolation with identical results: a
 stage run on its own reads its inputs back from those files, checked line by
 line against the config (observe reads trajectories.csv; trajectories.jsonl
 is an export, read by no stage). Within one run_pipeline call the stages hand
-their products on in memory instead (a Handoff): simulate's records go to
+their products on in memory instead (a Handoff): simulate's locations go to
 observe, observe's event column table to fuse, which filters and decodes in
-one pass over the evidence, and the analytics source's paths to analyze and
-graph; nothing is read back. All randomness flows from the config seed
-through named substreams.
+one pass over the evidence, and the analytics source's locations to analyze
+and graph; nothing is read back. Every agent-tick table, simulated, read back
+or decoded, is one ``locations[day, tick, a]`` array, agent column a in config
+agent order. All randomness flows from the config seed through named
+substreams.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .analytics import mine_frequent_patterns, surprise_by_day
 from .config import WorldConfig
@@ -30,7 +34,6 @@ from .errors import OfficeLabError
 from .formats import (
     read_events_jsonl,
     read_paths_csv,
-    trajectories_to_paths,
     write_beliefs_csv,
     write_decode_scores_csv,
     write_department_matrix_csv,
@@ -45,8 +48,8 @@ from .formats import (
     write_trajectories_jsonl,
 )
 from .fusion import argmax_paths, track_run
-from .sensors import EventColumns, location_grid, observe
-from .simulate import TrajectoryRecord, run_simulation
+from .sensors import EventColumns, observe
+from .simulate import run_simulation
 
 log = logging.getLogger("officelab.pipeline")
 
@@ -112,10 +115,10 @@ class Handoff:
     """
 
     source: str  # the analytics source: whose paths go to analyze and graph
-    records: list[TrajectoryRecord] | None = None  # simulate -> observe
+    locations: np.ndarray | None = None  # simulate -> observe
     events: EventColumns | None = None  # observe -> fuse
     decoded: tuple[list[DecodedPath], int] | None = None  # fuse (one pass over the evidence) -> decode
-    paths: dict[int, dict[int, list[int]]] | None = None  # simulate or decode -> analyze and graph
+    paths: np.ndarray | None = None  # simulate's or decode's locations -> analyze and graph
 
 
 def _now() -> str:
@@ -134,26 +137,25 @@ def open_manifest(config: WorldConfig, config_path: str, out_dir: Path) -> RunMa
 
 
 def stage_simulate(config: WorldConfig, out_dir: Path, manifest: RunManifest, handoff: Handoff | None = None) -> str:
-    records = run_simulation(config)
-    write_trajectories_jsonl(records, out_dir / "trajectories.jsonl")
-    write_trajectories_csv(records, out_dir / "trajectories.csv")
+    locations = run_simulation(config)
+    agents = [a.id for a in config.agents]
+    write_trajectories_jsonl(locations, agents, out_dir / "trajectories.jsonl")
+    write_trajectories_csv(locations, agents, out_dir / "trajectories.csv")
     manifest.record("simulate", trajectories="trajectories.jsonl", trajectories_csv="trajectories.csv")
     manifest.save(out_dir)
     if handoff is not None:
-        handoff.records = records
+        handoff.locations = locations
         if handoff.source == "truth":
-            handoff.paths = trajectories_to_paths(records)
-    return f"{len(records)} records"
+            handoff.paths = locations
+    return f"{locations.size} agent-ticks"
 
 
 def stage_observe(config: WorldConfig, out_dir: Path, manifest: RunManifest, handoff: Handoff | None = None) -> str:
     if handoff is None:
-        records = read_paths_csv(manifest.path_of("simulate", "trajectories_csv", out_dir), config)
+        locations = read_paths_csv(manifest.path_of("simulate", "trajectories_csv", out_dir), config)
     else:
-        records, handoff.records = handoff.records, None
-    agents, locations = location_grid(records, [a.id for a in config.agents])
-    del records  # freed before the events are drawn
-    events = observe(locations, agents, config.sensors, config.rng_seed)
+        locations, handoff.locations = handoff.locations, None
+    events = observe(locations, [a.id for a in config.agents], config.sensors, config.rng_seed)
     write_events_jsonl(events, out_dir / "events.jsonl", config)
     manifest.record("observe", events="events.jsonl")
     manifest.save(out_dir)
@@ -173,7 +175,7 @@ def stage_fuse(config: WorldConfig, out_dir: Path, manifest: RunManifest, handof
         handoff.decoded = (tracks.decoded, tracks.retries)
         also = f" and {len(tracks.decoded)} decoded agent-days"
     write_beliefs_csv(beliefs, out_dir / "beliefs.csv")
-    write_paths_csv(argmax_paths(beliefs), out_dir / "argmax_paths.csv")
+    write_paths_csv(argmax_paths(beliefs), [a.id for a in config.agents], out_dir / "argmax_paths.csv")
     manifest.record("fuse", beliefs="beliefs.csv", argmax_paths="argmax_paths.csv")
     manifest.save(out_dir)
     predict_only = sum(m.predict_only for m in beliefs)
@@ -187,10 +189,12 @@ def stage_decode(config: WorldConfig, out_dir: Path, manifest: RunManifest, hand
         decoded, retries = tracks.decoded, tracks.retries
     else:
         (decoded, retries), handoff.decoded = handoff.decoded, None
-    paths: dict[int, dict[int, list[int]]] = {}
-    for d in decoded:
-        paths.setdefault(d.agent, {})[d.day] = list(d.path)
-    write_paths_csv(paths, out_dir / "decoded_paths.csv")
+    agents = [a.id for a in config.agents]
+    column = {agent: a for a, agent in enumerate(agents)}
+    paths = np.empty((config.days, config.ticks_per_day, len(agents)), dtype=np.int64)
+    for d in decoded:  # one per agent-day
+        paths[d.day, :, column[d.agent]] = d.path
+    write_paths_csv(paths, agents, out_dir / "decoded_paths.csv")
     write_decode_scores_csv({(d.agent, d.day): d.log_score for d in decoded}, out_dir / "decode_scores.csv")
     manifest.record("decode", decoded_paths="decoded_paths.csv", decode_scores="decode_scores.csv")
     manifest.save(out_dir)
@@ -201,13 +205,13 @@ def stage_decode(config: WorldConfig, out_dir: Path, manifest: RunManifest, hand
 
 def _paths_for_source(
     config: WorldConfig, out_dir: Path, manifest: RunManifest, source: str, handoff: Handoff | None
-) -> dict[int, dict[int, list[int]]]:
+) -> np.ndarray:
     files = {"truth": ("simulate", "trajectories_csv"), "decoded": ("decode", "decoded_paths")}
     if source not in files:
         raise StageError(f"unknown analytics source {source!r}")
     if handoff is not None:
         return handoff.paths
-    return trajectories_to_paths(read_paths_csv(manifest.path_of(*files[source], out_dir), config))
+    return read_paths_csv(manifest.path_of(*files[source], out_dir), config)
 
 
 def stage_analyze(
@@ -219,8 +223,8 @@ def stage_analyze(
     day_dists = {}
     all_scores = {}
     reports = []
-    for profile in config.agents:
-        agent_paths = paths[profile.id]
+    for a, profile in enumerate(config.agents):
+        agent_paths = paths[:, :, a]
         baseline, dists, scores = surprise_by_day(
             profile.id,
             agent_paths,
@@ -257,8 +261,9 @@ def stage_graph(
     config: WorldConfig, out_dir: Path, manifest: RunManifest, source: str = "truth", handoff: Handoff | None = None
 ) -> str:
     paths = _paths_for_source(config, out_dir, manifest, source, handoff)
+    agents = [a.id for a in config.agents]
     departments = {a.id: a.department for a in config.agents}
-    graph = extract_contacts(paths, config.floor_plan, config.contact_rule, departments)
+    graph = extract_contacts(paths, agents, config.floor_plan, config.contact_rule, departments)
     (out_dir / "contacts.dot").write_text(export_graph(graph, "dot"))
     (out_dir / "contact_edges.csv").write_text(export_graph(graph, "edge_csv"))
     metrics = graph_metrics(graph)

@@ -21,24 +21,20 @@ and A agents:
 
 A day without agents or sensors draws nothing. One sort puts the events in
 file order: tick, sensor id, the detections in agent order, then the false
-positive. ``_observe_day`` computes a day with numpy; ``location_grid`` checks
-trajectory records into (days, ticks, agents) locations, ``observe`` runs them
-into EventColumns, ``generate_event_log`` and ``observe_tick`` into events.
+positive. ``_observe_day`` computes a day with numpy; ``observe`` runs the
+days of a ``locations[day, tick, a]`` array into EventColumns,
+``generate_event_log`` and ``observe_tick`` into events.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
 from .rng import OBSERVE, substream
-
-if TYPE_CHECKING:
-    from .simulate import TrajectoryRecord
 
 SENSOR_KINDS = ("camera", "tag_reader", "biometric")
 
@@ -124,34 +120,6 @@ def _observe_day(
     return tick[order], sensor[order], np.concatenate((reported, named))[order], np.concatenate((loc[t, a], at))[order]
 
 
-def location_grid(
-    records: Iterable[TrajectoryRecord], agents: Sequence[int] | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The records as (agent ids, locations): ``locations[day, tick, a]`` is where agent ``ids[a]`` stands, over days
-    0..last and ticks 0..last, the agents ``agents`` in that order (by default the records' agents by id). A day
-    whose records are not a full tick x agent grid, every agent once at every tick, raises ValidationError naming it."""
-    agent, day, tick, loc = np.fromiter(chain.from_iterable(records), dtype=np.int64).reshape(-1, 4).T
-    ids = np.unique(agent) if agents is None else np.array(agents, dtype=np.int64).reshape(-1)
-    order = np.argsort(ids)
-    at = order[np.searchsorted(ids, agent, sorter=order).clip(max=ids.size - 1)]
-    col = np.where(ids[at] == agent, at, -1)  # -1: an agent not among ids
-    days, ticks = (max(int(day.max()) + 1, 0), max(int(tick.max()) + 1, 0)) if day.size else (0, 0)
-    per_day = ticks * ids.size
-    fits = (day >= 0) & (tick >= 0) & (col >= 0)
-    if days * ticks * max(ids.size, 1) <= day.size:  # no more cells than records: count them with one bincount
-        cell = (day * ticks + tick) * ids.size + col
-        short = np.flatnonzero(np.bincount(cell[fits], minlength=days * per_day) != 1) // max(per_day, 1)
-    else:  # more cells than records: name the first day with fewer than per_day
-        present, counts = np.unique(day[fits], return_counts=True)
-        short = np.setdiff1d(np.arange(present.size + 1), present[counts >= per_day])[:1]
-    bad = np.concatenate((day[~fits], short))
-    if bad.size:
-        raise ValidationError(f"the records of day {bad.min()} are not a full tick x agent grid")
-    grid = np.empty(days * per_day, dtype=np.int64)
-    grid[cell] = loc
-    return ids, grid.reshape(days, ticks, ids.size)
-
-
 def observe(locations: np.ndarray, agents: Sequence[int], sensors: Sequence[SensorSpec], seed: int) -> EventColumns:
     """The events of ``locations[day, tick, a]``, where agent ``agents[a]`` stands, as EventColumns.
 
@@ -185,13 +153,9 @@ def observe_tick(
 
 
 def generate_event_log(
-    records: Iterable[TrajectoryRecord],
-    sensors: Sequence[SensorSpec],
-    seed: int,
+    locations: np.ndarray, agents: Sequence[int], sensors: Sequence[SensorSpec], seed: int
 ) -> list[ObservationEvent]:
-    """Full event log for a trajectory set, ordered by (day, tick, sensor id): ``observe`` on the records'
-    location_grid, which raises ValidationError naming a day that is not a full tick x agent grid."""
-    agents, locations = location_grid(records)
+    """``observe``'s events as ObservationEvents, ordered by (day, tick, sensor id)."""
     sensor, day, tick, agent, at = observe(locations, agents, sensors, seed)
-    names = [sensors[j].id for j in sensor.tolist()]
-    return list(map(ObservationEvent, names, day.tolist(), tick.tolist(), agents[agent].tolist(), at.tolist()))
+    names, named = [sensors[j].id for j in sensor.tolist()], [agents[a] for a in agent.tolist()]
+    return list(map(ObservationEvent, names, day.tolist(), tick.tolist(), named, at.tolist()))

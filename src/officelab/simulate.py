@@ -10,25 +10,18 @@ hop along the floor plan's route table toward its destination, or with
 probability ``fluctuation_rate`` detours to a uniform random neighbor and
 keeps the same destination; standing on the destination makes it idle.
 Co-presence counts the other agents at x as the locations stood at the start
-of the tick, before anyone moves.
+of the tick, before anyone moves. A run is one ``locations[day, tick, a]``
+array, agent column a in config agent order, the one form of an agent-tick
+table every later stage takes.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
 from .config import WorldConfig
 from .rng import SIMULATE, substream
 from .world import AgentProfile, FloorPlan
-
-
-class TrajectoryRecord(NamedTuple):
-    agent: int
-    day: int
-    tick: int
-    location: int
 
 
 def _pick_destination(profile: AgentProfile, tick: int, day: int, rng: np.random.Generator) -> int:
@@ -78,8 +71,9 @@ def step_agent(
     return location, _pick_destination(profile, tick, day, rng)
 
 
-def run_simulation(config: WorldConfig) -> list[TrajectoryRecord]:
-    """Ground-truth trajectories: one record per (agent, day, tick).
+def run_simulation(config: WorldConfig) -> np.ndarray:
+    """Ground-truth ``locations[day, tick, a]``: an int64 array of shape (days, ticks_per_day, agents), agent
+    column a in config agent order.
 
     Deterministic given config.rng_seed; each agent draws from its own
     substream, and every day starts with all agents idle at home.
@@ -87,12 +81,13 @@ def run_simulation(config: WorldConfig) -> list[TrajectoryRecord]:
     plan = config.floor_plan
     agents = config.agents
     streams = [substream(config.rng_seed, SIMULATE, i) for i in range(len(agents))]
-    records: list[TrajectoryRecord] = []
+    locations = np.empty((config.days, config.ticks_per_day, len(agents)), dtype=np.int64)
     for day in range(config.days):
         here = [p.home for p in agents]
         going = list(here)
+        rows = []
         for tick in range(config.ticks_per_day):
-            records.extend(TrajectoryRecord(p.id, day, tick, x) for p, x in zip(agents, here))
+            rows.append(tuple(here))
             if tick == config.ticks_per_day - 1:
                 break
             count = [0] * plan.n  # taken before anyone moves; agent i reads it at its own start location
@@ -102,4 +97,5 @@ def run_simulation(config: WorldConfig) -> list[TrajectoryRecord]:
                 here[i], going[i] = step_agent(
                     here[i], going[i], p, plan, count[here[i]] - 1, tick, streams[i], day, config.fluctuation_rate
                 )
-    return records
+        locations[day] = rows
+    return locations

@@ -3,6 +3,8 @@ from __future__ import annotations
 import pytest
 
 from officelab.config import WorldConfig, parse_config
+from officelab.sensors import ObservationEvent, generate_event_log
+from officelab.simulate import run_simulation
 from officelab.world import AgentProfile, FloorPlan, StayProbs
 
 
@@ -19,6 +21,11 @@ def uniform_agent(agent_id: int, home: int, n: int, stay: float = 0.5, delta_p: 
         destinations={x: 1.0 / n for x in range(n)},
         delta_p=delta_p,
     )
+
+
+def simulated_events(config: WorldConfig) -> list[ObservationEvent]:
+    """The event log of ``config``'s simulated run."""
+    return generate_event_log(run_simulation(config), [a.id for a in config.agents], config.sensors, config.rng_seed)
 
 
 def minimal_config_doc() -> dict:

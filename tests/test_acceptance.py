@@ -16,7 +16,6 @@ from officelab.analytics import chain_combine, surprise, surprise_by_day
 from officelab.config import WorldConfig, parse_config
 from officelab.contacts import ContactRule, extract_contacts
 from officelab.decoding import brute_force_decode, viterbi_decode
-from officelab.formats import trajectories_to_paths
 from officelab.fusion import LikelihoodModel, fuse_run, likelihood_of_events, motion_model_for
 from officelab.pipeline import run_pipeline
 from officelab.presets import full_scale_config, surprise_week_config
@@ -41,8 +40,7 @@ def test_c1_surprise_peak_on_the_anomalous_day():
     hits = 0
     for seed in range(20):
         config = parse_config(surprise_week_config(seed))
-        paths = trajectories_to_paths(run_simulation(config))[0]
-        _, _, scores = surprise_by_day(0, paths, config.floor_plan)
+        _, _, scores = surprise_by_day(0, run_simulation(config)[:, :, 0], config.floor_plan)
         bits = [scores[d].bits for d in sorted(scores)]
         assert len(bits) == 5
         if bits[4] - max(bits[:4]) >= 0.2:
@@ -139,7 +137,7 @@ def test_c4_fusion_normalization_and_forward_exactness():
         SensorSpec("tag", "tag_reader", (1,), p_detect=0.7, p_false_positive=0.01, p_confuse=0.0),
     )
     cfg = WorldConfig(floor_plan=plan, agents=(prof,), ticks_per_day=10_000, days=1, rng_seed=8, sensors=sensors)
-    events = generate_event_log(run_simulation(cfg), cfg.sensors, cfg.rng_seed)
+    events = generate_event_log(run_simulation(cfg), [0], cfg.sensors, cfg.rng_seed)
     beliefs = fuse_run(events, cfg)
     assert len(beliefs) == 10_000
     worst = max(abs(m.probs[0].sum() - 1.0) for m in beliefs)
@@ -156,7 +154,7 @@ def test_c4_fusion_normalization_and_forward_exactness():
             floor_plan=plan, agents=(prof,), ticks_per_day=ticks, days=1, rng_seed=seed,
             fluctuation_rate=0.0, sensors=sensors,
         )
-        events = generate_event_log(run_simulation(cfg), cfg.sensors, cfg.rng_seed)
+        events = generate_event_log(run_simulation(cfg), [0], cfg.sensors, cfg.rng_seed)
         motion = motion_model_for(cfg)
         evidence = np.stack(
             [
@@ -222,14 +220,13 @@ def _random_noiseless_config(seed: int) -> WorldConfig:
 def test_c5_noiseless_recovery_is_exact_on_random_configs():
     for seed in range(10):
         cfg = _random_noiseless_config(seed)
-        records = run_simulation(cfg)
-        events = generate_event_log(records, cfg.sensors, cfg.rng_seed)
-        truth = trajectories_to_paths(records)
+        truth = run_simulation(cfg)
+        events = generate_event_log(truth, [a.id for a in cfg.agents], cfg.sensors, cfg.rng_seed)
         motion = motion_model_for(cfg)
         reports: dict[tuple[int, int, int], dict[str, list[int]]] = {}
         for ev in events:
             reports.setdefault((ev.day, ev.tick, ev.reported_agent), {}).setdefault(ev.sensor, []).append(ev.location)
-        for profile in cfg.agents:
+        for a, profile in enumerate(cfg.agents):
             model = LikelihoodModel(cfg.sensors, cfg.floor_plan, n_agents=len(cfg.agents))
             init = np.zeros(cfg.floor_plan.n)
             init[profile.home] = 1.0
@@ -241,7 +238,7 @@ def test_c5_noiseless_recovery_is_exact_on_random_configs():
                     ]
                 )
                 decoded = viterbi_decode(init, motion.kernel(profile.id), evidence, agent=profile.id, day=day)
-                assert list(decoded.path) == truth[profile.id][day], f"seed {seed}, agent {profile.id}, day {day}"
+                assert list(decoded.path) == truth[day, :, a].tolist(), f"seed {seed}, agent {profile.id}, day {day}"
     _report("5 noiseless-recovery (10 random configs)")
 
 
@@ -251,14 +248,13 @@ def test_c5_noiseless_recovery_is_exact_on_random_configs():
 def _full_scale_accuracy(p_detect: float, seed: int) -> float:
     cfg = parse_config(full_scale_config(seed=seed, p_detect=p_detect, days=1, ticks_per_day=300))
     assert cfg.floor_plan.n == 50 and len(cfg.sensors) == 120
-    records = run_simulation(cfg)
-    events = generate_event_log(records, cfg.sensors, cfg.rng_seed)
+    truth = run_simulation(cfg)  # truth[day, tick, i]: where the agent of belief row i stands
+    events = generate_event_log(truth, [a.id for a in cfg.agents], cfg.sensors, cfg.rng_seed)
     beliefs = fuse_run(events, cfg, motion_model_for(cfg))
-    truth = {(r.agent, r.tick): r.location for r in records}
     hits = total = 0
     for m in beliefs:
-        for i, agent in enumerate(m.agents):
-            hits += int(m.probs[i].argmax()) == truth[(agent, m.tick)]
+        for i in range(len(m.agents)):
+            hits += int(m.probs[i].argmax()) == truth[m.day, m.tick, i]
             total += 1
     return hits / total
 
@@ -287,9 +283,7 @@ def test_c7_occupancy_matches_stationary_oracle():
             floor_plan=plan, agents=(prof,), ticks_per_day=100_000, days=1, rng_seed=seed,
             fluctuation_rate=fluct,
         )
-        counts = np.zeros(plan.n)
-        for r in run_simulation(cfg):
-            counts[r.location] += 1
+        counts = np.bincount(run_simulation(cfg).ravel(), minlength=plan.n)
         occupancies.append(counts / counts.sum())
     mean_occupancy = np.mean(occupancies, axis=0)
     l1_of_mean = np.abs(mean_occupancy - target).sum()
@@ -311,20 +305,21 @@ def test_c8_contact_rules_and_threshold_monotonicity():
     )
     rule = ContactRule(10, frozenset({"printer"}), True)
 
-    visit = {0: {0: [1] * 12 + [0] * 4}, 1: {0: [1] * 16}}
-    graph = extract_contacts(visit, plan, rule)
+    # locations[day, tick, agent] of one day, agents 0 and 1
+    visit = np.array([[1] * 12 + [0] * 4, [1] * 16]).T[None]
+    graph = extract_contacts(visit, [0, 1], plan, rule)
     assert graph.weight(0, 1) == 12 and graph.weight(1, 0) == 0
 
-    printer = {0: {0: [2] * 12 + [0] * 4}, 1: {0: [2] * 12 + [1] * 4}}
-    assert extract_contacts(printer, plan, rule).edges == {}
+    printer = np.array([[2] * 12 + [0] * 4, [2] * 12 + [1] * 4]).T[None]
+    assert extract_contacts(printer, [0, 1], plan, rule).edges == {}
 
-    short = {0: {0: [1] * 9 + [0] * 7}, 1: {0: [1] * 16}}
-    assert extract_contacts(short, plan, rule).edges == {}
+    short = np.array([[1] * 9 + [0] * 7, [1] * 16]).T[None]
+    assert extract_contacts(short, [0, 1], plan, rule).edges == {}
 
     rng = np.random.default_rng(17)
-    paths = {agent: {0: list(rng.integers(0, 4, size=400))} for agent in range(3)}
+    paths = np.stack([rng.integers(0, 4, size=400) for agent in range(3)], axis=-1)[None]
     sweep = {
-        t: extract_contacts(paths, plan, ContactRule(t, frozenset({"printer"}), True)).edges
+        t: extract_contacts(paths, [0, 1, 2], plan, ContactRule(t, frozenset({"printer"}), True)).edges
         for t in (1, 5, 10, 20)
     }
     for lo, hi in zip((1, 5, 10), (5, 10, 20)):

@@ -186,14 +186,14 @@ def test_collapse_runs_drops_dwell_time():
 
 
 def test_planted_pattern_is_found_with_full_support():
-    day_paths = {d: [0, 0, 3, 3, 0, 1] for d in range(5)}  # collapses to 0,3,0,1
+    day_paths = np.array([[0, 0, 3, 3, 0, 1]] * 5)  # each day collapses to 0,3,0,1
     report = mine_frequent_patterns(0, day_paths, min_support=5, min_len=3, max_len=3)
     assert ((0, 3, 0), 5, 3) in report.patterns
     assert ((3, 0, 1), 5, 3) in report.patterns
 
 
 def test_min_support_above_day_count_yields_nothing():
-    day_paths = {d: [0, 1, 0, 1] for d in range(3)}
+    day_paths = np.array([[0, 1, 0, 1]] * 3)
     report = mine_frequent_patterns(0, day_paths, min_support=4, min_len=2, max_len=3)
     assert report.patterns == []
 
@@ -209,7 +209,7 @@ def _ngram_day_support_oracle(day_paths, min_support, min_len, max_len):
         return out
 
     support: dict[tuple[int, ...], set[int]] = {}
-    for day, path in day_paths.items():
+    for day, path in enumerate(day_paths.tolist()):
         c = collapse(path)
         for k in range(min_len, max_len + 1):
             for i in range(len(c) - k + 1):
@@ -222,7 +222,7 @@ def _ngram_day_support_oracle(day_paths, min_support, min_len, max_len):
 def test_pattern_miner_matches_ngram_oracle(seed):
     rng = np.random.default_rng(seed)
     n_days = int(rng.integers(1, 6))
-    day_paths = {d: list(rng.integers(0, 3, size=int(rng.integers(1, 30)))) for d in range(n_days)}
+    day_paths = rng.integers(0, 3, size=(n_days, int(rng.integers(1, 30))))
     min_support = int(rng.integers(1, n_days + 1))
     report = mine_frequent_patterns(0, day_paths, min_support, min_len=2, max_len=4)
     expected = _ngram_day_support_oracle(day_paths, min_support, 2, 4)
@@ -230,11 +230,13 @@ def test_pattern_miner_matches_ngram_oracle(seed):
 
 
 def test_patterns_sorted_by_support_then_length_then_lexicographic():
-    day_paths = {
-        0: [0, 1, 2, 0, 1],
-        1: [0, 1, 2, 1, 0],
-        2: [0, 1, 0, 1, 2],
-    }
+    day_paths = np.array(
+        [
+            [0, 1, 2, 0, 1],
+            [0, 1, 2, 1, 0],
+            [0, 1, 0, 1, 2],
+        ]
+    )
     report = mine_frequent_patterns(0, day_paths, min_support=2, min_len=2, max_len=3)
     keys = [(-s, -length, p) for p, s, length in report.patterns]
     assert keys == sorted(keys)
@@ -245,7 +247,7 @@ def test_patterns_sorted_by_support_then_length_then_lexicographic():
 
 def test_surprise_by_day_baseline_pools_all_days():
     plan = line_plan(3)
-    day_paths = {0: [0, 0, 1], 1: [2, 2, 2]}
+    day_paths = np.array([[0, 0, 1], [2, 2, 2]])
     baseline, day_dists, scores = surprise_by_day(0, day_paths, plan, baseline_alpha=1.0)
     pooled_counts = np.array([2, 1, 3], dtype=float)
     assert np.allclose(baseline.probs, (pooled_counts + 1) / (6 + 3))

@@ -72,6 +72,35 @@ def test_excluded_tags_other_than_a_list_of_strings_exit_1_naming_the_key(tmp_pa
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "mutate,message",
+    [
+        (lambda d: d.update(floor_plan=[]), "floor_plan must be a JSON object, got []"),
+        (lambda d: d.update(contact_rule="strict"), "contact_rule must be a JSON object, got 'strict'"),
+        (lambda d: d.update(analytics=3), "analytics must be a JSON object, got 3"),
+        (lambda d: d["floor_plan"].update(tags=["office"]), "floor_plan.tags must be a JSON object"),
+        (lambda d: d["agents"][0].update(stay_prob=[0.5]), "stay_prob of agent 0 must be a number or a JSON object"),
+        (
+            lambda d: d["agents"][0]["stay_prob"].update(by_tag=["office"]),
+            "stay_prob.by_tag of agent 0 must be a JSON object",
+        ),
+        (lambda d: d["agents"][0].update(destinations=[0.5, 0.5]), "destinations of agent 0 must be a JSON object"),
+    ],
+    ids=["floor_plan", "contact_rule", "analytics", "tags", "stay_prob", "by_tag", "destinations"],
+)
+def test_a_config_section_of_the_wrong_json_type_exits_1_naming_the_key(tmp_path, capsys, mutate, message):
+    doc = minimal_config_doc()
+    mutate(doc)
+    path = tmp_path / "section.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("officelab: ") and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_a_false_positive_naming_the_one_agent_every_tick_exits_1_naming_the_sensor(tmp_path, capsys):
     # with one agent, p_false_positive 1 makes q = 1, where the clutter odds q/(1 - q) are unbounded
     doc = _noiseless_doc()

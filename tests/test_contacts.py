@@ -14,7 +14,6 @@ from officelab.contacts import (
     graph_metrics,
 )
 from officelab.errors import ValidationError
-from officelab.formats import trajectories_to_paths
 from officelab.simulate import run_simulation
 from officelab.world import AgentProfile, FloorPlan, ScheduleEvent, StayProbs
 
@@ -30,7 +29,11 @@ def _plan() -> FloorPlan:
 
 
 def _paths(seq_a, seq_b):
-    return {0: {0: list(seq_a)}, 1: {0: list(seq_b)}}
+    """locations[day, tick, a] of one day, agent 0 walking ``seq_a`` and agent 1 ``seq_b``."""
+    return np.array([seq_a, seq_b]).T[None]
+
+
+PAIR = [0, 1]  # the agent ids of _paths' columns
 
 
 RULE = ContactRule(min_consecutive_ticks=10, excluded_tags=frozenset({"printer"}), officemate_exclusion=True)
@@ -40,29 +43,36 @@ def test_visit_to_an_office_is_a_directed_edge():
     # A spends 12 ticks in B's office: visitor -> host only
     a = [1] * 12 + [0] * 4
     b = [1] * 12 + [1] * 4
-    graph = extract_contacts(_paths(a, b), _plan(), RULE)
+    graph = extract_contacts(_paths(a, b), PAIR, _plan(), RULE)
     assert graph.weight(0, 1) == 12
     assert graph.weight(1, 0) == 0
+
+
+def test_columns_are_named_by_the_agent_ids_given():
+    # the same visit as above with the columns swapped: agent 0 still visits agent 1's office
+    graph = extract_contacts(_paths([1] * 16, [1] * 12 + [0] * 4), [1, 0], _plan(), RULE)
+    assert graph.edges == {(0, 1): 12}
+    assert list(graph.nodes) == [0, 1]
 
 
 def test_printer_co_location_is_excluded():
     a = [2] * 12 + [0] * 4
     b = [2] * 12 + [1] * 4
-    graph = extract_contacts(_paths(a, b), _plan(), RULE)
+    graph = extract_contacts(_paths(a, b), PAIR, _plan(), RULE)
     assert graph.edges == {}
 
 
 def test_below_threshold_interval_is_dropped():
     a = [1] * 9 + [0] * 7
     b = [1] * 9 + [1] * 7
-    graph = extract_contacts(_paths(a, b), _plan(), RULE)
+    graph = extract_contacts(_paths(a, b), PAIR, _plan(), RULE)
     assert graph.edges == {}
 
 
 def test_neutral_ground_credits_both_directions_equally():
     a = [3] * 15 + [0]
     b = [3] * 15 + [1]
-    graph = extract_contacts(_paths(a, b), _plan(), RULE)
+    graph = extract_contacts(_paths(a, b), PAIR, _plan(), RULE)
     assert graph.weight(0, 1) == graph.weight(1, 0) == 15
 
 
@@ -73,10 +83,10 @@ def test_shared_office_respects_officemate_exclusion_flag():
         tags={0: "office", 1: "corridor"},
         home_of={0: (0, 1)},  # both agents share office 0
     )
-    paths = {0: {0: [0] * 20}, 1: {0: [0] * 20}}
-    excluded = extract_contacts(paths, plan, RULE)
+    paths = _paths([0] * 20, [0] * 20)
+    excluded = extract_contacts(paths, PAIR, plan, RULE)
     assert excluded.edges == {}
-    included = extract_contacts(paths, plan, ContactRule(10, frozenset({"printer"}), officemate_exclusion=False))
+    included = extract_contacts(paths, PAIR, plan, ContactRule(10, frozenset({"printer"}), officemate_exclusion=False))
     assert included.weight(0, 1) == included.weight(1, 0) == 20
 
 
@@ -84,30 +94,23 @@ def test_interval_splits_when_shared_location_changes():
     # together for 20 ticks but across two locations: two separate intervals
     a = [3] * 8 + [1] * 12
     b = [3] * 8 + [1] * 12
-    graph = extract_contacts(_paths(a, b), _plan(), RULE)
+    graph = extract_contacts(_paths(a, b), PAIR, _plan(), RULE)
     assert graph.weight(0, 1) == 12  # only the office interval passes the threshold
     assert graph.weight(1, 0) == 0
 
 
-def test_mismatched_day_lengths_rejected():
-    with pytest.raises(ValidationError, match="mismatched lengths"):
-        extract_contacts(_paths([0, 0], [0]), _plan(), RULE)
-
-
-def _recount_oracle(paths, plan, rule):
-    """Independent recount: per (pair, location), find consecutive tick runs."""
-    agents = sorted(paths)
+def _recount_oracle(locations, plan, rule):
+    """Independent recount: per (pair, location), find consecutive tick runs; agent a stands in column a."""
+    days, _, n_agents = locations.shape
     edges: dict[tuple[int, int], int] = {}
 
     def credit(src, dst, w):
         edges[(src, dst)] = edges.get((src, dst), 0) + w
 
-    for i, a in enumerate(agents):
-        for b in agents[i + 1 :]:
-            for day in paths[a]:
-                if day not in paths[b]:
-                    continue
-                seq_a, seq_b = paths[a][day], paths[b][day]
+    for a in range(n_agents):
+        for b in range(a + 1, n_agents):
+            for day in range(days):
+                seq_a, seq_b = locations[day, :, a].tolist(), locations[day, :, b].tolist()
                 for loc in set(seq_a):
                     ticks = [t for t, (x, y) in enumerate(zip(seq_a, seq_b)) if x == y == loc]
                     runs = []
@@ -141,11 +144,8 @@ def test_extraction_matches_independent_recount(seed, threshold):
     rng = np.random.default_rng(seed)
     plan = _plan()
     rule = ContactRule(threshold, frozenset({"printer"}), officemate_exclusion=bool(seed % 2))
-    paths = {
-        agent: {day: list(rng.integers(0, 4, size=30)) for day in range(2)}
-        for agent in range(3)
-    }
-    graph = extract_contacts(paths, plan, rule)
+    paths = np.stack([[rng.integers(0, 4, size=30) for day in range(2)] for agent in range(3)], axis=-1)
+    graph = extract_contacts(paths, [0, 1, 2], plan, rule)
     assert graph.edges == _recount_oracle(paths, plan, rule)
     for (a, b), w in graph.edges.items():
         assert a != b and w > 0
@@ -154,10 +154,10 @@ def test_extraction_matches_independent_recount(seed, threshold):
 
 def test_raising_threshold_never_adds_weight():
     rng = np.random.default_rng(5)
-    paths = {agent: {0: list(rng.integers(0, 4, size=200))} for agent in range(3)}
+    paths = np.stack([rng.integers(0, 4, size=200) for agent in range(3)], axis=-1)[None]
     plan = _plan()
     graphs = {
-        t: extract_contacts(paths, plan, ContactRule(t, frozenset({"printer"}), True))
+        t: extract_contacts(paths, [0, 1, 2], plan, ContactRule(t, frozenset({"printer"}), True))
         for t in (1, 5, 10, 20)
     }
     thresholds = sorted(graphs)
@@ -192,8 +192,7 @@ def test_scheduled_meetings_connect_attendees_but_not_loners():
         rng_seed=21,
         fluctuation_rate=0.0,
     )
-    paths = trajectories_to_paths(run_simulation(cfg))
-    graph = extract_contacts(paths, plan, ContactRule(10, frozenset({"printer"}), True))
+    graph = extract_contacts(run_simulation(cfg), [0, 1, 2], plan, ContactRule(10, frozenset({"printer"}), True))
     assert graph.weight(0, 1) > 0 and graph.weight(1, 0) > 0
     assert all(2 not in edge for edge in graph.edges)
 

@@ -14,7 +14,6 @@ from officelab.errors import NoPathError, ValidationError
 from officelab.formats import (
     read_events_jsonl,
     read_paths_csv,
-    trajectories_to_paths,
     write_beliefs_csv,
     write_events_jsonl,
     write_paths_csv,
@@ -23,7 +22,7 @@ from officelab.formats import (
 )
 from officelab.fusion import BeliefMatrix
 from officelab.sensors import EventColumns, ObservationEvent, SensorSpec
-from officelab.simulate import TrajectoryRecord, run_simulation
+from officelab.simulate import run_simulation
 from officelab.world import FloorPlan
 
 from conftest import line_plan, uniform_agent
@@ -35,10 +34,11 @@ def _config(agents, days: int, ticks: int, n: int) -> WorldConfig:
 
 
 def test_trajectories_round_trip(tmp_path):
-    records = [TrajectoryRecord(a, d, t, (a + t) % 3) for a in range(2) for d in range(2) for t in range(4)]
+    locations = np.array([[[(a + t) % 3 for a in range(2)] for t in range(4)]] * 2)  # agent a at (a + t) % 3
     path = tmp_path / "t.csv"
-    write_trajectories_csv(records, path)
-    assert read_paths_csv(path, _config(range(2), 2, 4, 3)) == records
+    write_trajectories_csv(locations, [0, 1], path)
+    read = read_paths_csv(path, _config(range(2), 2, 4, 3))
+    assert read.dtype == np.int64 and np.array_equal(read, locations)
 
 
 def _event_config(sensor_ids, agents, days: int, ticks: int, n: int) -> WorldConfig:
@@ -88,10 +88,13 @@ def test_jsonl_writers_match_json_dumps_byte_for_byte(tmp_path):
         for e in events
     )
     _assert_same_columns(read_events_jsonl(tmp_path / "e.jsonl", config), columns)
-    records = [TrajectoryRecord(a, d, t, x) for a, d, t, x in ((0, 0, 0, 0), (12, 4, 99_999, 49))]
-    write_trajectories_jsonl(records, tmp_path / "t.jsonl")
+    locations = np.arange(12).reshape(2, 3, 2) * 4  # agents 12 and 0, in that column order
+    write_trajectories_jsonl(locations, [12, 0], tmp_path / "t.jsonl")
     assert (tmp_path / "t.jsonl").read_text() == _json_dumps_lines(
-        {"agent": r.agent, "day": r.day, "tick": r.tick, "location": r.location} for r in records
+        {"agent": agent, "day": d, "tick": t, "location": int(locations[d, t, a])}
+        for d in range(2)
+        for t in range(3)
+        for a, agent in enumerate((12, 0))
     )
     write_events_jsonl(_columns([], config), tmp_path / "none.jsonl", config)
     assert (tmp_path / "none.jsonl").read_text() == ""
@@ -110,19 +113,22 @@ def test_events_reader_takes_what_json_loads_takes(tmp_path):
 
 
 def test_paths_csv_round_trip(tmp_path):
-    paths = {0: {0: [1, 1, 2], 1: [0, 2, 2]}, 3: {0: [2, 0, 1], 1: [1, 1, 0]}}
+    locations = np.array([[[1, 2], [1, 0], [2, 1]], [[0, 1], [2, 1], [2, 0]]])  # agents 0 and 3 over 2 days
     file = tmp_path / "p.csv"
-    write_paths_csv(paths, file)
-    assert trajectories_to_paths(read_paths_csv(file, _config((0, 3), 2, 3, 3))) == paths
+    write_paths_csv(locations, [0, 3], file)
+    assert np.array_equal(read_paths_csv(file, _config((0, 3), 2, 3, 3)), locations)
+    assert file.read_text().splitlines()[1:4] == ["0,0,0,1", "0,0,1,1", "0,0,2,2"]  # agent-major, by id
+    write_paths_csv(locations[:, :, ::-1], [3, 0], tmp_path / "q.csv")  # columns given out of id order
+    assert (tmp_path / "q.csv").read_text() == file.read_text()
 
 
 def test_readers_reject_a_location_off_the_floor_plan_naming_its_line(tmp_path):
-    records = [TrajectoryRecord(0, 0, t, x) for t, x in enumerate((0, 2, -1))]
-    write_trajectories_csv(records[:2], tmp_path / "p.csv")
-    assert read_paths_csv(tmp_path / "p.csv", _config((0,), 1, 2, 3)) == records[:2]
+    walk = np.array([0, 2, -1]).reshape(1, 3, 1)  # agent 0 at 0, 2, -1
+    write_trajectories_csv(walk[:, :2], [0], tmp_path / "p.csv")
+    assert np.array_equal(read_paths_csv(tmp_path / "p.csv", _config((0,), 1, 2, 3)), walk[:, :2])
     with pytest.raises(ValidationError, match=r"p.csv line 3 is malformed.*location 2 is outside the floor plan's 0..1"):
         read_paths_csv(tmp_path / "p.csv", _config((0,), 1, 2, 2))
-    write_trajectories_csv(records, tmp_path / "p.csv")
+    write_trajectories_csv(walk, [0], tmp_path / "p.csv")
     with pytest.raises(ValidationError, match=r"p.csv line 4 is malformed.*location -1"):
         read_paths_csv(tmp_path / "p.csv", _config((0,), 1, 3, 3))
 
@@ -155,17 +161,14 @@ def test_paths_reader_reads_back_the_written_table_and_names_a_lost_or_repeated_
     agents = data.draw(st.lists(st.integers(0, 40), min_size=1, max_size=3, unique=True), label="agents")
     days, ticks, n = (data.draw(st.integers(1, k)) for k in (3, 4, 4))
     config = _config(agents, days, ticks, n)
-    records = [
-        TrajectoryRecord(a, d, t, data.draw(st.integers(0, n - 1)))
-        for d in range(days) for t in range(ticks) for a in agents
-    ]
+    cells = [data.draw(st.integers(0, n - 1)) for _ in range(days * ticks * len(agents))]
+    locations = np.array(cells, dtype=np.int64).reshape(days, ticks, len(agents))
     path = tmp_path_factory.mktemp("paths") / "p.csv"
     if data.draw(st.booleans(), label="paths table"):  # agent-major, as decode and fuse write it
-        write_paths_csv(trajectories_to_paths(records), path)
-        records.sort()
+        write_paths_csv(locations, agents, path)
     else:  # tick-major, as simulate writes it
-        write_trajectories_csv(records, path)
-    assert read_paths_csv(path, config) == records
+        write_trajectories_csv(locations, agents, path)
+    assert np.array_equal(read_paths_csv(path, config), locations)
     header, *rows = path.read_text().splitlines(keepends=True)
     i = data.draw(st.integers(0, len(rows) - 1), label="row")
     if data.draw(st.booleans(), label="repeat"):
@@ -175,23 +178,18 @@ def test_paths_reader_reads_back_the_written_table_and_names_a_lost_or_repeated_
             read_paths_csv(path, config)
     else:
         path.write_text("".join([header, *rows[:i], *rows[i + 1 :]]))
-        r = records[i]
-        with pytest.raises(ValidationError, match=f"no record of agent {r.agent} at day {r.day} tick {r.tick}"):
+        agent, day, tick, _ = rows[i].split(",")
+        with pytest.raises(ValidationError, match=f"no record of agent {agent} at day {day} tick {tick}"):
             read_paths_csv(path, config)
 
 
-def test_trajectories_csv_reads_as_the_grouped_records(tmp_path):
-    # observe reads trajectories.csv through read_paths_csv, and analytics on ground truth groups what it reads
+def test_trajectories_csv_reads_back_as_the_simulated_locations(tmp_path):
+    # observe, and analytics on ground truth, read trajectories.csv through read_paths_csv
     config = load_config(Path(__file__).resolve().parent.parent / "configs" / "demo.json")
-    records = run_simulation(config)
+    locations = run_simulation(config)
     file = tmp_path / "trajectories.csv"
-    write_trajectories_csv(records, file)
-    read = read_paths_csv(file, config)
-    assert read == records
-    paths, grouped = trajectories_to_paths(read), trajectories_to_paths(records)
-    assert paths == grouped
-    assert list(paths) == list(grouped)
-    assert all(list(paths[a]) == list(grouped[a]) for a in paths)
+    write_trajectories_csv(locations, [a.id for a in config.agents], file)
+    assert np.array_equal(read_paths_csv(file, config), locations)
 
 
 def test_belief_csv_omits_rows_below_write_floor(tmp_path):
@@ -203,34 +201,6 @@ def test_belief_csv_omits_rows_below_write_floor(tmp_path):
     assert lines[0] == "day,tick,agent,location,probability"
     locations = [int(line.split(",")[3]) for line in lines[1:]]
     assert locations == [0, 1]  # the 1e-7 row is sparsified away
-
-
-def test_trajectories_group_into_tick_ordered_paths():
-    records = [
-        TrajectoryRecord(0, 0, 1, 5),
-        TrajectoryRecord(0, 0, 0, 4),  # out of order on purpose
-        TrajectoryRecord(0, 1, 0, 2),
-    ]
-    assert trajectories_to_paths(records) == {0: {0: [4, 5], 1: [2]}}
-
-
-@given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 5), st.integers(0, 9)), max_size=40))
-@settings(max_examples=100, deadline=None)
-def test_grouping_sorts_each_path_by_tick_then_location(rows):
-    # shuffled, with gaps and with repeated ticks, or each path's ticks 0, 1, 2, ... in order:
-    # the same as sorting every path
-    counts = {}
-    in_order = []
-    for a, d, _, x in rows:
-        in_order.append(TrajectoryRecord(a, d, counts.get((a, d), 0), x))
-        counts[a, d] = counts.get((a, d), 0) + 1
-    for records in ([TrajectoryRecord(*row) for row in rows], in_order):
-        keyed = {}
-        for r in records:
-            keyed.setdefault(r.agent, {}).setdefault(r.day, []).append((r.tick, r.location))
-        expected = {a: {d: [x for _, x in sorted(ticks)] for d, ticks in days.items()} for a, days in keyed.items()}
-        assert trajectories_to_paths(records) == expected
-        assert trajectories_to_paths(iter(records)) == expected
 
 
 def test_next_hop_defends_against_unreachable_targets():

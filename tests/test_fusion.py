@@ -28,7 +28,7 @@ from officelab.sensors import ObservationEvent, SensorSpec, generate_event_log
 from officelab.simulate import run_simulation
 from officelab.world import AgentProfile, StayProbs
 
-from conftest import line_plan, minimal_config_doc, uniform_agent
+from conftest import line_plan, minimal_config_doc, simulated_events, uniform_agent
 
 # --- evidence likelihoods ----------------------------------------------------
 
@@ -246,7 +246,7 @@ def test_full_scale_run_needs_no_fallback():
     # at 20 agents, reports naming one agent from one sensor often come in two
     # and sometimes in three; the clutter model explains every one of them
     cfg = parse_config(full_scale_config(seed=3, p_detect=0.9, days=1, ticks_per_day=300, n_agents=20))
-    events = generate_event_log(run_simulation(cfg), cfg.sensors, cfg.rng_seed)
+    events = simulated_events(cfg)
     tracks = track_run(event_columns(events, cfg), cfg)
     assert tracks.retries == 0
     assert sum(m.predict_only for m in tracks.beliefs) == 0
@@ -342,8 +342,7 @@ def test_fused_beliefs_match_exhaustive_forward_enumeration():
             floor_plan=plan, agents=agents, ticks_per_day=6, days=1, rng_seed=seed,
             fluctuation_rate=0.0, sensors=sensors,
         )
-        records = run_simulation(cfg)
-        events = generate_event_log(records, cfg.sensors, cfg.rng_seed)
+        events = simulated_events(cfg)
         motion = motion_model_for(cfg)
         beliefs = fuse_run(events, cfg, motion)
 
@@ -382,14 +381,9 @@ def test_noiseless_full_coverage_argmax_recovers_truth():
         floor_plan=plan, agents=(prof,), ticks_per_day=60, days=2, rng_seed=3,
         fluctuation_rate=0.05, sensors=sensors,
     )
-    records = run_simulation(cfg)
-    events = generate_event_log(records, cfg.sensors, cfg.rng_seed)
-    beliefs = fuse_run(events, cfg)
-    paths = argmax_paths(beliefs)
-    truth: dict[int, dict[int, list[int]]] = {0: {}}
-    for r in records:
-        truth[0].setdefault(r.day, []).append(r.location)
-    assert paths == truth
+    locations = run_simulation(cfg)
+    events = generate_event_log(locations, [0], cfg.sensors, cfg.rng_seed)
+    assert np.array_equal(argmax_paths(fuse_run(events, cfg)), locations)
 
 
 def test_degenerate_evidence_falls_back_to_prediction():
@@ -414,9 +408,7 @@ def test_belief_rows_stay_normalized_on_long_runs():
         SensorSpec("cam", "camera", (0, 1, 2), p_detect=0.8, p_false_positive=0.05, p_confuse=0.1),
     )
     cfg = _small_world_config(seed=5, sensors=sensors, ticks=2000, n=3)
-    records = run_simulation(cfg)
-    events = generate_event_log(records, cfg.sensors, cfg.rng_seed)
-    for m in fuse_run(events, cfg):
+    for m in fuse_run(simulated_events(cfg), cfg):
         assert abs(m.probs[0].sum() - 1.0) < 1e-9
         assert (m.probs[0] >= BELIEF_FLOOR / 2).all()
 
@@ -432,10 +424,9 @@ def _tracking_accuracy(p_detect: float, seed: int) -> float:
         floor_plan=plan, agents=(prof,), ticks_per_day=400, days=1, rng_seed=seed,
         fluctuation_rate=0.05, sensors=sensors,
     )
-    records = run_simulation(cfg)
-    events = generate_event_log(records, cfg.sensors, cfg.rng_seed)
-    beliefs = fuse_run(events, cfg)
-    truth = [r.location for r in records]
+    locations = run_simulation(cfg)
+    beliefs = fuse_run(generate_event_log(locations, [0], cfg.sensors, cfg.rng_seed), cfg)
+    truth = locations[0, :, 0].tolist()
     guesses = [int(m.probs[0].argmax()) for m in beliefs]
     return float(np.mean([g == t for g, t in zip(guesses, truth)]))
 
@@ -459,7 +450,7 @@ def test_decode_run_equals_decode_day_on_evidence_blocks_including_a_leaked_row(
     cfg = WorldConfig(
         floor_plan=plan, agents=agents, ticks_per_day=8, days=2, rng_seed=4, fluctuation_rate=0.0, sensors=sensors
     )
-    events = generate_event_log(run_simulation(cfg), cfg.sensors, cfg.rng_seed)
+    events = simulated_events(cfg)
     # agent 0 starts day 1 at home 0; a certain report at 3 one tick later admits no path
     events.append(ObservationEvent("far", 1, 1, 0, 3))
     motion = motion_model_for(cfg)
@@ -485,7 +476,7 @@ def test_one_tracking_pass_equals_fuse_run_and_decode_run():
     cfg = WorldConfig(
         floor_plan=plan, agents=agents, ticks_per_day=8, days=3, rng_seed=5, fluctuation_rate=0.0, sensors=sensors
     )
-    events = generate_event_log(run_simulation(cfg), cfg.sensors, cfg.rng_seed)
+    events = simulated_events(cfg)
     events.append(ObservationEvent("far", 1, 1, 0, 3))  # a leak retry on day 1
     tracks = track_run(event_columns(events, cfg), cfg)
     fused = fuse_run(events, cfg)
@@ -517,7 +508,7 @@ def test_kernels_stack_in_config_agent_order():
         assert np.array_equal(motion.kernels[i], alone.kernels[0])
     assert not np.allclose(motion.kernel(7), motion.kernel(3))
 
-    events = generate_event_log(run_simulation(cfg), cfg.sensors, cfg.rng_seed)
+    events = simulated_events(cfg)
     beliefs = fuse_run(events, cfg, motion)
     decoded, _ = decode_run(events, cfg)
     assert all(m.agents == (7, 3) for m in beliefs)

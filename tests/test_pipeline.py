@@ -13,12 +13,13 @@ import pytest
 
 from officelab.config import dump_config, load_config, parse_config
 from officelab.decoding import decode_day
-from officelab.formats import read_paths_csv, trajectories_to_paths, write_events_jsonl, write_trajectories_jsonl
+from officelab.formats import read_paths_csv, write_events_jsonl, write_trajectories_jsonl
 from officelab.fusion import LikelihoodModel, event_columns
 from officelab.pipeline import open_manifest, run_pipeline, run_stage
 from officelab.presets import full_scale_config
-from officelab.sensors import generate_event_log
 from officelab.simulate import run_simulation
+
+from conftest import simulated_events
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -80,15 +81,14 @@ FULL_SCALE_20_EVENTS_SHA256 = "b4ddccd8ee6b82775097c9c2192906ca691d73e83187fbbeb
 
 def test_full_scale_20_agent_trajectories_are_pinned(tmp_path):
     config = parse_config(full_scale_config(seed=3, n_agents=20, days=2, ticks_per_day=300))
-    write_trajectories_jsonl(run_simulation(config), tmp_path / "trajectories.jsonl")
+    write_trajectories_jsonl(run_simulation(config), [a.id for a in config.agents], tmp_path / "trajectories.jsonl")
     digest = hashlib.sha256((tmp_path / "trajectories.jsonl").read_bytes()).hexdigest()
     assert digest == FULL_SCALE_20_TRAJECTORIES_SHA256
 
 
 def test_full_scale_20_agent_events_are_pinned(tmp_path):
     config = parse_config(full_scale_config(seed=3, n_agents=20, days=2, ticks_per_day=300))
-    events = generate_event_log(run_simulation(config), config.sensors, config.rng_seed)
-    write_events_jsonl(event_columns(events, config), tmp_path / "e.jsonl", config)
+    write_events_jsonl(event_columns(simulated_events(config), config), tmp_path / "e.jsonl", config)
     assert hashlib.sha256((tmp_path / "e.jsonl").read_bytes()).hexdigest() == FULL_SCALE_20_EVENTS_SHA256
 
 
@@ -126,16 +126,10 @@ def test_full_scale_pipeline_end_to_end(tmp_path):
     manifest = run_pipeline(config, str(config_path), out, source="truth")
     assert set(manifest.outputs) == {"simulate", "observe", "fuse", "decode", "analyze", "graph"}
 
-    truth = trajectories_to_paths(read_paths_csv(out / "trajectories.csv", config))
-    decoded = trajectories_to_paths(read_paths_csv(out / "decoded_paths.csv", config))
-    assert set(decoded) == set(truth)
+    truth = read_paths_csv(out / "trajectories.csv", config)
+    decoded = read_paths_csv(out / "decoded_paths.csv", config)
     # decoded paths should track ground truth closely under the default sensors
-    agree = total = 0
-    for agent in truth:
-        for day in truth[agent]:
-            agree += sum(a == b for a, b in zip(truth[agent][day], decoded[agent][day]))
-            total += len(truth[agent][day])
-    assert agree / total > 0.9
+    assert np.count_nonzero(decoded == truth) / truth.size > 0.9
 
 
 def test_config_without_agents_fuses_and_decodes_to_empty_outputs(tmp_path):
@@ -145,8 +139,8 @@ def test_config_without_agents_fuses_and_decodes_to_empty_outputs(tmp_path):
         run_stage(stage, config, tmp_path, manifest)
     assert (tmp_path / "events.jsonl").read_text() == ""
     assert (tmp_path / "beliefs.csv").read_text() == "day,tick,agent,location,probability\n"
-    assert read_paths_csv(tmp_path / "argmax_paths.csv", config) == []
-    assert read_paths_csv(tmp_path / "decoded_paths.csv", config) == []
+    assert read_paths_csv(tmp_path / "argmax_paths.csv", config).shape == (config.days, config.ticks_per_day, 0)
+    assert read_paths_csv(tmp_path / "decoded_paths.csv", config).shape == (config.days, config.ticks_per_day, 0)
     assert (tmp_path / "decode_scores.csv").read_text().count("\n") == 1
 
 

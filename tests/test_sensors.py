@@ -13,11 +13,9 @@ from officelab.sensors import (
     ObservationEvent,
     SensorSpec,
     generate_event_log,
-    location_grid,
     observe,
     observe_tick,
 )
-from officelab.simulate import TrajectoryRecord
 
 
 def _noiseless(sensor_id: str, coverage: tuple[int, ...]) -> SensorSpec:
@@ -64,12 +62,9 @@ def test_confusion_swaps_identity_but_not_location():
     assert [e.reported_agent for e in events] == [1, 0]  # always the other agent
 
 
-def _walk_records(n_ticks: int, days: int = 1) -> list[TrajectoryRecord]:
-    return [
-        TrajectoryRecord(agent=0, day=day, tick=t, location=t % 3)
-        for day in range(days)
-        for t in range(n_ticks)
-    ]
+def _walk(n_ticks: int, days: int = 1) -> np.ndarray:
+    """locations[day, tick, 0] of one agent walking 0, 1, 2, 0, ... each day."""
+    return np.tile(np.arange(n_ticks) % 3, (days, 1))[:, :, None]
 
 
 def test_event_log_is_deterministic_and_ordered():
@@ -77,25 +72,25 @@ def test_event_log_is_deterministic_and_ordered():
         SensorSpec("b_cam", "camera", (0, 1, 2), p_detect=0.7, p_false_positive=0.05),
         SensorSpec("a_tag", "tag_reader", (1,), p_detect=0.8, p_false_positive=0.02),
     ]
-    records = _walk_records(200, days=2)
-    log1 = generate_event_log(records, sensors, seed=99)
-    log2 = generate_event_log(records, sensors, seed=99)
+    locations = _walk(200, days=2)
+    log1 = generate_event_log(locations, [0], sensors, seed=99)
+    log2 = generate_event_log(locations, [0], sensors, seed=99)
     assert log1 == log2
     keys = [(e.day, e.tick, e.sensor) for e in log1]
     assert keys == sorted(keys)
 
 
 def test_empty_trajectories_give_empty_log():
-    assert generate_event_log([], [_noiseless("cam", (0,))], seed=1) == []
+    for locations in (np.zeros((0, 0, 0), dtype=np.int64), np.zeros((2, 5, 0), dtype=np.int64)):
+        assert generate_event_log(locations, [], [_noiseless("cam", (0,))], seed=1) == []
 
 
 def test_noiseless_full_coverage_yields_one_event_per_record():
     sensors = [_noiseless("cam", (0, 1, 2))]
-    records = _walk_records(50)
-    log = generate_event_log(records, sensors, seed=4)
-    assert len(log) == len(records)
-    truth = {(r.day, r.tick): r.location for r in records}
-    assert all(truth[(e.day, e.tick)] == e.location and e.reported_agent == 0 for e in log)
+    locations = _walk(50)
+    log = generate_event_log(locations, [0], sensors, seed=4)
+    assert len(log) == locations.size
+    assert all(locations[e.day, e.tick, 0] == e.location and e.reported_agent == 0 for e in log)
 
 
 def test_no_event_escapes_its_sensors_coverage():
@@ -104,19 +99,17 @@ def test_no_event_escapes_its_sensors_coverage():
         SensorSpec("tag", "tag_reader", (1,), p_detect=0.5, p_false_positive=0.2),
     ]
     coverage = {s.id: set(s.coverage) for s in sensors}
-    records = [
-        TrajectoryRecord(agent=a, day=0, tick=t, location=(a + t) % 3) for a in range(3) for t in range(500)
-    ]
-    for event in generate_event_log(records, sensors, seed=12):
+    locations = ((np.arange(500)[:, None] + np.arange(3)) % 3)[None]  # agent a at (a + t) % 3
+    for event in generate_event_log(locations, [0, 1, 2], sensors, seed=12):
         assert event.location in coverage[event.sensor]
 
 
 def test_raising_p_detect_raises_mean_detection_count():
-    records = _walk_records(300)
+    locations = _walk(300)
 
     def total(p: float, seed: int) -> int:
         spec = SensorSpec("cam", "camera", (0, 1, 2), p_detect=p, p_false_positive=0.0)
-        return len(generate_event_log(records, [spec], seed=seed))
+        return len(generate_event_log(locations, [0], [spec], seed=seed))
 
     low = np.mean([total(0.5, s) for s in range(30)])
     high = np.mean([total(0.9, s) for s in range(30)])
@@ -181,40 +174,21 @@ def test_observe_tick_matches_the_agent_scan_draw_for_draw():
     assert fast.random() == slow.random()  # same number of draws consumed
 
 
-def test_event_log_rejects_a_day_that_is_not_a_full_tick_by_agent_grid():
-    sensors = [_noiseless("cam", (0, 1))]
-    full = [TrajectoryRecord(a, d, t, 0) for d in (0, 1) for a in (0, 1) for t in range(3)]
-    assert len(generate_event_log(full, sensors, seed=0)) == len(full)
-    last = full[-1]
-    cases = {
-        "missing": full[:-1],
-        "repeated": full + [last],
-        "one cell twice": full[:-1] + [last._replace(tick=0)],
-        "a negative tick": full[:-1] + [last._replace(tick=-1)],
-        "a longer day 0": full + [TrajectoryRecord(a, 0, 3, 0) for a in (0, 1)],
-    }
-    for records in cases.values():
-        with pytest.raises(ValidationError, match="records of day 1 are not a full tick x agent grid"):
-            generate_event_log(records, sensors, seed=0)
-    far = full[:-1] + [last._replace(tick=10**15)]  # day 0 lacks ticks 3.. as well; nothing that size is allocated
-    for records in (full[6:], far):  # day 1 alone names the day missing
-        with pytest.raises(ValidationError, match="records of day 0 are not a full tick x agent grid"):
-            generate_event_log(records, sensors, seed=0)
-
-
-def test_location_grid_puts_the_agents_in_the_order_given():
-    records = [TrajectoryRecord(a, d, t, 10 * a + t) for a in (4, 9) for d in (0, 1) for t in range(2)]
-    ids, grid = location_grid(records, [9, 4])
-    assert ids.tolist() == [9, 4] and grid.tolist() == [[[90, 40], [91, 41]]] * 2
-    with pytest.raises(ValidationError, match="records of day 0 are not a full tick x agent grid"):
-        location_grid(records, [9])  # agent 4 is not among them
-
-
 def test_a_negative_location_is_named_with_its_day():
-    records = _walk_records(5, days=3)
-    records[-1] = records[-1]._replace(location=-1)
+    locations = _walk(5, days=3)
+    locations[2, 4, 0] = -1
     with pytest.raises(ValidationError, match="location -1 of day 2 is negative"):
-        generate_event_log(records, [_noiseless("cam", (0, 1))], seed=0)
+        generate_event_log(locations, [0], [_noiseless("cam", (0, 1))], seed=0)
+
+
+def _reference_log(locations, agents, sensors, seed):
+    """_observe_day_reference day by day over ``locations[day, tick, a]``, where agent ``agents[a]`` stands."""
+    ordered = sorted(sensors, key=lambda s: s.id)
+    events = []
+    for day, table in enumerate(np.asarray(locations).tolist()):
+        rows = [dict(zip(agents, row)) for row in table]
+        events += _observe_day_reference(rows, ordered, substream(seed, OBSERVE, day), day=day)
+    return events
 
 
 def test_observe_columns_name_the_events_of_the_event_log():
@@ -226,17 +200,12 @@ def test_observe_columns_name_the_events_of_the_event_log():
     agents = [7, 2, 5]
     placement = np.random.default_rng(3)
     locations = placement.integers(0, 3, size=(2, 40, len(agents)))
-    records = [
-        TrajectoryRecord(agent, day, tick, int(locations[day, tick, a]))
-        for day in range(2)
-        for tick in range(40)
-        for a, agent in enumerate(agents)
-    ]
     columns = observe(locations, agents, sensors, seed=11)
     named = [
         ObservationEvent(sensors[s].id, d, t, agents[a], x) for s, d, t, a, x in zip(*(c.tolist() for c in columns))
     ]
-    assert named == generate_event_log(records, sensors, seed=11)
+    assert named == _reference_log(locations, agents, sensors, seed=11)
+    assert named == generate_event_log(locations, agents, sensors, seed=11)
     assert len(named) > 100
 
 
@@ -263,26 +232,17 @@ def _sensor_sets(draw):
 
 
 @st.composite
-def _record_sets(draw):
-    # full days: every agent at every tick of every day, records in any order
+def _location_sets(draw):
+    # agents in any order, every one at every tick of every day
     agents = draw(st.lists(st.integers(0, 30), min_size=1, max_size=4, unique=True))
     days, ticks = draw(st.integers(1, 3)), draw(st.integers(1, 25))
-    records = [
-        TrajectoryRecord(a, day, tick, draw(st.integers(0, 6)))
-        for day in range(days)
-        for tick in range(ticks)
-        for a in agents
-    ]
-    return draw(st.permutations(records))
+    size = days * ticks * len(agents)
+    cells = draw(st.lists(st.integers(0, 6), min_size=size, max_size=size))
+    return agents, np.array(cells, dtype=np.int64).reshape(days, ticks, len(agents))
 
 
-@given(_sensor_sets(), _record_sets(), st.integers(0, 2**32))
+@given(_sensor_sets(), _location_sets(), st.integers(0, 2**32))
 @settings(max_examples=150, deadline=None)
-def test_event_log_equals_the_scalar_layout_day_by_day(specs, records, seed):
-    ordered = sorted(specs, key=lambda s: s.id)
-    expected = []
-    ticks = max(r.tick for r in records) + 1
-    for day in range(max(r.day for r in records) + 1):
-        rows = [{r.agent: r.location for r in records if (r.day, r.tick) == (day, tick)} for tick in range(ticks)]
-        expected += _observe_day_reference(rows, ordered, substream(seed, OBSERVE, day), day=day)
-    assert generate_event_log(records, specs, seed) == expected
+def test_event_log_equals_the_scalar_layout_day_by_day(specs, drawn, seed):
+    agents, locations = drawn
+    assert generate_event_log(locations, agents, specs, seed) == _reference_log(locations, agents, specs, seed)

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import dataclasses
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -74,36 +73,31 @@ def _tiny_config(seed: int, ticks: int = 1000, stay: float = 0.5, n: int = 2, da
 
 def test_absorbing_run_produces_all_home_records():
     cfg = dataclasses.replace(_tiny_config(0, ticks=10), agents=(uniform_agent(0, 0, 2, stay=1.0),))
-    records = run_simulation(cfg)
-    assert len(records) == 10
-    assert all(r.location == 0 for r in records)
+    locations = run_simulation(cfg)
+    assert locations.shape == (1, 10, 1)
+    assert (locations == 0).all()
 
 
 def test_same_seed_reproduces_and_seeds_differ():
     a = run_simulation(_tiny_config(7))
     b = run_simulation(_tiny_config(7))
     c = run_simulation(_tiny_config(8))
-    assert a == b
-    assert a != c
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_each_day_restarts_at_home_and_counts_are_exact():
     cfg = _tiny_config(3, ticks=50, days=4)
-    records = run_simulation(cfg)
-    assert len(records) == 4 * 50
-    per_key = Counter((r.agent, r.day, r.tick) for r in records)
-    assert set(per_key.values()) == {1}
-    assert all(r.location == 0 for r in records if r.tick == 0)
+    locations = run_simulation(cfg)
+    assert locations.shape == (4, 50, 1) and locations.dtype == np.int64
+    assert (locations[:, 0] == 0).all()
 
 
 def test_consecutive_locations_respect_adjacency():
     plan = FloorPlan((0, 1, 2, 3, 4), frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}))
     prof = AgentProfile(0, 0, StayProbs(default=0.3), {0: 0.3, 2: 0.4, 4: 0.3})
     cfg = WorldConfig(floor_plan=plan, agents=(prof,), ticks_per_day=3000, days=2, rng_seed=11, fluctuation_rate=0.1)
-    by_day: dict[int, list[int]] = {}
-    for r in run_simulation(cfg):
-        by_day.setdefault(r.day, []).append(r.location)
-    for seq in by_day.values():
+    for seq in run_simulation(cfg)[:, :, 0].tolist():
         for a, b in zip(seq, seq[1:]):
             assert a == b or (min(a, b), max(a, b)) in plan.adjacency
 
@@ -113,19 +107,15 @@ def test_occupancy_converges_to_stationary_oracle():
     prof = uniform_agent(0, 0, 2, stay=0.5)
     target = stationary_distribution(plan, prof)
     cfg = WorldConfig(floor_plan=plan, agents=(prof,), ticks_per_day=100_000, days=1, rng_seed=5, fluctuation_rate=0.0)
-    counts = Counter(r.location for r in run_simulation(cfg))
-    empirical = np.array([counts[0], counts[1]]) / 100_000
+    empirical = np.bincount(run_simulation(cfg).ravel(), minlength=2) / 100_000
     assert np.abs(empirical - target).sum() < 0.01
 
 
 def _mean_shared_dwell(cfg: WorldConfig) -> float:
-    locs: dict[int, dict[int, int]] = {}
-    for r in run_simulation(cfg):
-        locs.setdefault(r.tick, {})[r.agent] = r.location
     runs = []
     current = 0
-    for tick in sorted(locs):
-        together = locs[tick][0] == locs[tick][1]
+    locations = run_simulation(cfg)[0]
+    for together in (locations[:, 0] == locations[:, 1]).tolist():
         if together:
             current += 1
         elif current:
@@ -160,9 +150,7 @@ def test_adding_an_agent_does_not_perturb_existing_streams():
     a1 = uniform_agent(1, 2, 3, stay=0.4)
     solo = WorldConfig(floor_plan=plan, agents=(a0,), ticks_per_day=400, days=1, rng_seed=9, fluctuation_rate=0.0)
     duo = WorldConfig(floor_plan=plan, agents=(a0, a1), ticks_per_day=400, days=1, rng_seed=9, fluctuation_rate=0.0)
-    solo_path = [r.location for r in run_simulation(solo)]
-    duo_path = [r.location for r in run_simulation(duo) if r.agent == 0]
-    assert solo_path == duo_path
+    assert np.array_equal(run_simulation(solo)[:, :, 0], run_simulation(duo)[:, :, 0])
 
 
 def test_pick_destination_draws_as_choice_with_p():

@@ -114,6 +114,34 @@ def test_malformed_json_is_a_parse_error(tmp_path):
             "analytics.day_alpha must be a finite number >= 0, got nan",
         ),
         (lambda d: d.update(analytics={"day_alpha": 10**400}), "analytics.day_alpha must be a finite number >= 0"),
+        # integer fields take integers only: a float, a string or a bool is not truncated or parsed
+        (lambda d: d["agents"][0].update(home=0.5), "home of agent 0 must be an integer, got 0.5"),
+        (lambda d: d["agents"][0].update(id=0.9), "agent id must be an integer, got 0.9"),
+        (lambda d: d["agents"][0].update(id=True), "agent id must be an integer, got True"),
+        (
+            lambda d: d.update(sensors=[{"id": "cam", "coverage": [0, 1.7]}]),
+            "coverage entry of sensor cam must be an integer, got 1.7",
+        ),
+        (
+            lambda d: d.update(sensors=[{"id": "cam", "coverage": ["1"]}]),
+            "coverage entry of sensor cam must be an integer, got '1'",
+        ),
+        (lambda d: d.update(sensors=[{"id": "cam", "coverage": "01"}]), "coverage of sensor cam must be a list"),
+        (lambda d: d["floor_plan"].update(locations=["0", "1"]), "floor_plan.locations entry must be an integer"),
+        (lambda d: d["floor_plan"].update(adjacency=[[0, 1.0]]), "floor_plan.adjacency entry must be an integer"),
+        (lambda d: d["floor_plan"]["home_of"].update({"0": [0.0]}), r"floor_plan.home_of\[0\] owner must be an integer"),
+        (
+            lambda d: d["agents"][0]["schedule"].append({"window": [5, 40.5], "target": 0}),
+            "schedule window bound of agent 0 must be an integer, got 40.5",
+        ),
+        (
+            lambda d: d["agents"][0]["schedule"].append({"window": [5, 8], "target": 0, "days": [1.5]}),
+            "schedule days entry of agent 0 must be an integer, got 1.5",
+        ),
+        (
+            lambda d: d["agents"][0]["schedule"].append({"window": [5, 8], "target": "1"}),
+            "schedule target of agent 0 must be an integer, got '1'",
+        ),
     ],
 )
 def test_invariant_violations_are_named(mutate, match):
