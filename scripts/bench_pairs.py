@@ -10,9 +10,9 @@ pair to pair, starting with the parent; every workload gets 10 pairs. Every
 run reports its own median over its repeats; the file gives, per side, the
 median and quartiles (numpy linear) of those run medians, how many pairs the
 change won, and its relative change of the medians. Then 3 alternating pairs
-of traced full_scale_20 runs (``--trace 1``) on seed 17 give the per-layer
-figures, with the metrics each side reported absent. The runs go one at a
-time.
+of traced runs (``--trace 1``) of every workload on seed 17 give the
+per-layer figures, with the metrics each side reported absent. The runs go
+one at a time.
 """
 
 from __future__ import annotations
@@ -33,6 +33,10 @@ TRACED = (
     "sensors.events",
     "formats.events_write_s",
     "simulate_s",
+    "simulate.run_s",
+    "simulate.us_per_agent_tick",
+    "formats.trajectories_write_s",
+    "oracle_s",
     "fuse_s",
     "trace.untraced_total_s",
 )
@@ -87,19 +91,19 @@ def compare(dirs: dict[str, Path], workload: str, machine: dict) -> dict:
     return out
 
 
-def traced(dirs: dict[str, Path], machine: dict) -> dict:
+def traced(dirs: dict[str, Path], workload: str, machine: dict) -> dict:
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
     first: dict[str, dict] = {}
     absent: dict[str, list] = {}
     for i in range(TRACED_PAIRS):
         for side in order(i):
-            result, record = run(dirs[side], "full_scale_20", FIRST_SEED, trace=1)
+            result, record = run(dirs[side], workload, FIRST_SEED, trace=1)
             metrics = {name: m["value"] for name, m in result["metrics"].items()}
             first.setdefault(side, metrics)
             absent[side] = record["absent_metrics"]
             machine.update(record["machine"])
             runs[side].append({k: metrics.get(k, 0.0) for k in TRACED})
-            print(f"traced full_scale_20 {side}: observe_s {metrics.get('observe_s', 0.0):.3f}", file=sys.stderr)
+            print(f"traced {workload} {side}: simulate_s {metrics.get('simulate_s', 0.0):.3f}", file=sys.stderr)
     out = {
         side: {
             "seed": FIRST_SEED,
@@ -138,7 +142,7 @@ def main(argv: list[str] | None = None) -> int:
         "of those run medians",
         "parent_commit": commit(dirs["parent"]),
         "workloads": {w: compare(dirs, w, machine) for w in WORKLOADS},
-        "traced_full_scale_20": traced(dirs, machine),
+        "traced": {w: traced(dirs, w, machine) for w in WORKLOADS},
     }
     report["machine"] = machine
     out = Path(f"BENCH_{args.pr}.json")

@@ -76,6 +76,12 @@ def _strings(value: Any, key: str) -> list[str]:
     return value
 
 
+def _text(value: Any, key: str) -> str:
+    if not isinstance(value, str):
+        raise ValidationError(f"{key} must be a string, got {value!r}")
+    return value
+
+
 def _alpha(value: Any, key: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool) or not 0.0 <= value <= sys.float_info.max:
         raise ValidationError(f"{key} must be a finite number >= 0, got {value!r}")
@@ -109,7 +115,9 @@ def _parse_floor_plan(doc: Any) -> FloorPlan:
 
     edges = set()
     for pair in doc.get("adjacency", []):
-        u, v = (_integer(x, "floor_plan.adjacency entry") for x in pair[:2])
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ValidationError(f"floor_plan.adjacency entry must be a pair of locations, got {pair!r}")
+        u, v = (_integer(x, "floor_plan.adjacency entry") for x in pair)
         if u == v:
             raise ValidationError(f"adjacency contains self-edge at location {u}")
         if u not in known or v not in known:
@@ -194,7 +202,7 @@ def _parse_agent(doc: dict, plan: FloorPlan) -> AgentProfile:
                 window=window,
                 target=target,
                 probability=_prob(ev.get("probability", 1.0), f"schedule probability of agent {agent_id}"),
-                label=str(ev.get("label", "")),
+                label=_text(ev.get("label", ""), f"schedule label of agent {agent_id}"),
                 days=days,
             )
         )
@@ -206,7 +214,7 @@ def _parse_agent(doc: dict, plan: FloorPlan) -> AgentProfile:
         destinations=destinations,
         delta_p=_prob(doc.get("delta_p", 0.0), f"delta_p of agent {agent_id}"),
         schedule=tuple(schedule),
-        department=str(doc.get("department", "other")),
+        department=_text(doc.get("department", "other"), f"department of agent {agent_id}"),
     )
     if profile.stay_at(home, plan) < stay.default:
         raise ValidationError(
@@ -217,7 +225,7 @@ def _parse_agent(doc: dict, plan: FloorPlan) -> AgentProfile:
 
 
 def _parse_sensor(doc: dict, plan: FloorPlan) -> SensorSpec:
-    sensor_id = str(doc["id"])
+    sensor_id = _text(doc["id"], "sensor id")
     kind = doc.get("kind", "camera")
     if kind not in SENSOR_KINDS:
         raise ValidationError(f"sensor {sensor_id} has unknown kind {kind!r}")

@@ -13,62 +13,28 @@ Co-presence counts the other agents at x as the locations stood at the start
 of the tick, before anyone moves. A run is one ``locations[day, tick, a]``
 array, agent column a in config agent order, the one form of an agent-tick
 table every later stage takes.
+
+Agent a draws from its own substream, ``substream(seed, SIMULATE, a)``, and
+the trajectory pins rely on the order of its draws within a tick. A walking
+agent draws ``random()`` for the detour when ``fluctuation_rate > 0``, then
+``integers(0, degree)`` if it detours. An idle agent draws ``random()`` for
+staying unless its stay probability reaches 1; if it moves, it draws
+``random()`` for the first active schedule event (earliest start, then
+lowest target), if it has one, and then, unless that event fired,
+``random()`` against the destination cdf. The last tick of a day draws
+nothing. The values are decoded from the substream's raw words
+(``rng.WordDraws``); ``test_word_draws_equal_the_generator_draws`` holds
+them equal to the Generator's own.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
 from .config import WorldConfig
-from .rng import SIMULATE, substream
-from .world import AgentProfile, FloorPlan
-
-
-def _pick_destination(profile: AgentProfile, tick: int, day: int, rng: np.random.Generator) -> int:
-    """Destination for an agent that has decided to move at this tick.
-
-    The earliest-starting active schedule event wins (ties: lowest target id)
-    and fires with its own probability; otherwise sample the destination
-    distribution, drawing what rng.choice(k, p=p) over destination_arrays
-    would, from the profile's cached cdf.
-    """
-    active = [ev for ev in profile.schedule if ev.active(tick, day)]
-    if active:
-        active.sort(key=lambda ev: (ev.window[0], ev.target))
-        ev = active[0]
-        if rng.random() < ev.probability:
-            return ev.target
-    return int(profile.destination_arrays[0][profile.destination_cdf.searchsorted(rng.random(), side="right")])
-
-
-def step_agent(
-    location: int,
-    destination: int,
-    profile: AgentProfile,
-    plan: FloorPlan,
-    co_present: int,
-    tick: int,
-    rng: np.random.Generator | None,
-    day: int = 0,
-    fluctuation_rate: float = 0.05,
-) -> tuple[int, int]:
-    """Advance one agent by one tick; returns the new (location, destination).
-
-    ``tick`` is the decision tick (used for schedule windows); the returned
-    location is where the agent sits on the following tick. ``rng`` may be
-    None only when the step draws nothing (an idle agent whose stay
-    probability reaches 1).
-    """
-    if destination != location:
-        if fluctuation_rate > 0.0 and rng.random() < fluctuation_rate:
-            ns = plan.neighbors[location]
-            return ns[rng.integers(0, len(ns))], destination  # the draw of rng.choice(len(ns))
-        return int(plan.next_hop[location, destination]), destination
-
-    stay = min(1.0, profile.stay_at(location, plan) + co_present * profile.delta_p)
-    if stay >= 1.0 or rng.random() < stay:
-        return location, location
-    return location, _pick_destination(profile, tick, day, rng)
+from .rng import SIMULATE, WordDraws, substream
 
 
 def run_simulation(config: WorldConfig) -> np.ndarray:
@@ -80,22 +46,60 @@ def run_simulation(config: WorldConfig) -> np.ndarray:
     """
     plan = config.floor_plan
     agents = config.agents
-    streams = [substream(config.rng_seed, SIMULATE, i) for i in range(len(agents))]
-    locations = np.empty((config.days, config.ticks_per_day, len(agents)), dtype=np.int64)
+    n_agents, ticks, fluctuation = len(agents), config.ticks_per_day, config.fluctuation_rate
+    draws = [WordDraws(substream(config.rng_seed, SIMULATE, i)) for i in range(n_agents)]
+    stay = [[p.stay_at(x, plan) for x in range(plan.n)] for p in agents]
+    delta_p = [p.delta_p for p in agents]
+    sticky = n_agents > 1 and any(delta_p)  # alone, or with no delta_p, co-presence moves no stay probability
+    hop = plan.next_hop.tolist()
+    neighbors = [plan.neighbors[x] for x in range(plan.n)]
+    schedules = [sorted(p.schedule, key=lambda ev: (ev.window[0], ev.target)) for p in agents]
+    choices: list = [None] * n_agents  # (locations, cdf) of each agent's destinations, read at its first pick
+    flat: list[int] = []
     for day in range(config.days):
+        events = [
+            [(ev.window[0], ev.window[1], ev.probability, ev.target) for ev in s if ev.days is None or day in ev.days]
+            for s in schedules
+        ]
         here = [p.home for p in agents]
         going = list(here)
-        rows = []
-        for tick in range(config.ticks_per_day):
-            rows.append(tuple(here))
-            if tick == config.ticks_per_day - 1:
+        count = [0] * plan.n
+        for x in here:
+            count[x] += 1
+        for tick in range(ticks):
+            flat += here
+            if tick == ticks - 1:
                 break
-            count = [0] * plan.n  # taken before anyone moves; agent i reads it at its own start location
-            for x in here:
-                count[x] += 1
-            for i, p in enumerate(agents):
-                here[i], going[i] = step_agent(
-                    here[i], going[i], p, plan, count[here[i]] - 1, tick, streams[i], day, config.fluctuation_rate
-                )
-        locations[day] = rows
-    return locations
+            for i in range(n_agents):
+                x = here[i]
+                d = going[i]
+                if d != x:
+                    if fluctuation > 0.0 and draws[i].random() < fluctuation:
+                        ns = neighbors[x]
+                        here[i] = ns[draws[i].integers(len(ns))]
+                    else:
+                        here[i] = hop[x][d]
+                    continue
+                s = stay[i][x]
+                if sticky:
+                    s += (count[x] - 1) * delta_p[i]
+                if s >= 1.0 or draws[i].random() < s:
+                    continue
+                target = None
+                for start, end, probability, event_target in events[i]:  # the earliest-starting active one decides
+                    if start <= tick < end:
+                        if draws[i].random() < probability:
+                            target = event_target
+                        break
+                if target is None:
+                    if choices[i] is None:
+                        choices[i] = (agents[i].destination_arrays[0].tolist(), agents[i].destination_cdf.tolist())
+                    locations, cdf = choices[i]
+                    target = locations[bisect_right(cdf, draws[i].random())]  # Generator.choice(k, p=p)'s pick
+                going[i] = target
+            if sticky:  # the next tick's counts, from this tick's moves
+                for x, y in zip(flat[-n_agents:], here):
+                    if x != y:
+                        count[x] -= 1
+                        count[y] += 1
+    return np.array(flat, dtype=np.int64).reshape(config.days, ticks, n_agents)

@@ -142,6 +142,21 @@ def test_malformed_json_is_a_parse_error(tmp_path):
             lambda d: d["agents"][0]["schedule"].append({"window": [5, 8], "target": "1"}),
             "schedule target of agent 0 must be an integer, got '1'",
         ),
+        # string fields take strings only, and an adjacency entry is exactly a pair: nothing is coerced or dropped
+        (lambda d: d.update(sensors=[{"id": 5, "coverage": [0]}]), "sensor id must be a string, got 5"),
+        (lambda d: d["agents"][0].update(department=3), "department of agent 0 must be a string, got 3"),
+        (
+            lambda d: d["agents"][0]["schedule"].append({"window": [5, 8], "target": 0, "label": [1]}),
+            r"schedule label of agent 0 must be a string, got \[1\]",
+        ),
+        (
+            lambda d: d["floor_plan"]["adjacency"].append([0, 1, 7]),
+            r"floor_plan.adjacency entry must be a pair of locations, got \[0, 1, 7\]",
+        ),
+        (
+            lambda d: d["floor_plan"]["adjacency"].append([1]),
+            r"floor_plan.adjacency entry must be a pair of locations, got \[1\]",
+        ),
     ],
 )
 def test_invariant_violations_are_named(mutate, match):
