@@ -38,6 +38,11 @@ TRACED = (
     "formats.trajectories_write_s",
     "oracle_s",
     "fuse_s",
+    "decode_s",
+    "formats.beliefs_write_s",
+    "formats.paths_write_s",
+    "pipeline.fuse.self_s",
+    "pipeline.decode.self_s",
     "trace.untraced_total_s",
 )
 SIDES = ("parent", "change")

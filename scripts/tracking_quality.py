@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from officelab.config import parse_config
-from officelab.fusion import argmax_paths, track_run
+from officelab.fusion import track_run
 from officelab.presets import full_scale_config
 from officelab.sensors import observe
 from officelab.simulate import run_simulation
@@ -42,13 +42,11 @@ def main() -> int:
                 truth = run_simulation(config)
                 events = observe(truth, [a.id for a in config.agents], config.sensors, config.rng_seed)
                 tracks = track_run(events, config)
-                # decoded paths come day by day, agents in config order: (day, agent, tick) -> (day, tick, agent)
-                decoded = np.array([d.path for d in tracks.decoded]).reshape(DAYS, n_agents, -1).swapaxes(1, 2)
                 row = (
                     tracks.retries,
-                    sum(m.predict_only for m in tracks.beliefs),
-                    _accuracy(argmax_paths(tracks.beliefs), truth),
-                    _accuracy(decoded, truth),
+                    int(tracks.predict_only.sum()),
+                    _accuracy(tracks.beliefs.argmax(axis=3), truth),
+                    _accuracy(tracks.paths, truth),
                 )
                 rows.append(row)
                 print(f"{n_agents:6d} {p_detect:8.2f} {seed:4d}  {row[0]:12d} {row[1]:12d} {row[2]:10.4f} {row[3]:11.4f}")

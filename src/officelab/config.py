@@ -95,12 +95,17 @@ def _section(value: Any, key: str) -> dict:
 
 
 def _int_keyed(mapping: Any, what: str) -> dict[int, Any]:
+    """``mapping`` with integer keys. Each key must be an integer in its decimal form ("1", not "01", "+1", " 1" or
+    "1_0"), so that no two keys name one integer."""
     out = {}
     for k, v in _section(mapping, what).items():
         try:
-            out[int(k)] = v
+            key = int(k)
         except (TypeError, ValueError):
-            raise ValidationError(f"{what} has non-integer key {k!r}") from None
+            key = None
+        if key is None or str(key) != k:
+            raise ValidationError(f"{what} has key {k!r}, which is not an integer in decimal form")
+        out[key] = v
     return out
 
 

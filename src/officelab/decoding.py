@@ -6,10 +6,11 @@ distribution, motion kernel and evidence, and one pass decodes all rows of a
 day. Zero-probability transitions are hard constraints, so decoded paths
 stay on the motion kernel's support; each max runs over that support only,
 through a padded neighbour table read off the kernels' nonzero pattern (a
-dense kernel makes it the full max). viterbi_decode is the one-row case.
-brute_force_decode enumerates every location sequence and exists as the
-independent check on the DP; both break score ties toward the
-lexicographically smallest path.
+dense kernel makes it the full max). decode_agents returns a day's paths as
+one (ticks, agents) array and their scores as one (agents,) array;
+viterbi_decode is the one-row case, as a DecodedPath. brute_force_decode
+enumerates every location sequence and exists as the independent check on
+the DP; both break score ties toward the lexicographically smallest path.
 
 A row whose evidence no feasible path can explain is re-decoded with a tiny
 uniform leak (decode_agents); only such rows are rerun.
@@ -57,7 +58,7 @@ def _as_inputs(initial, kernel, evidence):
 
 
 def _viterbi(initial: np.ndarray, kernels: np.ndarray, evidence: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Best paths (rows, ticks) and their log scores (rows,); a score is -inf where no path has positive probability.
+    """Best paths (ticks, rows) and their log scores (rows,); a score is -inf where no path has positive probability.
 
     ``initial`` is (rows, n), ``kernels`` (rows, n, n), ``evidence`` (ticks, rows, n).
     Suffix scores are computed backward, recording from each location the
@@ -91,7 +92,7 @@ def _viterbi(initial: np.ndarray, kernels: np.ndarray, evidence: np.ndarray) -> 
     here[0] = np.arange(B) * n + head.argmax(axis=1)
     for t in range(1, T):
         np.take(best[t], here[t - 1], out=here[t])
-    return (here % n).T, head.max(axis=1)
+    return here % n, head.max(axis=1)
 
 
 def viterbi_decode(initial, kernel, evidence, agent: int = 0, day: int = 0) -> DecodedPath:
@@ -100,12 +101,12 @@ def viterbi_decode(initial, kernel, evidence, agent: int = 0, day: int = 0) -> D
     paths, scores = _viterbi(initial[None], kernel[None], evidence[:, None])
     if not np.isfinite(scores[0]):
         raise AllPathsZeroError("no path has positive probability")
-    return DecodedPath(agent=agent, day=day, path=tuple(paths[0].tolist()), log_score=float(scores[0]))
+    return DecodedPath(agent=agent, day=day, path=tuple(paths[:, 0].tolist()), log_score=float(scores[0]))
 
 
 def decode_agents(
     initial, kernels, evidence, agents: Sequence[int], day: int
-) -> tuple[list[DecodedPath], int]:
+) -> tuple[np.ndarray, np.ndarray, int]:
     """Decode one day of every agent at once, degrading gracefully on contradictory evidence.
 
     ``initial`` is (agents, n), ``kernels`` (agents, n, n), ``evidence``
@@ -113,9 +114,10 @@ def decode_agents(
     but evidence from outside the model (a certain sensor's report that no
     move reaches, a hand-edited event log) can leave a row with no positive
     path. Such rows are re-decoded together with a tiny uniform leak added
-    per tick (mirroring fuse_run's predict-only fallback); the leak preserves
-    each tick's argmax ordering. Returns the paths in row order and the
-    number of rows that needed the leak.
+    per tick (mirroring the filter's predict-only fallback); the leak preserves
+    each tick's argmax ordering. Returns the paths (ticks, agents), their
+    log scores (agents,) and the number of rows that needed the leak;
+    ``agents`` names the rows in log messages.
     """
     initial = np.asarray(initial, dtype=np.float64)
     kernels = np.asarray(kernels, dtype=np.float64)
@@ -131,20 +133,10 @@ def decode_agents(
         stuck = evidence[:, failed]
         leak = stuck.mean(axis=2, keepdims=True) * LEAK
         leak[leak == 0.0] = 1.0  # an all-zero tick becomes uninformative
-        paths[failed], scores[failed] = _viterbi(initial[failed], kernels[failed], stuck + leak)
+        paths[:, failed], scores[failed] = _viterbi(initial[failed], kernels[failed], stuck + leak)
         if not np.isfinite(scores[failed]).all():
             raise AllPathsZeroError(f"no path has positive probability on day {day}, even with the leak")
-    decoded = [
-        DecodedPath(agent=a, day=day, path=tuple(p), log_score=s)
-        for a, p, s in zip(agents, paths.tolist(), scores.tolist())
-    ]
-    return decoded, int(failed.size)
-
-
-def decode_day(initial, kernel, evidence, agent: int, day: int) -> DecodedPath:
-    """One agent-day through decode_agents: the leak retry included."""
-    initial, kernel, evidence = _as_inputs(initial, kernel, evidence)
-    return decode_agents(initial[None], kernel[None], evidence[:, None], [agent], day)[0][0]
+    return paths, scores, int(failed.size)
 
 
 def brute_force_decode(initial, kernel, evidence, agent: int = 0, day: int = 0) -> DecodedPath:

@@ -23,7 +23,7 @@ from .analytics import OccupancyDistribution, PatternReport, SurpriseScore
 from .config import WorldConfig
 from .contacts import GraphMetrics
 from .errors import ValidationError
-from .fusion import BeliefMatrix, field_columns
+from .fusion import field_columns
 from .sensors import EventColumns
 
 BELIEF_WRITE_FLOOR = 1e-6  # rows below this are omitted from the belief CSV
@@ -110,13 +110,15 @@ def read_events_jsonl(path: Path, config: WorldConfig) -> EventColumns:
     return field_columns(fields, config)
 
 
-def write_beliefs_csv(beliefs: Sequence[BeliefMatrix], path: Path) -> None:
+def write_beliefs_csv(beliefs: np.ndarray, agents: Sequence[int], path: Path) -> None:
+    """``beliefs[day, tick, a]`` one row per (day, tick, agent column, location), in that order, whose probability
+    is at least BELIEF_WRITE_FLOOR; ``agents[a]`` names column a."""
+
     def rows() -> Iterator[str]:
-        for m in beliefs:
-            agent, loc = np.nonzero(m.probs >= BELIEF_WRITE_FLOOR)
-            prefix = f"{m.day},{m.tick},"
-            for i, x, p in zip(agent.tolist(), loc.tolist(), m.probs[agent, loc].tolist()):
-                yield f"{prefix}{m.agents[i]},{x},{_fmt(p)}\n"
+        for day, probs in enumerate(beliefs):
+            tick, a, loc = np.nonzero(probs >= BELIEF_WRITE_FLOOR)
+            for t, i, x, p in zip(tick.tolist(), a.tolist(), loc.tolist(), probs[tick, a, loc].tolist()):
+                yield f"{day},{t},{agents[i]},{x},{_fmt(p)}\n"
 
     _write_csv(path, "day,tick,agent,location,probability", rows())
 
@@ -177,8 +179,13 @@ def read_paths_csv(path: Path, config: WorldConfig) -> np.ndarray:
     return np.array(flat, dtype=np.int64).reshape(config.days, ticks, n_agents)
 
 
-def write_decode_scores_csv(scores: dict[tuple[int, int], float], path: Path) -> None:
-    rows = (f"{agent},{day},{_fmt(scores[(agent, day)])}\n" for agent, day in sorted(scores))
+def write_decode_scores_csv(scores: np.ndarray, agents: Sequence[int], path: Path) -> None:
+    """``scores[day, a]`` one row per (agent, day): agents by id (``agents[a]`` names column a), then days in order."""
+    rows = (
+        f"{agents[a]},{day},{_fmt(s)}\n"
+        for a in np.argsort(agents, kind="stable").tolist()
+        for day, s in enumerate(scores[:, a].tolist())
+    )
     _write_csv(path, "agent,day,log_score", rows)
 
 

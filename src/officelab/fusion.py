@@ -11,8 +11,9 @@ motion model and the agents' start (a point mass at home) once, then in one
 loop over the days builds each day's block once and feeds it to the forward
 filter, which advances all agents together, each through its own motion
 kernel (predict), reweighted by its row of the block (update), and to
-decoding.decode_agents. fuse_run and decode_run are its halves on a list of
-ObservationEvents.
+decoding.decode_agents. It returns arrays (Tracks): ``beliefs[day, tick, a]``
+and the decoded ``locations[day, tick, a]``, agent column a in config order.
+fuse_run is its filter half on a list of ObservationEvents, as BeliefMatrix views.
 Tick 0 is update-only, prediction applies from tick 1.
 
 The per-agent likelihood treats only reports naming the agent as evidence
@@ -31,7 +32,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .config import WorldConfig
-from .decoding import DecodedPath, decode_agents
+from .decoding import decode_agents
 from .errors import ValidationError
 from .sensors import EventColumns, ObservationEvent, SensorSpec, false_positive_share
 from .world import FloorPlan
@@ -272,23 +273,25 @@ class BeliefMatrix:
 
 @dataclass(frozen=True)
 class Tracks:
-    """One track_run pass: beliefs per (day, tick), decoded paths per agent-day, days in order."""
+    """One track_run pass; agent column a in config agent order. A half switched off leaves its arrays None."""
 
-    beliefs: list[BeliefMatrix]  # empty unless fused
-    decoded: list[DecodedPath]  # empty unless decoded
+    beliefs: np.ndarray | None  # (days, ticks, agents, n) filtered distributions over locations (fuse)
+    predict_only: np.ndarray | None  # (days, ticks) rows left at their prediction by degenerate evidence (fuse)
+    paths: np.ndarray | None  # locations[day, tick, a] of the decoded paths (decode)
+    scores: np.ndarray | None  # (days, agents) log scores of the decoded paths (decode)
     retries: int  # agent-days that needed the Viterbi leak retry
 
 
-def _filter_day(start: np.ndarray, motion: MotionModel, evidence: np.ndarray, day: int) -> list[BeliefMatrix]:
-    """Forward-filter one day's (ticks, agents, n) evidence from ``start``.
+def _filter_day(
+    start: np.ndarray, motion: MotionModel, evidence: np.ndarray, probs: np.ndarray, predict_only: np.ndarray, day: int
+) -> None:
+    """Forward-filter one day's (ticks, agents, n) evidence from ``start`` into ``probs``, of the same shape.
 
     Degenerate evidence (all posterior products zero) falls back to the
-    predicted belief for that tick and is logged. The day's belief matrices
-    are views into one (ticks, agents, n) array, one allocation per day.
+    predicted belief for that tick and is logged; ``predict_only[tick]``
+    counts the rows that did so.
     """
-    out: list[BeliefMatrix] = []
     rows = start
-    probs = np.empty(evidence.shape)
     for tick in range(len(evidence)):
         if tick > 0:
             rows = (rows[:, None, :] @ motion.kernels)[:, 0]
@@ -300,8 +303,7 @@ def _filter_day(start: np.ndarray, motion: MotionModel, evidence: np.ndarray, da
         post[stuck], total[stuck] = rows[stuck], 1.0
         floored = np.maximum(post / total[:, None], BELIEF_FLOOR)
         rows = np.divide(floored, floored.sum(axis=1, keepdims=True), out=probs[tick])
-        out.append(BeliefMatrix(day=day, tick=tick, agents=motion.agents, probs=rows, predict_only=len(stuck)))
-    return out
+        predict_only[tick] = len(stuck)
 
 
 def track_run(
@@ -314,29 +316,33 @@ def track_run(
     """Filtered beliefs (``fuse``) and decoded paths (``decode``) for every configured day.
 
     ``columns`` is event_columns' table for ``config``. Each day's evidence
-    block is built once and serves both. The motion model is built from
-    ``config`` unless given; rows follow the config's agent order, which a
-    given ``motion`` must share. Every agent starts each day as a point mass
-    at home.
+    block is built once and serves both; each half's arrays are allocated
+    once per run, and not at all when it is switched off. The motion model
+    is built from ``config`` unless given; rows follow the config's agent
+    order, which a given ``motion`` must share. Every agent starts each day
+    as a point mass at home.
     """
     motion = motion or motion_model_for(config)
     agents = tuple(a.id for a in config.agents)
     if motion.agents != agents:
         raise ValidationError(f"motion model covers agents {list(motion.agents)}; the config has {list(agents)}")
+    days, ticks, n = config.days, config.ticks_per_day, config.floor_plan.n
     model = LikelihoodModel(config.sensors, config.floor_plan, n_agents=len(agents))
-    start = np.zeros((len(agents), config.floor_plan.n))
+    start = np.zeros((len(agents), n))
     start[np.arange(len(agents)), [a.home for a in config.agents]] = 1.0
-    beliefs: list[BeliefMatrix] = []
-    decoded: list[DecodedPath] = []
+    # np.empty leaves the pages untouched until a day writes them
+    beliefs = np.empty((days, ticks, len(agents), n)) if fuse else None
+    predict_only = np.empty((days, ticks), dtype=np.int64) if fuse else None
+    paths = np.empty((days, ticks, len(agents)), dtype=np.int64) if decode else None
+    scores = np.empty((days, len(agents))) if decode else None
     retries = 0
-    for day, evidence in enumerate(model.evidence(columns, config.days, config.ticks_per_day, len(agents))):
-        if decode:  # first, so that Viterbi's temporaries are gone before the day's beliefs are allocated
-            paths, leaked = decode_agents(start, motion.kernels, evidence, agents, day)
-            decoded += paths
+    for day, evidence in enumerate(model.evidence(columns, days, ticks, len(agents))):
+        if decode:  # first, so that Viterbi's temporaries are gone before the day's beliefs are written
+            paths[day], scores[day], leaked = decode_agents(start, motion.kernels, evidence, agents, day)
             retries += leaked
         if fuse:
-            beliefs += _filter_day(start, motion, evidence, day)
-    return Tracks(beliefs, decoded, retries)
+            _filter_day(start, motion, evidence, beliefs[day], predict_only[day], day)
+    return Tracks(beliefs, predict_only, paths, scores, retries)
 
 
 def fuse_run(
@@ -344,23 +350,12 @@ def fuse_run(
     config: WorldConfig,
     motion: MotionModel | None = None,
 ) -> list[BeliefMatrix]:
-    """Filtered beliefs for every (day, tick) of the configured run: track_run without decoding."""
-    return track_run(event_columns(events, config), config, motion, decode=False).beliefs
-
-
-def decode_run(events: Iterable[ObservationEvent], config: WorldConfig) -> tuple[list[DecodedPath], int]:
-    """Most likely path of every agent-day, days in order, and the count of agent-days that needed the leak retry:
-    track_run without filtering."""
-    tracks = track_run(event_columns(events, config), config, fuse=False)
-    return tracks.decoded, tracks.retries
-
-
-def argmax_paths(beliefs: Sequence[BeliefMatrix]) -> np.ndarray:
-    """Per-tick most probable location: ``locations[day, tick, a]`` for agent column a of the matrices."""
-    if not beliefs:
-        return np.zeros((0, 0, 0), dtype=np.int64)
-    days, ticks = max(m.day for m in beliefs) + 1, max(m.tick for m in beliefs) + 1
-    locations = np.empty((days, ticks, len(beliefs[0].agents)), dtype=np.int64)
-    for m in beliefs:
-        locations[m.day, m.tick] = m.probs.argmax(axis=1)
-    return locations
+    """Filtered beliefs for every (day, tick) of the configured run, days then ticks in order: track_run without
+    decoding, each matrix a view into its beliefs array."""
+    tracks = track_run(event_columns(events, config), config, motion, decode=False)
+    agents = tuple(a.id for a in config.agents)
+    return [
+        BeliefMatrix(day, tick, agents, probs, int(tracks.predict_only[day, tick]))
+        for day, table in enumerate(tracks.beliefs)
+        for tick, probs in enumerate(table)
+    ]

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -29,7 +29,6 @@ from . import __version__
 from .analytics import mine_frequent_patterns, surprise_by_day
 from .config import WorldConfig
 from .contacts import export_graph, extract_contacts, graph_metrics
-from .decoding import DecodedPath
 from .errors import OfficeLabError
 from .formats import (
     read_events_jsonl,
@@ -47,7 +46,7 @@ from .formats import (
     write_trajectories_csv,
     write_trajectories_jsonl,
 )
-from .fusion import argmax_paths, track_run
+from .fusion import Tracks, track_run
 from .sensors import EventColumns, observe
 from .simulate import run_simulation
 
@@ -117,7 +116,7 @@ class Handoff:
     source: str  # the analytics source: whose paths go to analyze and graph
     locations: np.ndarray | None = None  # simulate -> observe
     events: EventColumns | None = None  # observe -> fuse
-    decoded: tuple[list[DecodedPath], int] | None = None  # fuse (one pass over the evidence) -> decode
+    decoded: Tracks | None = None  # fuse's decoded half (one pass over the evidence) -> decode
     paths: np.ndarray | None = None  # simulate's or decode's locations -> analyze and graph
 
 
@@ -170,37 +169,32 @@ def stage_fuse(config: WorldConfig, out_dir: Path, manifest: RunManifest, handof
     else:
         events, handoff.events = handoff.events, None
     tracks = track_run(events, config, decode=handoff is not None)
-    beliefs, also = tracks.beliefs, ""
+    also = ""
     if handoff is not None:  # decode's half of the same pass over the evidence goes on to stage_decode
-        handoff.decoded = (tracks.decoded, tracks.retries)
-        also = f" and {len(tracks.decoded)} decoded agent-days"
-    write_beliefs_csv(beliefs, out_dir / "beliefs.csv")
-    write_paths_csv(argmax_paths(beliefs), [a.id for a in config.agents], out_dir / "argmax_paths.csv")
+        handoff.decoded = replace(tracks, beliefs=None, predict_only=None)
+        also = f" and {tracks.scores.size} decoded agent-days"
+    agents = [a.id for a in config.agents]
+    write_beliefs_csv(tracks.beliefs, agents, out_dir / "beliefs.csv")
+    write_paths_csv(tracks.beliefs.argmax(axis=3), agents, out_dir / "argmax_paths.csv")
     manifest.record("fuse", beliefs="beliefs.csv", argmax_paths="argmax_paths.csv")
     manifest.save(out_dir)
-    predict_only = sum(m.predict_only for m in beliefs)
-    return f"{len(beliefs)} belief matrices{also}, {predict_only} predict-only agent-ticks"
+    return f"{tracks.predict_only.size} ticks of beliefs{also}, {tracks.predict_only.sum()} predict-only agent-ticks"
 
 
 def stage_decode(config: WorldConfig, out_dir: Path, manifest: RunManifest, handoff: Handoff | None = None) -> str:
     if handoff is None:
         events = read_events_jsonl(manifest.path_of("observe", "events", out_dir), config)
         tracks = track_run(events, config, fuse=False)
-        decoded, retries = tracks.decoded, tracks.retries
     else:
-        (decoded, retries), handoff.decoded = handoff.decoded, None
+        tracks, handoff.decoded = handoff.decoded, None
     agents = [a.id for a in config.agents]
-    column = {agent: a for a, agent in enumerate(agents)}
-    paths = np.empty((config.days, config.ticks_per_day, len(agents)), dtype=np.int64)
-    for d in decoded:  # one per agent-day
-        paths[d.day, :, column[d.agent]] = d.path
-    write_paths_csv(paths, agents, out_dir / "decoded_paths.csv")
-    write_decode_scores_csv({(d.agent, d.day): d.log_score for d in decoded}, out_dir / "decode_scores.csv")
+    write_paths_csv(tracks.paths, agents, out_dir / "decoded_paths.csv")
+    write_decode_scores_csv(tracks.scores, agents, out_dir / "decode_scores.csv")
     manifest.record("decode", decoded_paths="decoded_paths.csv", decode_scores="decode_scores.csv")
     manifest.save(out_dir)
     if handoff is not None and handoff.source == "decoded":
-        handoff.paths = paths
-    return f"{len(decoded)} agent-days, {retries} leak retries"
+        handoff.paths = tracks.paths
+    return f"{tracks.scores.size} agent-days, {tracks.retries} leak retries"
 
 
 def _paths_for_source(

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from officelab.config import WorldConfig, parse_config
+from officelab.decoding import DecodedPath, decode_agents
 from officelab.sensors import ObservationEvent, generate_event_log
 from officelab.simulate import run_simulation
 from officelab.world import AgentProfile, FloorPlan, StayProbs
@@ -26,6 +28,14 @@ def uniform_agent(agent_id: int, home: int, n: int, stay: float = 0.5, delta_p: 
 def simulated_events(config: WorldConfig) -> list[ObservationEvent]:
     """The event log of ``config``'s simulated run."""
     return generate_event_log(run_simulation(config), [a.id for a in config.agents], config.sensors, config.rng_seed)
+
+
+def decode_day(initial, kernel, evidence, agent: int, day: int) -> DecodedPath:
+    """One agent-day's (ticks, n) evidence through decode_agents, the leak retry included."""
+    paths, scores, _ = decode_agents(
+        np.asarray(initial)[None], np.asarray(kernel)[None], np.asarray(evidence)[:, None], [agent], day
+    )
+    return DecodedPath(agent=agent, day=day, path=tuple(paths[:, 0].tolist()), log_score=float(scores[0]))
 
 
 def minimal_config_doc() -> dict:

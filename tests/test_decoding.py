@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from officelab.decoding import LEAK, brute_force_decode, decode_agents, decode_day, viterbi_decode
+from officelab.decoding import LEAK, brute_force_decode, decode_agents, viterbi_decode
 from officelab.errors import AllPathsZeroError, InstanceTooLargeError
+
+from conftest import decode_day
 
 
 def _random_instance(rng: np.random.Generator, n: int, ticks: int, sparse: bool = False):
@@ -158,12 +160,13 @@ def test_batched_rows_each_equal_brute_force_and_only_failed_rows_leak(seed, row
     evidence = (rng.random((ticks, rows, n)) < 0.4).astype(float)
     agents = [100 + b for b in range(rows)]
 
-    decoded, retries = decode_agents(initial, kernels, evidence, agents, day=3)
+    paths, scores, retries = decode_agents(initial, kernels, evidence, agents, day=3)
+    assert paths.shape == (ticks, rows) and scores.shape == (rows,)
 
     failed = 0
-    for b, out in enumerate(decoded):
-        assert (out.agent, out.day) == (agents[b], 3)
-        assert out == decode_day(initial[b], kernels[b], evidence[:, b], agent=agents[b], day=3)  # no row sees another
+    for b in range(rows):
+        out = decode_day(initial[b], kernels[b], evidence[:, b], agent=agents[b], day=3)
+        assert (tuple(paths[:, b].tolist()), scores[b]) == (out.path, out.log_score)  # no row sees another
         try:
             ref = brute_force_decode(initial[b], kernels[b], evidence[:, b])
         except AllPathsZeroError:

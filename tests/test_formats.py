@@ -12,15 +12,16 @@ from hypothesis import strategies as st
 from officelab.config import WorldConfig, load_config
 from officelab.errors import NoPathError, ValidationError
 from officelab.formats import (
+    BELIEF_WRITE_FLOOR,
     read_events_jsonl,
     read_paths_csv,
     write_beliefs_csv,
+    write_decode_scores_csv,
     write_events_jsonl,
     write_paths_csv,
     write_trajectories_csv,
     write_trajectories_jsonl,
 )
-from officelab.fusion import BeliefMatrix
 from officelab.sensors import EventColumns, ObservationEvent, SensorSpec
 from officelab.simulate import run_simulation
 from officelab.world import FloorPlan
@@ -193,14 +194,50 @@ def test_trajectories_csv_reads_back_as_the_simulated_locations(tmp_path):
 
 
 def test_belief_csv_omits_rows_below_write_floor(tmp_path):
-    probs = np.array([[0.9999989, 1e-6, 1e-7]])
-    matrix = BeliefMatrix(day=0, tick=0, agents=(0,), probs=probs)
+    beliefs = np.array([0.9999989, 1e-6, 1e-7]).reshape(1, 1, 1, 3)
     file = tmp_path / "b.csv"
-    write_beliefs_csv([matrix], file)
+    write_beliefs_csv(beliefs, [0], file)
     lines = file.read_text().splitlines()
     assert lines[0] == "day,tick,agent,location,probability"
     locations = [int(line.split(",")[3]) for line in lines[1:]]
     assert locations == [0, 1]  # the 1e-7 row is sparsified away
+
+
+def _beliefs_csv_per_tick(beliefs: np.ndarray, agents, path: Path) -> None:
+    """Reference writer: one np.nonzero per (day, tick), rows in agent column then location order."""
+    with open(path, "w") as fh:
+        fh.write("day,tick,agent,location,probability\n")
+        for day, table in enumerate(beliefs):
+            for tick, probs in enumerate(table):
+                column, loc = np.nonzero(probs >= BELIEF_WRITE_FLOOR)
+                for i, x in zip(column.tolist(), loc.tolist()):
+                    fh.write(f"{day},{tick},{agents[i]},{x},{float(probs[i, x])!r}\n")
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 4)),
+    st.sampled_from([(), (7,), (7, 3), (3, 7), (5, 0, 9)]),
+)
+@settings(max_examples=60, deadline=None)
+def test_belief_csv_equals_the_per_tick_writer(tmp_path_factory, seed, shape, ids):
+    days, ticks, n = shape
+    agents = list(ids)
+    rng = np.random.default_rng(seed)
+    # magnitudes from 1e-9 to 1: values on both sides of the write floor, and some exactly at it
+    beliefs = 10.0 ** rng.uniform(-9, 0, (days, ticks, len(agents), n))
+    beliefs[rng.random(beliefs.shape) < 0.1] = BELIEF_WRITE_FLOOR
+    out = tmp_path_factory.mktemp("beliefs")
+    write_beliefs_csv(beliefs, agents, out / "array.csv")
+    _beliefs_csv_per_tick(beliefs, agents, out / "per_tick.csv")
+    assert (out / "array.csv").read_bytes() == (out / "per_tick.csv").read_bytes()
+
+
+def test_decode_scores_csv_orders_rows_by_agent_id_then_day(tmp_path):
+    scores = np.array([[-1.5, -2.0], [-3.25, -4.0]])  # scores[day, a]; the config order is (7, 3)
+    file = tmp_path / "s.csv"
+    write_decode_scores_csv(scores, [7, 3], file)
+    assert file.read_text() == "agent,day,log_score\n3,0,-2.0\n3,1,-4.0\n7,0,-1.5\n7,1,-3.25\n"
 
 
 def test_next_hop_defends_against_unreachable_targets():

@@ -9,14 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from officelab.config import WorldConfig, dump_config, parse_config
-from officelab.decoding import decode_day
 from officelab.errors import ValidationError
 from officelab.fusion import (
     BELIEF_FLOOR,
     LikelihoodModel,
     _fields,
-    argmax_paths,
-    decode_run,
     event_columns,
     fuse_run,
     likelihood_of_events,
@@ -28,7 +25,7 @@ from officelab.sensors import ObservationEvent, SensorSpec, generate_event_log
 from officelab.simulate import run_simulation
 from officelab.world import AgentProfile, StayProbs
 
-from conftest import line_plan, minimal_config_doc, simulated_events, uniform_agent
+from conftest import decode_day, line_plan, minimal_config_doc, simulated_events, uniform_agent
 
 # --- evidence likelihoods ----------------------------------------------------
 
@@ -249,7 +246,7 @@ def test_full_scale_run_needs_no_fallback():
     events = simulated_events(cfg)
     tracks = track_run(event_columns(events, cfg), cfg)
     assert tracks.retries == 0
-    assert sum(m.predict_only for m in tracks.beliefs) == 0
+    assert tracks.predict_only.sum() == 0
 
 
 # --- motion models ------------------------------------------------------------
@@ -383,7 +380,8 @@ def test_noiseless_full_coverage_argmax_recovers_truth():
     )
     locations = run_simulation(cfg)
     events = generate_event_log(locations, [0], cfg.sensors, cfg.rng_seed)
-    assert np.array_equal(argmax_paths(fuse_run(events, cfg)), locations)
+    beliefs = track_run(event_columns(events, cfg), cfg, decode=False).beliefs
+    assert np.array_equal(beliefs.argmax(axis=3), locations)
 
 
 def test_degenerate_evidence_falls_back_to_prediction():
@@ -437,10 +435,10 @@ def test_tracking_accuracy_is_monotone_in_sensor_quality():
     assert good > poor
 
 
-# --- decode_run and the shared day loop ----------------------------------------
+# --- the decoded half and the shared day loop -----------------------------------
 
 
-def test_decode_run_equals_decode_day_on_evidence_blocks_including_a_leaked_row():
+def test_decoded_half_equals_decode_day_on_evidence_blocks_including_a_leaked_row():
     plan = line_plan(4)
     agents = (uniform_agent(0, 0, 4, stay=0.5), uniform_agent(1, 3, 4, stay=0.7))
     sensors = (
@@ -454,19 +452,20 @@ def test_decode_run_equals_decode_day_on_evidence_blocks_including_a_leaked_row(
     # agent 0 starts day 1 at home 0; a certain report at 3 one tick later admits no path
     events.append(ObservationEvent("far", 1, 1, 0, 3))
     motion = motion_model_for(cfg)
-    decoded, retries = decode_run(events, cfg)
-    assert retries == 1
-    assert [(d.day, d.agent) for d in decoded] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    tracks = track_run(event_columns(events, cfg), cfg, fuse=False)
+    assert tracks.retries == 1
+    assert tracks.paths.shape == (2, 8, 2) and tracks.paths.dtype == np.int64 and tracks.scores.shape == (2, 2)
     blocks = LikelihoodModel(sensors, plan, n_agents=2).evidence(event_columns(events, cfg), cfg.days, cfg.ticks_per_day, 2)
     for day, block in enumerate(blocks):
         for i, profile in enumerate(agents):
             init = np.zeros(plan.n)
             init[profile.home] = 1.0
             expected = decode_day(init, motion.kernel(profile.id), block[:, i], agent=profile.id, day=day)
-            assert decoded[2 * day + i] == expected
+            assert tuple(tracks.paths[day, :, i].tolist()) == expected.path
+            assert tracks.scores[day, i] == expected.log_score
 
 
-def test_one_tracking_pass_equals_fuse_run_and_decode_run():
+def test_one_tracking_pass_equals_fuse_run_and_the_decoded_half():
     plan = line_plan(4)
     agents = (uniform_agent(0, 0, 4, stay=0.5), uniform_agent(1, 3, 4, stay=0.7))
     sensors = (
@@ -478,14 +477,19 @@ def test_one_tracking_pass_equals_fuse_run_and_decode_run():
     )
     events = simulated_events(cfg)
     events.append(ObservationEvent("far", 1, 1, 0, 3))  # a leak retry on day 1
-    tracks = track_run(event_columns(events, cfg), cfg)
+    columns = event_columns(events, cfg)
+    tracks = track_run(columns, cfg)
     fused = fuse_run(events, cfg)
-    assert [(m.day, m.tick, m.predict_only) for m in tracks.beliefs] == [(m.day, m.tick, m.predict_only) for m in fused]
-    assert all(np.array_equal(a.probs, b.probs) for a, b in zip(tracks.beliefs, fused))
-    assert (tracks.decoded, tracks.retries) == decode_run(events, cfg)
-    assert tracks.retries == 1
-    assert track_run(event_columns(events, cfg), cfg, fuse=False).beliefs == []
-    assert track_run(event_columns(events, cfg), cfg, decode=False).decoded == []
+    assert [(m.day, m.tick) for m in fused] == [(day, tick) for day in range(3) for tick in range(8)]
+    assert all(np.array_equal(m.probs, tracks.beliefs[m.day, m.tick]) for m in fused)
+    assert [m.predict_only for m in fused] == tracks.predict_only.ravel().tolist()
+    decoded = track_run(columns, cfg, fuse=False)
+    assert np.array_equal(tracks.paths, decoded.paths) and np.array_equal(tracks.scores, decoded.scores)
+    assert tracks.retries == decoded.retries == 1
+    # a half switched off allocates nothing for its arrays
+    assert decoded.beliefs is None and decoded.predict_only is None
+    filtered = track_run(columns, cfg, decode=False)
+    assert filtered.paths is None and filtered.scores is None and filtered.retries == 0
 
 
 def test_kernels_stack_in_config_agent_order():
@@ -510,9 +514,8 @@ def test_kernels_stack_in_config_agent_order():
 
     events = simulated_events(cfg)
     beliefs = fuse_run(events, cfg, motion)
-    decoded, _ = decode_run(events, cfg)
+    decoded = track_run(event_columns(events, cfg), cfg, fuse=False).paths
     assert all(m.agents == (7, 3) for m in beliefs)
-    assert [d.agent for d in decoded] == [7, 3]
     for i, profile in enumerate(agents):
         evidence = np.stack(
             [
@@ -524,7 +527,7 @@ def test_kernels_stack_in_config_agent_order():
         init[profile.home] = 1.0
         for m, ref in zip(beliefs, _forward_enumeration(init, motion.kernel(profile.id), evidence)):
             assert np.abs(m.probs[i] - ref).max() < 1e-9
-        assert decoded[i].path == decode_day(init, motion.kernel(profile.id), evidence, profile.id, 0).path
+        assert tuple(decoded[0, :, i].tolist()) == decode_day(init, motion.kernel(profile.id), evidence, profile.id, 0).path
 
     swapped = motion_model_for(replace(cfg, agents=agents[::-1]))
     with pytest.raises(ValidationError, match=r"agents \[3, 7\]; the config has \[7, 3\]"):

@@ -12,14 +12,13 @@ import numpy as np
 import pytest
 
 from officelab.config import dump_config, load_config, parse_config
-from officelab.decoding import decode_day
 from officelab.formats import read_paths_csv, write_events_jsonl, write_trajectories_jsonl
 from officelab.fusion import LikelihoodModel, event_columns
 from officelab.pipeline import open_manifest, run_pipeline, run_stage
 from officelab.presets import full_scale_config
 from officelab.simulate import run_simulation
 
-from conftest import simulated_events
+from conftest import decode_day, simulated_events
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 

@@ -142,6 +142,21 @@ def test_malformed_json_is_a_parse_error(tmp_path):
             lambda d: d["agents"][0]["schedule"].append({"window": [5, 8], "target": "1"}),
             "schedule target of agent 0 must be an integer, got '1'",
         ),
+        # location keys are integers in decimal form, so that no two keys name one location
+        (
+            lambda d: d["floor_plan"].update(tags={"0": "office", "+1": "corridor"}),
+            r"floor_plan.tags has key '\+1', which is not an integer in decimal form",
+        ),
+        (lambda d: d["floor_plan"].update(tags={"x": "office"}), "floor_plan.tags has key 'x'"),
+        (lambda d: d["floor_plan"].update(home_of={"00": [0]}), "floor_plan.home_of has key '00'"),
+        (
+            lambda d: d["agents"][0].update(destinations={"0": 0.5, " 1": 0.5}),
+            "destinations of agent 0 has key ' 1'",
+        ),
+        (
+            lambda d: d["agents"][0]["stay_prob"].update(by_location={"0_0": 0.9}),
+            "stay_prob.by_location of agent 0 has key '0_0'",
+        ),
         # string fields take strings only, and an adjacency entry is exactly a pair: nothing is coerced or dropped
         (lambda d: d.update(sensors=[{"id": 5, "coverage": [0]}]), "sensor id must be a string, got 5"),
         (lambda d: d["agents"][0].update(department=3), "department of agent 0 must be a string, got 3"),
