@@ -12,7 +12,8 @@ median and quartiles (numpy linear) of those run medians, how many pairs the
 change won, and its relative change of the medians. Then 3 alternating pairs
 of traced runs (``--trace 1``) of every workload on seed 17 give the
 per-layer figures, with the metrics each side reported absent. The runs go
-one at a time.
+one at a time. The file also gives each side's ``src_lines``, the total line
+count of its ``src/**/*.py``.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ TRACED = (
     "sensors.observe_s",
     "sensors.events",
     "formats.events_write_s",
+    "formats.events_read_s",
     "simulate_s",
     "simulate.run_s",
     "simulate.us_per_agent_tick",
@@ -41,9 +43,12 @@ TRACED = (
     "decode_s",
     "formats.beliefs_write_s",
     "formats.paths_write_s",
+    "formats.paths_read_s",
     "pipeline.fuse.self_s",
     "pipeline.decode.self_s",
     "trace.untraced_total_s",
+    "pipeline.manifest_saves",
+    "trace.absent_entry_points",
 )
 SIDES = ("parent", "change")
 WORKLOADS = ("full_scale_20", "demo_stages", "long_walk")
@@ -128,6 +133,10 @@ def commit(checkout: Path) -> str | None:
     return proc.stdout.strip() or None
 
 
+def src_lines(checkout: Path) -> int:
+    return sum(len(path.read_text().splitlines()) for path in (checkout / "src").rglob("*.py"))
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("parent", type=Path)
@@ -146,6 +155,7 @@ def main(argv: list[str] | None = None) -> int:
         "each run reports its own median over its repeats; below are the median and quartiles (numpy linear) "
         "of those run medians",
         "parent_commit": commit(dirs["parent"]),
+        "src_lines": {side: src_lines(dirs[side]) for side in SIDES},
         "workloads": {w: compare(dirs, w, machine) for w in WORKLOADS},
         "traced": {w: traced(dirs, w, machine) for w in WORKLOADS},
     }

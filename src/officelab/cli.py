@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .config import load_config, with_seed
 from .errors import OfficeLabError, ParseError, ValidationError
-from .pipeline import STAGES, open_manifest, run_pipeline, run_stage
+from .pipeline import STAGES, Run, open_manifest, run_pipeline, run_stage
 
 log = logging.getLogger("officelab")
 
@@ -62,8 +62,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "pipeline":
             run_pipeline(config, args.config, out_dir, source=source)
         else:
-            manifest = open_manifest(config, args.config, out_dir)
-            run_stage(args.command, config, out_dir, manifest, source=source)
+            run_stage(args.command, Run(config, out_dir, open_manifest(config, args.config, out_dir), source))
     except OfficeLabError as exc:
         print(f"officelab: {exc}", file=sys.stderr)
         return 2

@@ -1,17 +1,21 @@
 """Pipeline: simulate -> observe -> fuse -> decode -> analyze -> graph.
 
 Every stage writes its files into one output directory and records them in a
-manifest, so every stage can be rerun in isolation with identical results: a
-stage run on its own reads its inputs back from those files, checked line by
-line against the config (observe reads trajectories.csv; trajectories.jsonl
-is an export, read by no stage). Within one run_pipeline call the stages hand
-their products on in memory instead (a Handoff): simulate's locations go to
-observe, observe's event column table to fuse, which filters and decodes in
-one pass over the evidence, and the analytics source's locations to analyze
-and graph; nothing is read back. Every agent-tick table, simulated, read back
-or decoded, is one ``locations[day, tick, a]`` array, agent column a in config
-agent order. All randomness flows from the config seed through named
-substreams.
+manifest, so every stage can be rerun in isolation with identical results.
+A stage is ``stage(run) -> (files, summary)``: it gets its inputs only through
+``run.take(name)`` and passes its products on through ``run.give(name, value)``.
+Within one run_pipeline call the Run holds the products in memory (simulate's
+locations go to observe, observe's event column table to fuse, which filters
+and decodes in one pass over the evidence, and the analytics source's
+locations to analyze and graph), so nothing is read back. A stage run on its
+own has no products, and ``take`` reads each input back through
+``_read_back``, the one place a stage input is read from disk: the file the
+manifest names, checked line by line against the config (observe reads
+trajectories.csv; trajectories.jsonl is an export, read by no stage).
+run_stage records each stage's files in the manifest and saves it. Every
+agent-tick table, simulated, read back or decoded, is one
+``locations[day, tick, a]`` array, agent column a in config agent order. All
+randomness flows from the config seed through named substreams.
 """
 
 from __future__ import annotations
@@ -22,8 +26,6 @@ import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .analytics import mine_frequent_patterns, surprise_by_day
@@ -46,8 +48,8 @@ from .formats import (
     write_trajectories_csv,
     write_trajectories_jsonl,
 )
-from .fusion import Tracks, track_run
-from .sensors import EventColumns, observe
+from .fusion import track_run
+from .sensors import observe
 from .simulate import run_simulation
 
 log = logging.getLogger("officelab.pipeline")
@@ -105,19 +107,53 @@ class RunManifest:
         return RunManifest(**doc)
 
 
-@dataclass
-class Handoff:
-    """What the stages of one run_pipeline call pass on in memory instead of reading back their files.
+# the analytics source -> the (stage, output) whose agent-tick table analyze and graph read
+SOURCES = {"truth": ("simulate", "trajectories_csv"), "decoded": ("decode", "decoded_paths")}
 
-    Each consumer clears the field it takes, so nothing is held past its last use; the paths,
-    which analyze and graph share, go when the run ends.
+
+@dataclass
+class Run:
+    """What a stage works on: the config, the output directory and its manifest, and the analytics source.
+
+    ``products`` is what the earlier stages of one run_pipeline call passed on in memory, and None for a
+    stage run on its own, which reads its inputs back from the files the manifest names instead.
     """
 
-    source: str  # the analytics source: whose paths go to analyze and graph
-    locations: np.ndarray | None = None  # simulate -> observe
-    events: EventColumns | None = None  # observe -> fuse
-    decoded: Tracks | None = None  # fuse's decoded half (one pass over the evidence) -> decode
-    paths: np.ndarray | None = None  # simulate's or decode's locations -> analyze and graph
+    config: WorldConfig
+    out_dir: Path
+    manifest: RunManifest
+    source: str = "truth"
+    products: dict[str, object] | None = None
+
+    def __post_init__(self) -> None:
+        if self.source not in SOURCES:
+            raise StageError(f"unknown analytics source {self.source!r}; expected one of {sorted(SOURCES)}")
+
+    def take(self, name: str):
+        """The input ``name``: handed on by an earlier stage, or read back from its file."""
+        if self.products is None:
+            return _read_back(self, name)
+        # analyze and graph share the paths; every other product has one consumer, so nothing is held past it
+        return self.products[name] if name == "paths" else self.products.pop(name)
+
+    def give(self, name: str, value: object) -> None:
+        """Hand ``value`` on to a later stage of the same run_pipeline call."""
+        if self.products is not None:
+            self.products[name] = value
+
+
+def _read_back(run: Run, name: str):
+    """Input ``name`` read from the file the manifest names for it, checked against the config.
+
+    ``locations`` (observe's) are the simulated trajectories, ``paths`` (analyze's and graph's) the
+    analytics source's table, ``events`` (fuse's) the event log, and ``decoded`` (decode's) the
+    decoding half of the tracker run on that log.
+    """
+    if name in ("locations", "paths"):
+        stage, output = SOURCES["truth" if name == "locations" else run.source]
+        return read_paths_csv(run.manifest.path_of(stage, output, run.out_dir), run.config)
+    events = read_events_jsonl(run.manifest.path_of("observe", "events", run.out_dir), run.config)
+    return events if name == "events" else track_run(events, run.config, fuse=False)
 
 
 def _now() -> str:
@@ -125,93 +161,68 @@ def _now() -> str:
 
 
 def open_manifest(config: WorldConfig, config_path: str, out_dir: Path) -> RunManifest:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if (out_dir / MANIFEST_NAME).exists():
-        manifest = RunManifest.load(out_dir)
-        if manifest.seed != config.rng_seed:
+    """The manifest of ``out_dir`` (made, with the directory, if there is none or its seed differs)."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        if (out_dir / MANIFEST_NAME).exists():
+            manifest = RunManifest.load(out_dir)
+            if manifest.seed == config.rng_seed:
+                return manifest
             log.info("seed changed from %d to %d; starting a fresh manifest", manifest.seed, config.rng_seed)
-            manifest = RunManifest(config_path=config_path, seed=config.rng_seed, created_at=_now())
-        return manifest
+    except OSError as exc:
+        raise StageError(f"cannot open the output directory {out_dir}: {exc}") from None
     return RunManifest(config_path=config_path, seed=config.rng_seed, created_at=_now())
 
 
-def stage_simulate(config: WorldConfig, out_dir: Path, manifest: RunManifest, handoff: Handoff | None = None) -> str:
-    locations = run_simulation(config)
-    agents = [a.id for a in config.agents]
-    write_trajectories_jsonl(locations, agents, out_dir / "trajectories.jsonl")
-    write_trajectories_csv(locations, agents, out_dir / "trajectories.csv")
-    manifest.record("simulate", trajectories="trajectories.jsonl", trajectories_csv="trajectories.csv")
-    manifest.save(out_dir)
-    if handoff is not None:
-        handoff.locations = locations
-        if handoff.source == "truth":
-            handoff.paths = locations
-    return f"{locations.size} agent-ticks"
+def stage_simulate(run: Run) -> tuple[dict[str, str], str]:
+    locations = run_simulation(run.config)
+    agents = [a.id for a in run.config.agents]
+    write_trajectories_jsonl(locations, agents, run.out_dir / "trajectories.jsonl")
+    write_trajectories_csv(locations, agents, run.out_dir / "trajectories.csv")
+    run.give("locations", locations)
+    if run.source == "truth":
+        run.give("paths", locations)
+    files = {"trajectories": "trajectories.jsonl", "trajectories_csv": "trajectories.csv"}
+    return files, f"{locations.size} agent-ticks"
 
 
-def stage_observe(config: WorldConfig, out_dir: Path, manifest: RunManifest, handoff: Handoff | None = None) -> str:
-    if handoff is None:
-        locations = read_paths_csv(manifest.path_of("simulate", "trajectories_csv", out_dir), config)
-    else:
-        locations, handoff.locations = handoff.locations, None
-    events = observe(locations, [a.id for a in config.agents], config.sensors, config.rng_seed)
-    write_events_jsonl(events, out_dir / "events.jsonl", config)
-    manifest.record("observe", events="events.jsonl")
-    manifest.save(out_dir)
-    if handoff is not None:
-        handoff.events = events
-    return f"{len(events.sensor)} events from {len(config.sensors)} sensors"
+def stage_observe(run: Run) -> tuple[dict[str, str], str]:
+    config = run.config
+    events = observe(run.take("locations"), [a.id for a in config.agents], config.sensors, config.rng_seed)
+    write_events_jsonl(events, run.out_dir / "events.jsonl", config)
+    run.give("events", events)
+    return {"events": "events.jsonl"}, f"{len(events.sensor)} events from {len(config.sensors)} sensors"
 
 
-def stage_fuse(config: WorldConfig, out_dir: Path, manifest: RunManifest, handoff: Handoff | None = None) -> str:
-    if handoff is None:
-        events = read_events_jsonl(manifest.path_of("observe", "events", out_dir), config)
-    else:
-        events, handoff.events = handoff.events, None
-    tracks = track_run(events, config, decode=handoff is not None)
+def stage_fuse(run: Run) -> tuple[dict[str, str], str]:
+    # within a pipeline the tracker also decodes in the same pass over the evidence, for stage_decode
+    in_pipeline = run.products is not None
+    tracks = track_run(run.take("events"), run.config, decode=in_pipeline)
     also = ""
-    if handoff is not None:  # decode's half of the same pass over the evidence goes on to stage_decode
-        handoff.decoded = replace(tracks, beliefs=None, predict_only=None)
+    if in_pipeline:
+        run.give("decoded", replace(tracks, beliefs=None, predict_only=None))
         also = f" and {tracks.scores.size} decoded agent-days"
-    agents = [a.id for a in config.agents]
-    write_beliefs_csv(tracks.beliefs, agents, out_dir / "beliefs.csv")
-    write_paths_csv(tracks.beliefs.argmax(axis=3), agents, out_dir / "argmax_paths.csv")
-    manifest.record("fuse", beliefs="beliefs.csv", argmax_paths="argmax_paths.csv")
-    manifest.save(out_dir)
-    return f"{tracks.predict_only.size} ticks of beliefs{also}, {tracks.predict_only.sum()} predict-only agent-ticks"
+    agents = [a.id for a in run.config.agents]
+    write_beliefs_csv(tracks.beliefs, agents, run.out_dir / "beliefs.csv")
+    write_paths_csv(tracks.beliefs.argmax(axis=3), agents, run.out_dir / "argmax_paths.csv")
+    summary = f"{tracks.predict_only.size} ticks of beliefs{also}, {tracks.predict_only.sum()} predict-only agent-ticks"
+    return {"beliefs": "beliefs.csv", "argmax_paths": "argmax_paths.csv"}, summary
 
 
-def stage_decode(config: WorldConfig, out_dir: Path, manifest: RunManifest, handoff: Handoff | None = None) -> str:
-    if handoff is None:
-        events = read_events_jsonl(manifest.path_of("observe", "events", out_dir), config)
-        tracks = track_run(events, config, fuse=False)
-    else:
-        tracks, handoff.decoded = handoff.decoded, None
-    agents = [a.id for a in config.agents]
-    write_paths_csv(tracks.paths, agents, out_dir / "decoded_paths.csv")
-    write_decode_scores_csv(tracks.scores, agents, out_dir / "decode_scores.csv")
-    manifest.record("decode", decoded_paths="decoded_paths.csv", decode_scores="decode_scores.csv")
-    manifest.save(out_dir)
-    if handoff is not None and handoff.source == "decoded":
-        handoff.paths = tracks.paths
-    return f"{tracks.scores.size} agent-days, {tracks.retries} leak retries"
+def stage_decode(run: Run) -> tuple[dict[str, str], str]:
+    tracks = run.take("decoded")
+    agents = [a.id for a in run.config.agents]
+    write_paths_csv(tracks.paths, agents, run.out_dir / "decoded_paths.csv")
+    write_decode_scores_csv(tracks.scores, agents, run.out_dir / "decode_scores.csv")
+    if run.source == "decoded":
+        run.give("paths", tracks.paths)
+    files = {"decoded_paths": "decoded_paths.csv", "decode_scores": "decode_scores.csv"}
+    return files, f"{tracks.scores.size} agent-days, {tracks.retries} leak retries"
 
 
-def _paths_for_source(
-    config: WorldConfig, out_dir: Path, manifest: RunManifest, source: str, handoff: Handoff | None
-) -> np.ndarray:
-    files = {"truth": ("simulate", "trajectories_csv"), "decoded": ("decode", "decoded_paths")}
-    if source not in files:
-        raise StageError(f"unknown analytics source {source!r}")
-    if handoff is not None:
-        return handoff.paths
-    return read_paths_csv(manifest.path_of(*files[source], out_dir), config)
-
-
-def stage_analyze(
-    config: WorldConfig, out_dir: Path, manifest: RunManifest, source: str = "truth", handoff: Handoff | None = None
-) -> str:
-    paths = _paths_for_source(config, out_dir, manifest, source, handoff)
+def stage_analyze(run: Run) -> tuple[dict[str, str], str]:
+    config, out_dir, source = run.config, run.out_dir, run.source
+    paths = run.take("paths")
     settings = config.analytics
     baselines = {}
     day_dists = {}
@@ -240,38 +251,32 @@ def stage_analyze(
     write_surprise_csv([s for a in sorted(all_scores) for s in all_scores[a].values()], out_dir / "surprise.csv", source)
     write_patterns_csv(reports, out_dir / "patterns.csv", source)
     write_fig_panels_csv(baselines, day_dists, all_scores, out_dir / "fig_panels.csv", source)
-    manifest.record(
-        "analyze",
-        occupancy="occupancy.csv",
-        surprise="surprise.csv",
-        patterns="patterns.csv",
-        fig_panels="fig_panels.csv",
-    )
-    manifest.save(out_dir)
-    return f"{len(baselines)} agents from {source} paths"
+    files = {
+        "occupancy": "occupancy.csv",
+        "surprise": "surprise.csv",
+        "patterns": "patterns.csv",
+        "fig_panels": "fig_panels.csv",
+    }
+    return files, f"{len(baselines)} agents from {source} paths"
 
 
-def stage_graph(
-    config: WorldConfig, out_dir: Path, manifest: RunManifest, source: str = "truth", handoff: Handoff | None = None
-) -> str:
-    paths = _paths_for_source(config, out_dir, manifest, source, handoff)
+def stage_graph(run: Run) -> tuple[dict[str, str], str]:
+    config, out_dir = run.config, run.out_dir
     agents = [a.id for a in config.agents]
     departments = {a.id: a.department for a in config.agents}
-    graph = extract_contacts(paths, agents, config.floor_plan, config.contact_rule, departments)
+    graph = extract_contacts(run.take("paths"), agents, config.floor_plan, config.contact_rule, departments)
     (out_dir / "contacts.dot").write_text(export_graph(graph, "dot"))
     (out_dir / "contact_edges.csv").write_text(export_graph(graph, "edge_csv"))
     metrics = graph_metrics(graph)
     write_node_metrics_csv(metrics, out_dir / "node_metrics.csv")
     write_department_matrix_csv(metrics, out_dir / "department_matrix.csv")
-    manifest.record(
-        "graph",
-        dot="contacts.dot",
-        edges="contact_edges.csv",
-        node_metrics="node_metrics.csv",
-        department_matrix="department_matrix.csv",
-    )
-    manifest.save(out_dir)
-    return f"{len(graph.nodes)} nodes, {len(graph.edges)} edges"
+    files = {
+        "dot": "contacts.dot",
+        "edges": "contact_edges.csv",
+        "node_metrics": "node_metrics.csv",
+        "department_matrix": "department_matrix.csv",
+    }
+    return files, f"{len(graph.nodes)} nodes, {len(graph.edges)} edges"
 
 
 STAGES = {
@@ -284,25 +289,16 @@ STAGES = {
 }
 
 
-def run_stage(
-    name: str,
-    config: WorldConfig,
-    out_dir: Path,
-    manifest: RunManifest,
-    source: str = "truth",
-    handoff: Handoff | None = None,
-) -> None:
-    """Run one stage; without a ``handoff`` it reads its inputs from the files the manifest names."""
-    stage = STAGES[name]
+def run_stage(name: str, run: Run) -> None:
+    """Run one stage and record the files it wrote in the manifest, which is saved once per stage."""
     start = time.perf_counter()
     try:
-        if name in ("analyze", "graph"):
-            summary = stage(config, out_dir, manifest, source=source, handoff=handoff)
-        else:
-            summary = stage(config, out_dir, manifest, handoff=handoff)
+        files, summary = STAGES[name](run)
+        run.manifest.record(name, **files)
+        run.manifest.save(run.out_dir)
     except StageError:
         raise
-    except OfficeLabError as exc:
+    except (OfficeLabError, OSError) as exc:  # OSError: a missing or unreadable input, an unwritable output
         raise StageError(f"stage {name} failed: {exc}") from exc
     log.info("%s: %s in %.2f s", name, summary, time.perf_counter() - start)
 
@@ -311,8 +307,7 @@ def run_pipeline(
     config: WorldConfig, config_path: str, out_dir: Path, source: str = "truth"
 ) -> RunManifest:
     """Every stage in order, each handing its products to the next in memory; every file is still written."""
-    manifest = open_manifest(config, config_path, out_dir)
-    handoff = Handoff(source)
+    run = Run(config, out_dir, open_manifest(config, config_path, out_dir), source, products={})
     for name in STAGES:
-        run_stage(name, config, out_dir, manifest, source=source, handoff=handoff)
-    return manifest
+        run_stage(name, run)
+    return run.manifest

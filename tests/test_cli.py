@@ -310,6 +310,31 @@ def test_malformed_handoff_file_exits_2_naming_file_and_line(tmp_path, capsys, s
     assert f"{name} line {line} is malformed" in err
 
 
+@pytest.mark.parametrize(
+    "stage, name",
+    [("fuse", "events.jsonl"), ("observe", "trajectories.csv"), ("analyze", "decoded_paths.csv")],
+)
+def test_missing_handoff_file_exits_2_naming_the_stage_and_file(tmp_path, capsys, stage, name):
+    out = tmp_path / "run"
+    config = ["--config", str(CONFIGS / "demo.json"), "--out", str(out)]
+    assert main(["pipeline", *config]) == 0
+    (out / name).unlink()
+    capsys.readouterr()
+    source = ["--analytics-source", "decoded"] if name == "decoded_paths.csv" else []
+    assert main([stage, *config, *source]) == 2
+    err = capsys.readouterr().err
+    assert f"stage {stage} failed" in err and str(out / name) in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "pipeline"])
+def test_out_naming_a_regular_file_exits_2_naming_it(config_path, tmp_path, capsys, command):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    assert main([command, "--config", str(config_path), "--out", str(out)]) == 2
+    assert f"cannot open the output directory {out}" in capsys.readouterr().err
+    assert out.read_text() == "not a directory\n"
+
+
 def test_trajectories_lacking_an_agent_tick_exit_2_naming_it(tmp_path, capsys):
     out = tmp_path / "run"
     config = ["--config", str(CONFIGS / "demo.json"), "--out", str(out)]

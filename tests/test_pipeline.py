@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from officelab.config import dump_config, load_config, parse_config
+from officelab.errors import ValidationError
 from officelab.formats import read_paths_csv, write_events_jsonl, write_trajectories_jsonl
 from officelab.fusion import LikelihoodModel, event_columns
-from officelab.pipeline import open_manifest, run_pipeline, run_stage
+from officelab.pipeline import Run, RunManifest, StageError, open_manifest, run_pipeline, run_stage
 from officelab.presets import full_scale_config
 from officelab.simulate import run_simulation
 
@@ -33,9 +34,9 @@ DEMO_RNG_OUTPUTS_SHA256 = {
 
 def test_demo_rng_outputs_are_pinned(tmp_path):
     config = load_config(CONFIGS / "demo.json")
-    manifest = open_manifest(config, str(CONFIGS / "demo.json"), tmp_path)
+    run = Run(config, tmp_path, open_manifest(config, str(CONFIGS / "demo.json"), tmp_path))
     for stage in ("simulate", "observe"):
-        run_stage(stage, config, tmp_path, manifest)
+        run_stage(stage, run)
     for name, digest in DEMO_RNG_OUTPUTS_SHA256.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
@@ -60,9 +61,9 @@ def test_demo_truth_outputs_are_pinned(tmp_path, handoff):
     if handoff:
         run_pipeline(config, str(CONFIGS / "demo.json"), tmp_path, source="truth")
     else:
-        manifest = open_manifest(config, str(CONFIGS / "demo.json"), tmp_path)
+        run = Run(config, tmp_path, open_manifest(config, str(CONFIGS / "demo.json"), tmp_path), source="truth")
         for stage in ("simulate", "analyze", "graph"):
-            run_stage(stage, config, tmp_path, manifest, source="truth")
+            run_stage(stage, run)
     for name, digest in DEMO_TRUTH_OUTPUTS_SHA256.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
@@ -133,9 +134,9 @@ def test_full_scale_pipeline_end_to_end(tmp_path):
 
 def test_config_without_agents_fuses_and_decodes_to_empty_outputs(tmp_path):
     config = dataclasses.replace(load_config(CONFIGS / "demo.json"), agents=())
-    manifest = open_manifest(config, str(CONFIGS / "demo.json"), tmp_path)
+    run = Run(config, tmp_path, open_manifest(config, str(CONFIGS / "demo.json"), tmp_path))
     for stage in ("simulate", "observe", "fuse", "decode"):
-        run_stage(stage, config, tmp_path, manifest)
+        run_stage(stage, run)
     assert (tmp_path / "events.jsonl").read_text() == ""
     assert (tmp_path / "beliefs.csv").read_text() == "day,tick,agent,location,probability\n"
     assert read_paths_csv(tmp_path / "argmax_paths.csv", config).shape == (config.days, config.ticks_per_day, 0)
@@ -173,3 +174,29 @@ def test_each_stage_logs_one_info_line_with_its_wall_time(tmp_path, caplog):
     lines = [r.getMessage() for r in caplog.records if r.name == "officelab.pipeline" and r.levelno == logging.INFO]
     assert [line.split(":")[0] for line in lines] == ["simulate", "observe", "fuse", "decode", "analyze", "graph"]
     assert all(re.fullmatch(r"\w+: .+ in \d+\.\d\d s", line) for line in lines), lines
+
+
+def test_unknown_analytics_source_fails_before_any_stage_runs(tmp_path):
+    config = load_config(CONFIGS / "demo.json")
+    out = tmp_path / "run"
+    with pytest.raises(StageError, match="unknown analytics source 'bogus'"):
+        run_pipeline(config, str(CONFIGS / "demo.json"), out, source="bogus")
+    assert list(out.iterdir()) == []  # neither a data file nor a manifest
+
+
+def test_manifest_is_saved_once_per_stage_and_lists_the_stages_that_finished(tmp_path):
+    config = load_config(CONFIGS / "demo.json")
+    with mock.patch.object(RunManifest, "save", autospec=True, side_effect=RunManifest.save) as save:
+        run_pipeline(config, str(CONFIGS / "demo.json"), tmp_path / "full")
+    assert save.call_count == 6
+
+    def broken(graph):
+        raise ValidationError("no metrics")
+
+    out = tmp_path / "broken"
+    with (
+        mock.patch("officelab.pipeline.graph_metrics", broken),
+        pytest.raises(StageError, match="stage graph failed: no metrics"),
+    ):
+        run_pipeline(config, str(CONFIGS / "demo.json"), out)
+    assert list(RunManifest.load(out).outputs) == ["simulate", "observe", "fuse", "decode", "analyze"]
