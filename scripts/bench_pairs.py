@@ -6,14 +6,17 @@
 Each checkout runs its own ``bench/run.py`` (so each side builds from its own
 ``src/``) for the benchmark's 36 s. Pair i of a workload runs both sides on
 seed 17 + i, one after the other; the side that runs first alternates from
-pair to pair, starting with the parent; every workload gets 10 pairs. Every
-run reports its own median over its repeats; the file gives, per side, the
-median and quartiles (numpy linear) of those run medians, how many pairs the
-change won, and its relative change of the medians. Then 3 alternating pairs
-of traced runs (``--trace 1``) of every workload on seed 17 give the
-per-layer figures, with the metrics each side reported absent. The runs go
-one at a time. The file also gives each side's ``src_lines``, the total line
-count of its ``src/**/*.py``.
+pair to pair, starting with the parent; every workload gets 10 pairs. Before
+each pair, the side that runs first makes one untimed 5 s run of the same
+workload and seed and discards its result: without it, the side that ran
+first was the slower one in each of 6 demo_stages pairs. Every run reports
+its own median over its repeats; the file gives, per side, the median and
+quartiles (numpy linear) of those run medians, how many pairs the change
+won, and its relative change of the medians. Then 3 alternating pairs of
+traced runs (``--trace 1``) of every workload on seed 17, each after its
+warm-up run, give the per-layer figures, with the metrics each side reported
+absent. The runs go one at a time. The file also gives each side's
+``src_lines``, the total line count of its ``src/**/*.py``.
 """
 
 from __future__ import annotations
@@ -55,12 +58,13 @@ WORKLOADS = ("full_scale_20", "demo_stages", "long_walk")
 PAIRS = 10
 TRACED_PAIRS = 3
 SECONDS = 36.0  # BENCHMARK.json's run_seconds
+WARM_UP_SECONDS = 5.0
 FIRST_SEED = 17
 
 
-def run(checkout: Path, workload: str, seed: int, trace: int) -> tuple[dict, dict]:
+def run(checkout: Path, workload: str, seed: int, trace: int, seconds: float = SECONDS) -> tuple[dict, dict]:
     """The last stdout line of one bench/run.py call in ``checkout``, and the full record it wrote."""
-    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", f"{SECONDS:g}",
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", f"{seconds:g}",
            "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
     record = checkout / ".bench_out" / f"{workload}-seed{seed}-trace{trace}.json"
@@ -76,11 +80,17 @@ def order(i: int) -> tuple[str, str]:
     return SIDES if i % 2 == 0 else SIDES[::-1]
 
 
+def warm_up(dirs: dict[str, Path], i: int, workload: str, seed: int) -> None:
+    """One untimed run of pair ``i``'s first side; its result is discarded."""
+    run(dirs[order(i)[0]], workload, seed, trace=0, seconds=WARM_UP_SECONDS)
+
+
 def compare(dirs: dict[str, Path], workload: str, machine: dict) -> dict:
     seeds = [FIRST_SEED + i for i in range(PAIRS)]
     values = {side: {m: [] for m in END_TO_END} for side in SIDES}
     counts = {side: {"failed": 0, "attempted": 0} for side in SIDES}
     for i, seed in enumerate(seeds):
+        warm_up(dirs, i, workload, seed)
         for side in order(i):
             result, record = run(dirs[side], workload, seed, trace=0)
             machine.update(record["machine"])
@@ -106,6 +116,7 @@ def traced(dirs: dict[str, Path], workload: str, machine: dict) -> dict:
     first: dict[str, dict] = {}
     absent: dict[str, list] = {}
     for i in range(TRACED_PAIRS):
+        warm_up(dirs, i, workload, FIRST_SEED)
         for side in order(i):
             result, record = run(dirs[side], workload, FIRST_SEED, trace=1)
             metrics = {name: m["value"] for name, m in result["metrics"].items()}
@@ -151,7 +162,8 @@ def main(argv: list[str] | None = None) -> int:
         "pr": args.pr,
         "what": args.what,
         "command": f"python3 bench/run.py --workload <w> --seed <s> --seconds {SECONDS:g} --trace 0",
-        "method": "alternating pairs on the same seed, the side that runs first alternating from pair to pair; "
+        "method": "alternating pairs on the same seed, the side that runs first alternating from pair to pair "
+        f"and making one untimed {WARM_UP_SECONDS:g} s warm-up run before each pair; "
         "each run reports its own median over its repeats; below are the median and quartiles (numpy linear) "
         "of those run medians",
         "parent_commit": commit(dirs["parent"]),

@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 from officelab.config import load_config
-from officelab.pipeline import run_pipeline
+from officelab.pipeline import SOURCES, run_pipeline
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -15,7 +15,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--config", default=str(REPO / "configs" / "demo.json"))
     ap.add_argument("--out", default="demo_run")
-    ap.add_argument("--analytics-source", choices=("truth", "decoded"), default="truth")
+    ap.add_argument("--analytics-source", choices=sorted(SOURCES), default="truth")
     args = ap.parse_args()
 
     config = load_config(args.config)

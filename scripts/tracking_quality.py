@@ -6,8 +6,8 @@ seeds 3, 11 and 23, through simulate, observe and one tracking pass
 (fusion.track_run), and prints per cell the agent-days that needed the
 Viterbi leak retry, the predict-only agent-ticks of the forward filter, and
 the share of agent-ticks where the per-tick argmax and the decoded path
-match the ground truth; then the means over the cells. Takes about 30 s on
-one core (Python 3.11, numpy 2.4).
+match the ground truth; then the means over the cells. Takes about 7 s on
+one core of a 2-core Xeon (Python 3.11, numpy 2.4).
 
     PYTHONPATH=src python scripts/tracking_quality.py
 """

@@ -26,11 +26,6 @@ class OccupancyDistribution:
     agent: int
     scope: str  # "baseline" or "day:<d>"
     probs: np.ndarray
-    smoothing_alpha: float = 0.0
-
-    @staticmethod
-    def day_scope(day: int) -> str:
-        return f"day:{day}"
 
 
 @dataclass(frozen=True)
@@ -44,6 +39,10 @@ class SurpriseScore:
 class PatternReport:
     agent: int
     patterns: list[tuple[tuple[int, ...], int, int]]  # (sequence, support, length)
+
+
+# surprise_by_day's result for one agent: the baseline, then each day's occupancy and surprise, keyed by day
+AgentSurprise = tuple[OccupancyDistribution, dict[int, OccupancyDistribution], dict[int, SurpriseScore]]
 
 
 def occupancy_distribution(
@@ -61,7 +60,7 @@ def occupancy_distribution(
         raise ValidationError("occupancy of an empty path is undefined")
     counts = np.bincount(path, minlength=plan.n)
     probs = (counts + alpha) / (len(path) + alpha * plan.n)
-    return OccupancyDistribution(agent=agent, scope=scope, probs=probs, smoothing_alpha=alpha)
+    return OccupancyDistribution(agent=agent, scope=scope, probs=probs)
 
 
 def surprise(day_dist: OccupancyDistribution, baseline: OccupancyDistribution, day: int = -1) -> SurpriseScore:
@@ -146,7 +145,7 @@ def surprise_by_day(
     plan: FloorPlan,
     baseline_alpha: float = 1.0,
     day_alpha: float = 0.0,
-) -> tuple[OccupancyDistribution, dict[int, OccupancyDistribution], dict[int, SurpriseScore]]:
+) -> AgentSurprise:
     """Baseline, per-day occupancy, and per-day surprise for one agent, keyed by day.
 
     ``days`` is the agent's (days, ticks) column of a locations[day, tick, a]
@@ -158,9 +157,7 @@ def surprise_by_day(
     day_dists = {}
     scores = {}
     for day, path in enumerate(days):
-        dist = occupancy_distribution(
-            path, plan, alpha=day_alpha, agent=agent, scope=OccupancyDistribution.day_scope(day)
-        )
+        dist = occupancy_distribution(path, plan, alpha=day_alpha, agent=agent, scope=f"day:{day}")
         day_dists[day] = dist
         scores[day] = surprise(dist, baseline, day)
     return baseline, day_dists, scores

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .config import load_config, with_seed
 from .errors import OfficeLabError, ParseError, ValidationError
-from .pipeline import STAGES, Run, open_manifest, run_pipeline, run_stage
+from .pipeline import SOURCES, STAGES, Run, open_manifest, run_pipeline, run_stage
 
 log = logging.getLogger("officelab")
 
@@ -38,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("analyze", "graph", "pipeline"):
             p.add_argument(
                 "--analytics-source",
-                choices=("truth", "decoded"),
+                choices=sorted(SOURCES),
                 default="truth",
                 help="run analytics on ground truth or on decoded paths",
             )

@@ -45,13 +45,6 @@ class ContactGraph:
     def weight(self, src: int, dst: int) -> int:
         return self.edges.get((src, dst), 0)
 
-    def undirected_weights(self) -> dict[tuple[int, int], int]:
-        """Collapse direction for display parity with undirected renderings."""
-        merged: Counter[tuple[int, int]] = Counter()
-        for (a, b), w in self.edges.items():
-            merged[(min(a, b), max(a, b))] += w
-        return dict(merged)
-
 
 def _colocation_intervals(seq_a, seq_b):
     """Maximal runs where both sequences sit at the same location.
@@ -117,12 +110,10 @@ def extract_contacts(
 @dataclass(frozen=True)
 class GraphMetrics:
     node_metrics: dict[int, dict[str, int]]  # in_degree, out_degree, weighted_degree
-    degree_histogram: dict[int, int]  # total degree -> node count
-    top_hubs: list[tuple[int, int]]  # (agent, weighted total degree), best first
     department_matrix: dict[tuple[str, str], int]
 
 
-def graph_metrics(graph: ContactGraph, top_k: int = 5) -> GraphMetrics:
+def graph_metrics(graph: ContactGraph) -> GraphMetrics:
     node_metrics = {
         a: {"in_degree": 0, "out_degree": 0, "weighted_degree": 0} for a in graph.nodes
     }
@@ -133,21 +124,7 @@ def graph_metrics(graph: ContactGraph, top_k: int = 5) -> GraphMetrics:
         node_metrics[a]["weighted_degree"] += w
         node_metrics[b]["weighted_degree"] += w
         dept_matrix[(graph.nodes[a], graph.nodes[b])] += w
-
-    histogram: Counter[int] = Counter()
-    for m in node_metrics.values():
-        histogram[m["in_degree"] + m["out_degree"]] += 1
-
-    hubs = sorted(
-        ((a, m["weighted_degree"]) for a, m in node_metrics.items()),
-        key=lambda item: (-item[1], item[0]),
-    )[:top_k]
-    return GraphMetrics(
-        node_metrics=node_metrics,
-        degree_histogram=dict(histogram),
-        top_hubs=hubs,
-        department_matrix=dict(dept_matrix),
-    )
+    return GraphMetrics(node_metrics=node_metrics, department_matrix=dict(dept_matrix))
 
 
 def export_graph(graph: ContactGraph, format: str = "dot") -> str:

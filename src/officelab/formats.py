@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .analytics import OccupancyDistribution, PatternReport, SurpriseScore
+from .analytics import AgentSurprise, PatternReport
 from .config import WorldConfig
 from .contacts import GraphMetrics
 from .errors import ValidationError
@@ -189,40 +189,40 @@ def write_decode_scores_csv(scores: np.ndarray, agents: Sequence[int], path: Pat
     _write_csv(path, "agent,day,log_score", rows)
 
 
-def write_occupancy_csv(dists: Sequence[OccupancyDistribution], path: Path, source: str) -> None:
+def write_occupancy_csv(results: Sequence[AgentSurprise], path: Path, source: str) -> None:
+    """surprise_by_day's ``results``, one per agent in row order: every baseline, then every day's occupancy."""
+    dists = chain((baseline for baseline, _, _ in results), (d for _, days, _ in results for d in days.values()))
     rows = (f"{dist.agent},{dist.scope},{loc},{_fmt(p)}\n" for dist in dists for loc, p in enumerate(dist.probs))
     _write_csv(path, "agent,scope,location,probability", rows, source)
 
 
-def write_surprise_csv(scores: Sequence[SurpriseScore], path: Path, source: str) -> None:
-    rows = (f"{s.agent},{s.day},{_fmt(s.bits)}\n" for s in sorted(scores, key=lambda s: (s.agent, s.day)))
+def write_surprise_csv(results: Sequence[AgentSurprise], path: Path, source: str) -> None:
+    """surprise_by_day's ``results``, one per agent in row order: each day's surprise."""
+    rows = (f"{s.agent},{s.day},{_fmt(s.bits)}\n" for _, _, scores in results for s in scores.values())
     _write_csv(path, "agent,day,bits", rows, source)
 
 
 def write_patterns_csv(reports: Sequence[PatternReport], path: Path, source: str) -> None:
+    """One report per agent, in row order."""
     rows = (
         f"{report.agent},{'-'.join(str(x) for x in pattern)},{support}\n"
-        for report in sorted(reports, key=lambda r: r.agent)
+        for report in reports
         for pattern, support, _ in report.patterns
     )
     _write_csv(path, "agent,pattern,support", rows, source)
 
 
-def write_fig_panels_csv(
-    baselines: dict[int, OccupancyDistribution],
-    day_dists: dict[int, dict[int, OccupancyDistribution]],
-    scores: dict[int, dict[int, SurpriseScore]],
-    path: Path,
-    source: str,
-) -> None:
-    """Plot-ready long table with three panels: (a) pooled occupancy per
-    location, (b) per-day occupancy, (c) per-day surprise."""
-    pooled = (f"a,{a},,{x},{_fmt(p)}\n" for a in sorted(baselines) for x, p in enumerate(baselines[a].probs))
+def write_fig_panels_csv(results: Sequence[AgentSurprise], path: Path, source: str) -> None:
+    """Plot-ready long table with three panels, agents in the order of surprise_by_day's ``results``:
+    (a) pooled occupancy per location, (b) per-day occupancy, (c) per-day surprise."""
+    pooled = (f"a,{b.agent},,{x},{_fmt(p)}\n" for b, _, _ in results for x, p in enumerate(b.probs))
     per_day = (
-        f"b,{a},{d},{x},{_fmt(p)}\n" for a in sorted(day_dists) for d in sorted(day_dists[a])
-        for x, p in enumerate(day_dists[a][d].probs)
+        f"b,{dist.agent},{d},{x},{_fmt(p)}\n"
+        for _, days, _ in results
+        for d, dist in days.items()
+        for x, p in enumerate(dist.probs)
     )
-    surprise = (f"c,{a},{d},,{_fmt(scores[a][d].bits)}\n" for a in sorted(scores) for d in sorted(scores[a]))
+    surprise = (f"c,{s.agent},{s.day},,{_fmt(s.bits)}\n" for _, _, scores in results for s in scores.values())
     _write_csv(path, "panel,agent,day,location,value", chain(pooled, per_day, surprise), source)
 
 

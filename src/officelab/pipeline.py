@@ -223,41 +223,26 @@ def stage_decode(run: Run) -> tuple[dict[str, str], str]:
 def stage_analyze(run: Run) -> tuple[dict[str, str], str]:
     config, out_dir, source = run.config, run.out_dir, run.source
     paths = run.take("paths")
-    settings = config.analytics
-    baselines = {}
-    day_dists = {}
-    all_scores = {}
-    reports = []
-    for a, profile in enumerate(config.agents):
-        agent_paths = paths[:, :, a]
-        baseline, dists, scores = surprise_by_day(
-            profile.id,
-            agent_paths,
-            config.floor_plan,
-            baseline_alpha=settings.baseline_alpha,
-            day_alpha=settings.day_alpha,
-        )
-        baselines[profile.id] = baseline
-        day_dists[profile.id] = dists
-        all_scores[profile.id] = scores
-        reports.append(
-            mine_frequent_patterns(
-                profile.id, agent_paths, settings.min_support, settings.min_len, settings.max_len
-            )
-        )
-    occ = [baselines[a] for a in sorted(baselines)]
-    occ += [day_dists[a][d] for a in sorted(day_dists) for d in sorted(day_dists[a])]
-    write_occupancy_csv(occ, out_dir / "occupancy.csv", source)
-    write_surprise_csv([s for a in sorted(all_scores) for s in all_scores[a].values()], out_dir / "surprise.csv", source)
+    settings, plan = config.analytics, config.floor_plan
+    by_id = sorted((profile.id, a) for a, profile in enumerate(config.agents))  # the row order of every file
+    results = [
+        surprise_by_day(agent, paths[:, :, a], plan, settings.baseline_alpha, settings.day_alpha) for agent, a in by_id
+    ]
+    reports = [
+        mine_frequent_patterns(agent, paths[:, :, a], settings.min_support, settings.min_len, settings.max_len)
+        for agent, a in by_id
+    ]
+    write_occupancy_csv(results, out_dir / "occupancy.csv", source)
+    write_surprise_csv(results, out_dir / "surprise.csv", source)
     write_patterns_csv(reports, out_dir / "patterns.csv", source)
-    write_fig_panels_csv(baselines, day_dists, all_scores, out_dir / "fig_panels.csv", source)
+    write_fig_panels_csv(results, out_dir / "fig_panels.csv", source)
     files = {
         "occupancy": "occupancy.csv",
         "surprise": "surprise.csv",
         "patterns": "patterns.csv",
         "fig_panels": "fig_panels.csv",
     }
-    return files, f"{len(baselines)} agents from {source} paths"
+    return files, f"{len(results)} agents from {source} paths"
 
 
 def stage_graph(run: Run) -> tuple[dict[str, str], str]:

@@ -23,7 +23,7 @@ from conftest import line_plan
 
 
 def _dist(probs, agent=0, scope="day:0", alpha=0.0) -> OccupancyDistribution:
-    return OccupancyDistribution(agent=agent, scope=scope, probs=np.asarray(probs, dtype=float), smoothing_alpha=alpha)
+    return OccupancyDistribution(agent=agent, scope=scope, probs=np.asarray(probs, dtype=float))
 
 
 # --- occupancy ----------------------------------------------------------------

@@ -203,18 +203,15 @@ def test_scheduled_meetings_connect_attendees_but_not_loners():
 def test_star_graph_metrics():
     nodes = {i: "other" for i in range(5)}
     edges = {(s, 0): 3 for s in range(1, 5)}
-    metrics = graph_metrics(ContactGraph(nodes, edges), top_k=1)
+    metrics = graph_metrics(ContactGraph(nodes, edges))
     assert metrics.node_metrics[0] == {"in_degree": 4, "out_degree": 0, "weighted_degree": 12}
     for spoke in range(1, 5):
         assert metrics.node_metrics[spoke] == {"in_degree": 0, "out_degree": 1, "weighted_degree": 3}
-    assert metrics.top_hubs == [(0, 12)]
-    assert metrics.degree_histogram == {4: 1, 1: 4}
 
 
 def test_empty_graph_metrics():
     metrics = graph_metrics(ContactGraph({0: "other", 1: "other"}, {}))
     assert all(m == {"in_degree": 0, "out_degree": 0, "weighted_degree": 0} for m in metrics.node_metrics.values())
-    assert metrics.degree_histogram == {0: 2}
     assert metrics.department_matrix == {}
 
 
@@ -265,8 +262,3 @@ def test_exports_are_byte_stable():
 def test_unknown_export_format_rejected():
     with pytest.raises(ValidationError, match="unknown export format"):
         export_graph(ContactGraph({}, {}), "gexf")
-
-
-def test_undirected_collapse_merges_both_directions():
-    graph = ContactGraph({0: "other", 1: "other"}, {(0, 1): 7, (1, 0): 3})
-    assert graph.undirected_weights() == {(0, 1): 10}

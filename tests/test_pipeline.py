@@ -68,6 +68,21 @@ def test_demo_truth_outputs_are_pinned(tmp_path, handoff):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
+def test_report_files_do_not_depend_on_the_config_agent_order(tmp_path):
+    config = load_config(CONFIGS / "demo.json")
+    locations = run_simulation(config)
+    reversed_config = dataclasses.replace(config, agents=config.agents[::-1])
+    written = []
+    for name, cfg, paths in (("listed", config, locations), ("reversed", reversed_config, locations[:, :, ::-1])):
+        out = tmp_path / name
+        run = Run(cfg, out, open_manifest(cfg, str(CONFIGS / "demo.json"), out), products={"paths": paths})
+        for stage in ("analyze", "graph"):
+            run_stage(stage, run)
+        written.append({p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"})
+    assert len(written[0]) == 8
+    assert written[0] == written[1]
+
+
 # 20 agents with delta_p > 0 meet in meeting rooms, the lunch area and the
 # corridor of the 50-location floor, so this digest also pins co-presence
 # counting and corridor traffic, which demo's three agents barely exercise
