@@ -16,7 +16,10 @@ won, and its relative change of the medians. Then 3 alternating pairs of
 traced runs (``--trace 1``) of every workload on seed 17, each after its
 warm-up run, give the per-layer figures, with the metrics each side reported
 absent. The runs go one at a time. The file also gives each side's
-``src_lines``, the total line count of its ``src/**/*.py``.
+``src_lines``, the total line count of its ``src/**/*.py``, and under
+``formats`` each side's reader and writer figures: scripts/bench_formats.py
+(this checkout's) run on that side's ``src/`` in 3 alternating rounds, each
+call's figures from its median round.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ TRACED_PAIRS = 3
 SECONDS = 36.0  # BENCHMARK.json's run_seconds
 WARM_UP_SECONDS = 5.0
 FIRST_SEED = 17
+FORMATS_ROUNDS = 3
 
 
 def run(checkout: Path, workload: str, seed: int, trace: int, seconds: float = SECONDS) -> tuple[dict, dict]:
@@ -139,6 +143,27 @@ def traced(dirs: dict[str, Path], workload: str, machine: dict) -> dict:
     return out
 
 
+def formats(dirs: dict[str, Path]) -> dict:
+    """bench_formats.py on each side's src/ in FORMATS_ROUNDS alternating rounds; per side, workload and call the
+    figures of the round with the median median_s."""
+    script = Path(__file__).with_name("bench_formats.py")
+    records: dict[str, list[dict]] = {side: [] for side in SIDES}
+    for i in range(FORMATS_ROUNDS):
+        for side in order(i):
+            cmd = [sys.executable, str(script), "--src", str(dirs[side] / "src")]
+            records[side].append(json.loads(subprocess.run(cmd, capture_output=True, text=True, check=True).stdout))
+    out: dict = {"rounds": FORMATS_ROUNDS, "repeats": records["change"][0]["repeats"]}
+    for side, runs in records.items():
+        out[side] = {
+            workload: {
+                name: sorted((r["workloads"][workload][name] for r in runs), key=lambda f: f["median_s"])[len(runs) // 2]
+                for name in calls
+            }
+            for workload, calls in runs[0]["workloads"].items()
+        }
+    return out
+
+
 def commit(checkout: Path) -> str | None:
     proc = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"], capture_output=True, text=True)
     return proc.stdout.strip() or None
@@ -170,6 +195,7 @@ def main(argv: list[str] | None = None) -> int:
         "src_lines": {side: src_lines(dirs[side]) for side in SIDES},
         "workloads": {w: compare(dirs, w, machine) for w in WORKLOADS},
         "traced": {w: traced(dirs, w, machine) for w in WORKLOADS},
+        "formats": formats(dirs),
     }
     report["machine"] = machine
     out = Path(f"BENCH_{args.pr}.json")

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from officelab.config import WorldConfig, load_config
 from officelab.errors import NoPathError, ValidationError
 from officelab.formats import (
     BELIEF_WRITE_FLOOR,
+    _read_event_lines,
+    _read_path_lines,
     read_events_jsonl,
     read_paths_csv,
     write_beliefs_csv,
@@ -22,6 +26,7 @@ from officelab.formats import (
     write_trajectories_csv,
     write_trajectories_jsonl,
 )
+from officelab.pipeline import run_pipeline
 from officelab.sensors import EventColumns, ObservationEvent, SensorSpec
 from officelab.simulate import run_simulation
 from officelab.world import FloorPlan
@@ -111,6 +116,12 @@ def test_events_reader_takes_what_json_loads_takes(tmp_path):
         path.write_text(f"{line}\n{bad}\n")
         with pytest.raises(ValidationError, match="line 2 is malformed"):
             read_events_jsonl(path, config)
+    # a boolean is not an integer, although np.array([True, 0]) is an int64 column
+    for key, value in (("day", 0), ("tick", 3), ("reported_agent", 1), ("location", 2)):
+        flag = json.dumps(bool(value))
+        path.write_text(f"{line}\n" + line.replace(f'"{key}": {value}', f'"{key}": {flag}') + "\n")
+        with pytest.raises(ValidationError, match=f"line 2 is malformed: TypeError.*{key} must be an integer, got"):
+            read_events_jsonl(path, config)
 
 
 def test_paths_csv_round_trip(tmp_path):
@@ -154,6 +165,16 @@ def test_paths_reader_rejects_rows_off_the_configured_agent_ticks(tmp_path):
     path.write_text("\n".join(["agent,day,tick,location", *rows[:3], ""]))
     with pytest.raises(ValidationError, match="p.csv has no record of agent 0 at day 0 tick 1"):
         read_paths_csv(path, config)
+    # each field must be an integer in decimal form; int() alone would read every one of these as on the plan
+    wide = _config((0, 1), 1, 2, 11)
+    for field in (" 1", "+1", "01", "-0", "1\r", "\u0663", "1_0", "1 "):
+        path.write_text("\n".join(["agent,day,tick,location", *rows[:3], f"0,0,1,{field}", ""]))
+        problem = ValueError(f"{field!r} is not an integer in decimal form")
+        with pytest.raises(ValidationError, match=re.escape(f"p.csv line 5 is malformed: {problem!r}")):
+            read_paths_csv(path, wide)
+    path.write_text("\r\n".join(["agent,day,tick,location", *rows, ""]))  # CRLF line ends
+    with pytest.raises(ValidationError, match="p.csv line 1 is malformed.*expected the header"):
+        read_paths_csv(path, config)
 
 
 @settings(max_examples=60, deadline=None)
@@ -182,6 +203,118 @@ def test_paths_reader_reads_back_the_written_table_and_names_a_lost_or_repeated_
         agent, day, tick, _ = rows[i].split(",")
         with pytest.raises(ValidationError, match=f"no record of agent {agent} at day {day} tick {tick}"):
             read_paths_csv(path, config)
+
+
+# bytes a mutation inserts or substitutes: those the array paths treat specially, then any byte
+_MUTANT_BYTES = st.sampled_from(list(b'0123456789-,:" \n\r\t\\+_.e{}[]tf')) | st.integers(0, 255)
+
+
+@st.composite
+def _mutated(draw, text: bytes) -> bytes:
+    """``text`` after one random byte substitution, deletion or insertion, or one line swap, drop or repeat."""
+    kind = draw(st.sampled_from(("substitute", "delete", "insert", "swap", "drop", "repeat")), label="mutation")
+    if kind in ("substitute", "delete", "insert"):
+        if not text:
+            return bytes([draw(_MUTANT_BYTES)])
+        digits = [i for i, byte in enumerate(text) if chr(byte).isdigit()]  # at a digit half the time
+        i = draw(st.integers(0, len(text) - 1) | st.sampled_from(digits or [0]), label="at")
+        byte = b"" if kind == "delete" else bytes([draw(_MUTANT_BYTES, label="byte")])
+        return text[:i] + byte + text[i + (kind != "insert") :]
+    lines = text.splitlines(keepends=True)
+    if not lines:
+        return text
+    i, j = (draw(st.integers(0, len(lines) - 1), label=label) for label in ("line", "other"))
+    if kind == "swap":
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "drop":
+        del lines[i]
+    else:
+        lines.insert(j, lines[i])
+    return b"".join(lines)
+
+
+def _outcome(read, path: Path, config: WorldConfig):
+    """What ``read`` makes of ``path``: its array or arrays, or the text of the ValidationError it raises."""
+    try:
+        return read(path, config)
+    except ValidationError as exc:
+        return str(exc)
+
+
+def _assert_same_outcome(got, expected) -> None:
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert not isinstance(got, str), got
+        pairs = zip(got, expected) if isinstance(expected, tuple) else [(got, expected)]
+        assert all(g.dtype == e.dtype == np.int64 and np.array_equal(g, e) for g, e in pairs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_paths_reader_equals_the_line_reader_on_written_tables_and_their_mutants(tmp_path_factory, data):
+    agents = data.draw(st.lists(st.integers(0, 40), min_size=1, max_size=3, unique=True), label="agents")
+    days, ticks, n = (data.draw(st.integers(1, k)) for k in (3, 4, 12))
+    config = _config(agents, days, ticks, n)
+    size = days * ticks * len(agents)
+    cells = data.draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size), label="locations")
+    locations = np.array(cells, dtype=np.int64).reshape(days, ticks, len(agents))
+    path = tmp_path_factory.mktemp("paths") / "p.csv"
+    write = data.draw(st.sampled_from((write_paths_csv, write_trajectories_csv)), label="writer")
+    write(locations, agents, path)
+    path.write_bytes(data.draw(_mutated(path.read_bytes())))
+    _assert_same_outcome(_outcome(read_paths_csv, path, config), _outcome(_read_path_lines, path, config))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_events_reader_equals_the_line_reader_on_written_logs_and_their_mutants(tmp_path_factory, data):
+    ids = data.draw(st.lists(st.text("ab0:\"\\\u00e9 ", max_size=3), min_size=1, max_size=3, unique=True), label="ids")
+    agents = data.draw(st.lists(st.integers(0, 40), min_size=1, max_size=3, unique=True), label="agents")
+    days, ticks, n = (data.draw(st.integers(1, k)) for k in (3, 12, 12))
+    config = _event_config(ids, agents, days, ticks, n)
+    event = st.tuples(*(st.integers(0, k - 1) for k in (len(ids), days, ticks, len(agents), n)))
+    rows = sorted(data.draw(st.lists(event, max_size=12), label="events"), key=lambda row: row[1])
+    columns = EventColumns(*(np.array(c, dtype=np.int64).reshape(-1) for c in (zip(*rows) if rows else [()] * 5)))
+    path = tmp_path_factory.mktemp("events") / "e.jsonl"
+    write_events_jsonl(columns, path, config)
+    path.write_bytes(data.draw(_mutated(path.read_bytes())))
+    _assert_same_outcome(_outcome(read_events_jsonl, path, config), _outcome(_read_event_lines, path, config))
+
+
+def _refuse(path, *args):
+    raise AssertionError(f"{path} went to the line reader")
+
+
+def test_every_handoff_a_pipeline_writes_takes_the_array_path(tmp_path):
+    config = load_config(Path(__file__).resolve().parent.parent / "configs" / "demo.json")
+    run_pipeline(config, "demo.json", tmp_path)
+    tables = [tmp_path / name for name in ("trajectories.csv", "decoded_paths.csv", "argmax_paths.csv")]
+    events = tmp_path / "events.jsonl"
+    expected = [_read_path_lines(path, config) for path in tables] + [_read_event_lines(events, config)]
+    with (
+        mock.patch("officelab.formats._read_path_lines", _refuse),
+        mock.patch("officelab.formats._read_event_lines", _refuse),
+    ):
+        got = [read_paths_csv(path, config) for path in tables] + [read_events_jsonl(events, config)]
+    for read, want in zip(got, expected):
+        _assert_same_outcome(read, want)
+
+
+def test_readers_give_the_line_readers_result_on_an_empty_log_an_unended_line_and_an_id_with_a_colon(tmp_path):
+    config = _event_config(("cam:0", "tag1"), (0, 1), 1, 4, 3)
+    columns = _columns([ObservationEvent("cam:0", 0, 3, 1, 2), ObservationEvent("tag1", 0, 1, 0, 0)], config)
+    path = tmp_path / "e.jsonl"
+    write_events_jsonl(columns, path, config)
+    text = path.read_bytes()
+    for variant in (text, text[:-1], b""):
+        path.write_bytes(variant)
+        _assert_same_outcome(_outcome(read_events_jsonl, path, config), _outcome(_read_event_lines, path, config))
+    locations, config = np.array([[[1, 2], [0, 1]]]), _config((0, 1), 1, 2, 3)
+    write_paths_csv(locations, [0, 1], path)
+    path.write_bytes(path.read_bytes()[:-1])
+    _assert_same_outcome(read_paths_csv(path, config), locations)
+    _assert_same_outcome(_read_path_lines(path, config), locations)
 
 
 def test_trajectories_csv_reads_back_as_the_simulated_locations(tmp_path):
