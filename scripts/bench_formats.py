@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Time the handoff readers and writers in process; print one JSON record.
 
-    python3 scripts/bench_formats.py [--src SRC_DIR] [--repeats N]
+    python3 scripts/bench_formats.py [--src SRC_DIR]
 
 For configs/demo.json and for full_scale_20 (full_scale_config with seed 17,
 20 agents and 5 days of 300 ticks, as bench/workloads.py builds it), one
 ``run_pipeline`` call writes every file into a temporary directory. Each
 writer then rewrites its file from the arrays read back, and each reader
-reads the file, ``--repeats`` times (at least 7). A figure is the median of
-those wall times, also given as µs per row (a CSV row or a JSON line, headers
-not counted) and MB/s of the file. Only the public names of
+reads the file, REPEATS (7) times. A figure is the median of those wall
+times, also given as µs per row (a CSV row or a JSON line, headers not
+counted) and MB/s of the file. Only the public names of
 ``officelab.formats`` are used, so ``--src`` can point at any checkout's
 ``src/`` and one script times both sides of a change.
 """
@@ -26,21 +26,21 @@ import tempfile
 import time
 from pathlib import Path
 
-MIN_REPEATS = 7
+REPEATS = 7
 REPO = Path(__file__).resolve().parent.parent
 
 
-def timed(call, repeats: int) -> float:
-    """The median wall time of ``repeats`` calls."""
+def timed(call) -> float:
+    """The median wall time of REPEATS calls."""
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         call()
         times.append(time.perf_counter() - start)
     return statistics.median(times)
 
 
-def figures(config, out: Path, repeats: int) -> dict:
+def figures(config, out: Path) -> dict:
     from officelab import formats
     from officelab.fusion import track_run
     from officelab.pipeline import run_pipeline
@@ -69,7 +69,7 @@ def figures(config, out: Path, repeats: int) -> dict:
     result = {}
     for name, (file, call) in calls.items():
         path = (scratch if name.startswith("write") else out) / file
-        seconds = timed(lambda: call(path), repeats)
+        seconds = timed(lambda: call(path))
         data = path.read_bytes()
         rows = data.count(b"\n") - (not file.endswith(".jsonl"))  # a CSV's header is not a row
         result[name] = {
@@ -86,10 +86,7 @@ def figures(config, out: Path, repeats: int) -> dict:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--src", type=Path, default=REPO / "src", help="the src/ directory whose officelab is timed")
-    ap.add_argument("--repeats", type=int, default=MIN_REPEATS)
     args = ap.parse_args(argv)
-    if args.repeats < MIN_REPEATS:
-        ap.error(f"--repeats must be at least {MIN_REPEATS}")
     sys.path.insert(0, str(args.src.resolve()))
     import numpy
 
@@ -101,7 +98,7 @@ def main(argv: list[str] | None = None) -> int:
         "full_scale_20": parse_config(full_scale_config(seed=17, n_agents=20, days=5)),
     }
     record: dict = {
-        "repeats": args.repeats,
+        "repeats": REPEATS,
         "machine": {
             "python": platform.python_version(),
             "numpy": numpy.__version__,
@@ -111,7 +108,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
-        record["workloads"] = {name: figures(config, out / name, args.repeats) for name, config in configs.items()}
+        record["workloads"] = {name: figures(config, out / name) for name, config in configs.items()}
     print(json.dumps(record))
     return 0
 

@@ -192,6 +192,7 @@ def main(argv: list[str] | None = None) -> int:
         "each run reports its own median over its repeats; below are the median and quartiles (numpy linear) "
         "of those run medians",
         "parent_commit": commit(dirs["parent"]),
+        "change_commit": commit(dirs["change"]),
         "src_lines": {side: src_lines(dirs[side]) for side in SIDES},
         "workloads": {w: compare(dirs, w, machine) for w in WORKLOADS},
         "traced": {w: traced(dirs, w, machine) for w in WORKLOADS},

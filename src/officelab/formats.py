@@ -7,10 +7,7 @@ from, and read back into, a ``locations[day, tick, a]`` array whose columns
 follow the agent ids given (the config's order). Every such table a stage
 reads (trajectories.csv and the *_paths.csv tables) goes through read_paths_csv,
 which checks it against the config; trajectories.jsonl is an export, not read.
-Each reader takes a file exactly as its writers write it in arrays, the whole
-file at once, and hands any other file to its line reader, which accepts the
-same tables (and, for events, every line ``json.loads`` reads) and names the
-line of each error.
+Both readers parse a file exactly as written in arrays, and any other line by line.
 """
 
 from __future__ import annotations
@@ -46,13 +43,6 @@ def _write_csv(path: Path, header: str, rows: Iterable[str], source: str | None 
             fh.write(f"# source={source}\n")
         fh.write(f"{header}\n")
         fh.writelines(rows)
-
-
-def _decimal(field: str) -> int:
-    """``field`` as an integer, if it is one in decimal form ("1" or "-1", not "01", "+1", " 1", "1\\r" or "1_0")."""
-    if str(value := int(field)) != field:
-        raise ValueError(f"{field!r} is not an integer in decimal form")
-    return value
 
 
 def _malformed(path: Path, lineno: int, exc: Exception) -> ValidationError:
@@ -93,27 +83,15 @@ def write_events_jsonl(columns: EventColumns, path: Path, config: WorldConfig) -
             fh.writelines(f'{head[s]}{t}, "reported_agent": {agents[a]}, "location": {x}}}\n' for s, t, a, x in rows)
 
 
-# write_events_jsonl's line: these literals around the sensor id and the four integers
 EVENT_LITERALS = (b'{"sensor": "', b'", "day": ', b', "tick": ', b', "reported_agent": ', b', "location": ', b"}\n")
-MAX_DIGITS = 18  # a longer integer field goes to the line reader, so no parsed value can overflow int64
 ID_BYTES = np.array([0x20 <= b < 0x7F and b not in b'"\\' for b in range(256)])  # an id's bytes on the array path
 
 
-def read_events_jsonl(path: Path, config: WorldConfig) -> EventColumns:
-    """The events as ``config``'s column table (fusion.field_columns checks them); a malformed line raises
-    ValidationError naming it. A file of lines exactly as write_events_jsonl writes them is parsed whole, in arrays
-    (_event_fields); any other goes to _read_event_lines, the one source of the messages that name a line."""
-    with open(path, "rb") as fh:
-        fields = _event_fields(fh.read())
-    return _read_event_lines(path, config) if fields is None else field_columns(fields, config)
-
-
 def _integer_spans(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
-    """The integers at ``buf[lo:hi]``, each written as -?(0|[1-9][0-9]*) of at most MAX_DIGITS digits that fill
-    its span; else None."""
+    """The integers at ``buf[lo:hi]`` if each is -?(0|[1-9][0-9]*) of at most 18 digits (to fit int64); else None."""
     neg = buf[lo] == ord("-")
     width = hi - lo - neg
-    if np.any((width < 1) | (width > MAX_DIGITS) | ((buf[lo + neg] == ord("0")) & (neg | (width > 1)))):
+    if np.any((width < 1) | (width > 18) | ((buf[lo + neg] == ord("0")) & (neg | (width > 1)))):
         return None
     value = np.zeros(lo.size, dtype=np.int64)
     for k in range(int(width.max(initial=0))):  # the digits worth 10**k, k places before each span's end
@@ -124,47 +102,49 @@ def _integer_spans(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarra
     return np.where(neg, -value, value)
 
 
-def _event_fields(data: bytes) -> list | None:
-    """The five fields of the events in ``data`` if every line is EVENT_LITERALS around a sensor id of ID_BYTES
-    other than ':' and four integers (_integer_spans); else None."""
-    buf = np.frombuffer(data, dtype=np.uint8)
+def read_events_jsonl(path: Path, config: WorldConfig) -> EventColumns:
+    """The events as ``config``'s column table (fusion.field_columns checks them); a malformed line raises
+    ValidationError naming it. A file of write_events_jsonl's exact lines is parsed in arrays, any other by line."""
+    buf = np.fromfile(path, dtype=np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))
     colons = np.flatnonzero(buf == ord(":"))
-    if colons.size != 5 * ends.size or not data.endswith(b"\n"):  # an empty file goes to the line reader too
-        return None
-    # where each literal starts in each line: at a fixed distance before its colon, and the last at the line's end
+    if colons.size != 5 * ends.size or buf[-1:].tobytes() != b"\n":  # so an empty file too
+        return _read_event_lines(path, config)
+    # each literal's start: a fixed distance before its colon, the last at the line's end; each ends before the next
     at = [colons[k::5] - lit.index(b":") for k, lit in enumerate(EVENT_LITERALS[:-1])] + [ends - 1]
-    if np.any(at[0] != np.append(-1, ends)[:-1] + 1) or any(
-        np.any(lo + len(lit) > hi) for lit, lo, hi in zip(EVENT_LITERALS, at, at[1:])
-    ):  # a literal that runs into the next would be checked outside its line
-        return None
-    for lit, lo in zip(EVENT_LITERALS, at):
-        if np.any(sliding_window_view(buf, len(lit))[lo] != np.frombuffer(lit, dtype=np.uint8)):
-            return None
+    if np.any(at[0] != np.append(0, ends[:-1] + 1)) or any(
+        np.any(lo + len(lit) > hi) or np.any(sliding_window_view(buf, len(lit))[lo] != np.frombuffer(lit, np.uint8))
+        for lit, lo, hi in zip(EVENT_LITERALS, at, at[1:] + [ends + 1])
+    ):
+        return _read_event_lines(path, config)
     lo, width = at[0] + len(EVENT_LITERALS[0]), at[1] - at[0] - len(EVENT_LITERALS[0])
     w = -(-int(width.max(initial=1)) // 8) * 8  # the longest id, in whole 8-byte words
-    ids = sliding_window_view(np.append(buf, np.zeros(w, dtype=np.uint8)), w)[lo]  # each id and the bytes after it
+    if lo[-1] + w > buf.size:  # the last line's id and the bytes after it do not fill a word
+        return _read_event_lines(path, config)
     after = np.arange(w) >= width[:, None]
-    ids[after] = 0
+    ids = np.where(after, 0, sliding_window_view(buf, w)[lo])  # each id, padded with zero bytes to w
     numbers = [_integer_spans(buf, lo + len(lit), hi) for lit, lo, hi in zip(EVENT_LITERALS[1:], at[1:], at[2:])]
     if any(x is None for x in numbers) or not np.all(ID_BYTES[ids] | after):
-        return None
-    # each distinct id decoded once; one word sorts as a number, faster than as a string
-    key = ids.view(np.uint64 if w == 8 else f"S{w}").ravel()
-    _, first, sensor = np.unique(key, return_index=True, return_inverse=True)
-    names = np.array([bytes(ids[i]).rstrip(b"\0").decode() for i in first], dtype=object)
+        return _read_event_lines(path, config)
+    # each distinct id decoded once, where it first sorts; one word sorts as a number, faster than as a string
+    key = ids.view(np.int64 if w == 8 else f"S{w}").ravel()
+    order = np.argsort(key, kind="stable")
+    new = np.append(True, key[order[1:]] != key[order[:-1]])
+    names = np.array([bytes(ids[i]).rstrip(b"\0").decode() for i in order[new]], dtype=object)
+    sensor = np.empty(key.size, dtype=object)
+    sensor[order] = names[np.cumsum(new) - 1]
     day, tick, agent, loc = numbers
-    return [names[sensor], day, tick, agent.tolist(), loc]
+    del buf, ends, colons, at, ids, after, key, order  # before field_columns adds its own
+    return field_columns([sensor, day, tick, agent.tolist(), loc], config)
 
 
 def _read_event_lines(path: Path, config: WorldConfig) -> EventColumns:
-    """read_events_jsonl line by line: each line as ``json.loads`` reads it.
+    """read_events_jsonl line by line: each line as ``json.loads`` reads it, but a boolean is not an integer.
 
     Lines go through the decoder's ``raw_decode`` rather than ``json.loads``,
     which sets up each call anew; the line is stripped of JSON whitespace and
-    data after its object is rejected, as ``json.loads`` does. A boolean is
-    not an integer. Each field goes to its own list, and each sensor id is
-    held once (interned).
+    data after its object is rejected, as ``json.loads`` does. Each field goes
+    to its own list, and each sensor id is held once (interned).
     """
     decode = json.JSONDecoder().raw_decode
     fields: tuple[list, ...] = ([], [], [], [], [])
@@ -218,44 +198,33 @@ def read_paths_csv(path: Path, config: WorldConfig) -> np.ndarray:
     """``locations[day, tick, a]`` of the configured agents (column a in config order), from the table
     write_paths_csv and write_trajectories_csv write.
 
-    Each row must be four integers in decimal form, name a configured agent
-    and day, be the next tick of its (agent, day) path and below
-    ticks_per_day, and lie on the floor plan; a row that does not raises
-    ValidationError naming its line. The table must also hold every
-    configured agent-tick; after the last row, the first one missing raises
-    ValidationError naming it. A table that passes is checked whole, in
-    arrays (_paths_array); any other goes to _read_path_lines, line by line.
+    Each row must be four integers in decimal form, name a configured agent and day, be the next tick of its
+    (agent, day) path and below ticks_per_day, and lie on the floor plan; a row that does not raises
+    ValidationError naming its line. The table must also hold every configured agent-tick; after the last
+    row, the first one missing raises ValidationError naming it.
     """
-    with open(path, "rb") as fh:
-        locations = _paths_array(fh.read(), config)
-    return _read_path_lines(path, config) if locations is None else locations
-
-
-def _paths_array(data: bytes, config: WorldConfig) -> np.ndarray | None:
-    """read_paths_csv's array of the table in ``data`` if it passes every check, else None: each row four
-    integers (_integer_spans) separated by commas and ending in a newline."""
     days, ticks, n_agents = config.days, config.ticks_per_day, len(config.agents)
-    rows, head = days * ticks * n_agents, f"{PATHS_HEADER}\n".encode()
+    rows, head, data = days * ticks * n_agents, f"{PATHS_HEADER}\n".encode(), Path(path).read_bytes()
     if not data.startswith(head) or not data.endswith(b"\n"):
-        return None
+        return _read_path_lines(path, config)
     body = np.frombuffer(data, dtype=np.uint8, offset=len(head))
     sep = np.flatnonzero((body == ord(",")) | (body == ord("\n")))
     if sep.size != 4 * rows or np.any(body[sep].reshape(rows, 4) != np.frombuffer(b",,,\n", dtype=np.uint8)):
-        return None
+        return _read_path_lines(path, config)
     values = _integer_spans(body, np.append(-1, sep)[:-1] + 1, sep)  # each field, from after the last separator
     if values is None:
-        return None
+        return _read_path_lines(path, config)
     agent, day, tick, loc = values.reshape(rows, 4).T
     ids = np.array([a.id for a in config.agents], dtype=np.int64)
     by_id = np.argsort(ids)
     col = by_id[np.searchsorted(ids, agent, sorter=by_id).clip(max=n_agents - 1)]
     off = (ids[col] != agent) | (day < 0) | (day >= days) | (tick < 0) | (tick >= ticks)
     if np.any(off | (loc < 0) | (loc >= config.floor_plan.n)):
-        return None
+        return _read_path_lines(path, config)
     # each (agent, day) path, in file order, must be its ticks 0..ticks-1, and the paths every configured one
-    path = col * days + day
-    if np.any((path * ticks + tick)[np.argsort(path, kind="stable")] != np.arange(rows)):
-        return None
+    path_of = col * days + day
+    if np.any((path_of * ticks + tick)[np.argsort(path_of, kind="stable")] != np.arange(rows)):
+        return _read_path_lines(path, config)
     locations = np.empty((days, ticks, n_agents), dtype=np.int64)
     locations[day, tick, col] = loc
     return locations
@@ -274,7 +243,10 @@ def _read_path_lines(path: Path, config: WorldConfig) -> np.ndarray:
             if fh.readline() != f"{PATHS_HEADER}\n":
                 raise ValueError(f"expected the header {PATHS_HEADER!r}")
             for lineno, line in enumerate(fh, 2):
-                agent, day, tick, loc = map(_decimal, line.removesuffix("\n").split(","))
+                fields = line.removesuffix("\n").split(",")
+                agent, day, tick, loc = values = [int(f) for f in fields]
+                if bad := [f for f, v in zip(fields, values) if str(v) != f]:
+                    raise ValueError(f"{bad[0]!r} is not an integer in decimal form")
                 expected = next_tick.get((agent, day))
                 if expected is None:
                     raise ValueError(f"agent {agent} at day {day} is not configured")

@@ -10,10 +10,8 @@ and decodes in one pass over the evidence, and the analytics source's
 locations to analyze and graph), so nothing is read back. A stage run on its
 own has no products, and ``take`` reads each input back through
 ``_read_back``, the one place a stage input is read from disk: the file the
-manifest names, parsed and checked against the config by the formats
-readers, whole in arrays when it is as written and line by line otherwise
-(observe reads trajectories.csv; trajectories.jsonl is an export, read by no
-stage).
+manifest names, parsed and checked against the config by its formats reader
+(observe reads trajectories.csv; trajectories.jsonl is an export, read by no stage).
 run_stage records each stage's files in the manifest and saves it. Every
 agent-tick table, simulated, read back or decoded, is one
 ``locations[day, tick, a]`` array, agent column a in config agent order. All
