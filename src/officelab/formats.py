@@ -108,7 +108,7 @@ def read_events_jsonl(path: Path, config: WorldConfig) -> EventColumns:
     buf = np.fromfile(path, dtype=np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))
     colons = np.flatnonzero(buf == ord(":"))
-    if colons.size != 5 * ends.size or buf[-1:].tobytes() != b"\n":  # so an empty file too
+    if colons.size != 5 * ends.size or buf[-1:].tobytes() != b"\n":  # an empty file falls back too
         return _read_event_lines(path, config)
     # each literal's start: a fixed distance before its colon, the last at the line's end; each ends before the next
     at = [colons[k::5] - lit.index(b":") for k, lit in enumerate(EVENT_LITERALS[:-1])] + [ends - 1]
@@ -119,10 +119,8 @@ def read_events_jsonl(path: Path, config: WorldConfig) -> EventColumns:
         return _read_event_lines(path, config)
     lo, width = at[0] + len(EVENT_LITERALS[0]), at[1] - at[0] - len(EVENT_LITERALS[0])
     w = -(-int(width.max(initial=1)) // 8) * 8  # the longest id, in whole 8-byte words
-    if lo[-1] + w > buf.size:  # the last line's id and the bytes after it do not fill a word
-        return _read_event_lines(path, config)
     after = np.arange(w) >= width[:, None]
-    ids = np.where(after, 0, sliding_window_view(buf, w)[lo])  # each id, padded with zero bytes to w
+    ids = np.where(after, 0, sliding_window_view(np.append(buf, np.zeros(w, np.uint8)), w)[lo])  # zero-padded ids
     numbers = [_integer_spans(buf, lo + len(lit), hi) for lit, lo, hi in zip(EVENT_LITERALS[1:], at[1:], at[2:])]
     if any(x is None for x in numbers) or not np.all(ID_BYTES[ids] | after):
         return _read_event_lines(path, config)
@@ -134,7 +132,6 @@ def read_events_jsonl(path: Path, config: WorldConfig) -> EventColumns:
     sensor = np.empty(key.size, dtype=object)
     sensor[order] = names[np.cumsum(new) - 1]
     day, tick, agent, loc = numbers
-    del buf, ends, colons, at, ids, after, key, order  # before field_columns adds its own
     return field_columns([sensor, day, tick, agent.tolist(), loc], config)
 
 
@@ -198,10 +195,12 @@ def read_paths_csv(path: Path, config: WorldConfig) -> np.ndarray:
     """``locations[day, tick, a]`` of the configured agents (column a in config order), from the table
     write_paths_csv and write_trajectories_csv write.
 
-    Each row must be four integers in decimal form, name a configured agent and day, be the next tick of its
-    (agent, day) path and below ticks_per_day, and lie on the floor plan; a row that does not raises
-    ValidationError naming its line. The table must also hold every configured agent-tick; after the last
-    row, the first one missing raises ValidationError naming it.
+    Each row must be four integers in decimal form, name a configured agent
+    and day, be the next tick of its (agent, day) path and below
+    ticks_per_day, and lie on the floor plan; a row that does not raises
+    ValidationError naming its line. The table must also hold every
+    configured agent-tick; after the last row, the first one missing raises
+    ValidationError naming it.
     """
     days, ticks, n_agents = config.days, config.ticks_per_day, len(config.agents)
     rows, head, data = days * ticks * n_agents, f"{PATHS_HEADER}\n".encode(), Path(path).read_bytes()
