@@ -7,7 +7,8 @@ from, and read back into, a ``locations[day, tick, a]`` array whose columns
 follow the agent ids given (the config's order). Every such table a stage
 reads (trajectories.csv and the *_paths.csv tables) goes through read_paths_csv,
 which checks it against the config; trajectories.jsonl is an export, not read.
-Both readers parse a file exactly as written in arrays, and any other line by line.
+Both readers parse a file exactly as written in arrays, and any other line by
+line, each line decoded alone so that an error names its line.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from .analytics import AgentSurprise, PatternReport
 from .config import WorldConfig
 from .contacts import GraphMetrics
 from .errors import ValidationError
-from .fusion import field_columns
-from .sensors import EventColumns
+from .fusion import agent_columns, event_columns
+from .sensors import EventColumns, ObservationEvent
 
 BELIEF_WRITE_FLOOR = 1e-6  # rows below this are omitted from the belief CSV
 PATHS_HEADER = "agent,day,tick,location"  # trajectories.csv and the *_paths.csv tables
@@ -84,7 +85,6 @@ def write_events_jsonl(columns: EventColumns, path: Path, config: WorldConfig) -
 
 
 EVENT_LITERALS = (b'{"sensor": "', b'", "day": ', b', "tick": ', b', "reported_agent": ', b', "location": ', b"}\n")
-ID_BYTES = np.array([0x20 <= b < 0x7F and b not in b'"\\' for b in range(256)])  # an id's bytes on the array path
 
 
 def _integer_spans(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
@@ -103,12 +103,12 @@ def _integer_spans(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarra
 
 
 def read_events_jsonl(path: Path, config: WorldConfig) -> EventColumns:
-    """The events as ``config``'s column table (fusion.field_columns checks them); a malformed line raises
-    ValidationError naming it. A file of write_events_jsonl's exact lines is parsed in arrays, any other by line."""
+    """The events as ``config``'s column table (fusion.event_columns); a malformed line raises ValidationError
+    naming it. A file of write_events_jsonl's exact lines for ``config`` is parsed in arrays, any other by line."""
     buf = np.fromfile(path, dtype=np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))
     colons = np.flatnonzero(buf == ord(":"))
-    if colons.size != 5 * ends.size or buf[-1:].tobytes() != b"\n":  # an empty file falls back too
+    if colons.size != 5 * ends.size or buf[-1:].tobytes() != b"\n" or not config.sensors:  # an empty file too
         return _read_event_lines(path, config)
     # each literal's start: a fixed distance before its colon, the last at the line's end; each ends before the next
     at = [colons[k::5] - lit.index(b":") for k, lit in enumerate(EVENT_LITERALS[:-1])] + [ends - 1]
@@ -117,52 +117,44 @@ def read_events_jsonl(path: Path, config: WorldConfig) -> EventColumns:
         for lit, lo, hi in zip(EVENT_LITERALS, at, at[1:] + [ends + 1])
     ):
         return _read_event_lines(path, config)
+    # each id must be one of the config's as the writer encodes it, of the same width; both zero-padded to 8-byte words
+    known = [json.dumps(s.id)[1:-1].encode() for s in config.sensors]
+    size = np.array([len(k) for k in known])
     lo, width = at[0] + len(EVENT_LITERALS[0]), at[1] - at[0] - len(EVENT_LITERALS[0])
-    w = -(-int(width.max(initial=1)) // 8) * 8  # the longest id, in whole 8-byte words
-    after = np.arange(w) >= width[:, None]
-    ids = np.where(after, 0, sliding_window_view(np.append(buf, np.zeros(w, np.uint8)), w)[lo])  # zero-padded ids
+    w = -(-int(size.max(initial=1)) // 8) * 8
+    padded = sliding_window_view(np.append(buf, np.zeros(w, np.uint8)), w)[lo]
+    ids = np.where(np.arange(w) >= width[:, None], 0, padded)
+    word = np.int64 if w == 8 else f"S{w}"  # one word compares as a number, faster than as a string
+    key, table = ids.view(word).ravel(), np.array(known, dtype=f"S{w}").view(word)
+    by_key = np.argsort(table)
+    sensor = by_key[np.searchsorted(table, key, sorter=by_key).clip(max=table.size - 1)]
     numbers = [_integer_spans(buf, lo + len(lit), hi) for lit, lo, hi in zip(EVENT_LITERALS[1:], at[1:], at[2:])]
-    if any(x is None for x in numbers) or not np.all(ID_BYTES[ids] | after):
+    if np.any((table[sensor] != key) | (size[sensor] != width)) or any(x is None for x in numbers):
         return _read_event_lines(path, config)
-    # each distinct id decoded once, where it first sorts; one word sorts as a number, faster than as a string
-    key = ids.view(np.int64 if w == 8 else f"S{w}").ravel()
-    order = np.argsort(key, kind="stable")
-    new = np.append(True, key[order[1:]] != key[order[:-1]])
-    names = np.array([bytes(ids[i]).rstrip(b"\0").decode() for i in order[new]], dtype=object)
-    sensor = np.empty(key.size, dtype=object)
-    sensor[order] = names[np.cumsum(new) - 1]
     day, tick, agent, loc = numbers
-    return field_columns([sensor, day, tick, agent.tolist(), loc], config)
+    agents = [a.id for a in config.agents]
+    col = agent_columns(agent, day, tick, loc, agents, config.days, config.ticks_per_day, config.floor_plan.n)
+    if col is None:
+        return _read_event_lines(path, config)
+    return EventColumns(sensor, day, tick, col, loc)
 
 
 def _read_event_lines(path: Path, config: WorldConfig) -> EventColumns:
-    """read_events_jsonl line by line: each line as ``json.loads`` reads it, but a boolean is not an integer.
-
-    Lines go through the decoder's ``raw_decode`` rather than ``json.loads``,
-    which sets up each call anew; the line is stripped of JSON whitespace and
-    data after its object is rejected, as ``json.loads`` does. Each field goes
-    to its own list, and each sensor id is held once (interned).
-    """
-    decode = json.JSONDecoder().raw_decode
-    fields: tuple[list, ...] = ([], [], [], [], [])
-    sensor = fields[0].append
-    numbers = list(zip(("day", "tick", "reported_agent", "location"), (f.append for f in fields[1:])))
-    with open(path) as fh:
-        lineno = 1  # a file that does not decode can fail before its first line
-        try:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip(" \t\n\r")
-                d, end = decode(line)
-                if end != len(line):
-                    raise json.JSONDecodeError("Extra data", line, end)
-                sensor(intern(d["sensor"]))
-                for key, append in numbers:
-                    if type(value := d[key]) is bool:
-                        raise TypeError(f"{key} must be an integer, got {value!r}")
-                    append(value)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise _malformed(path, lineno, exc) from None
-    return field_columns(fields, config)
+    """read_events_jsonl line by line, lines split where text mode splits them: each line as ``json.loads`` reads
+    it, but a boolean is not an integer and the sensor must be a string; each sensor id is held once (interned)."""
+    events = []
+    try:
+        for lineno, line in enumerate(Path(path).read_bytes().splitlines(), 1):
+            d = json.loads(line.decode())
+            row = [intern(d["sensor"])]
+            for key in ("day", "tick", "reported_agent", "location"):
+                if type(value := d[key]) is bool:
+                    raise TypeError(f"{key} must be an integer, got {value!r}")
+                row.append(value)
+            events.append(ObservationEvent(*row))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise _malformed(path, lineno, exc) from None
+    return event_columns(events, config)
 
 
 def write_beliefs_csv(beliefs: np.ndarray, agents: Sequence[int], path: Path) -> None:
@@ -214,11 +206,8 @@ def read_paths_csv(path: Path, config: WorldConfig) -> np.ndarray:
     if values is None:
         return _read_path_lines(path, config)
     agent, day, tick, loc = values.reshape(rows, 4).T
-    ids = np.array([a.id for a in config.agents], dtype=np.int64)
-    by_id = np.argsort(ids)
-    col = by_id[np.searchsorted(ids, agent, sorter=by_id).clip(max=n_agents - 1)]
-    off = (ids[col] != agent) | (day < 0) | (day >= days) | (tick < 0) | (tick >= ticks)
-    if np.any(off | (loc < 0) | (loc >= config.floor_plan.n)):
+    col = agent_columns(agent, day, tick, loc, [a.id for a in config.agents], days, ticks, config.floor_plan.n)
+    if col is None:
         return _read_path_lines(path, config)
     # each (agent, day) path, in file order, must be its ticks 0..ticks-1, and the paths every configured one
     path_of = col * days + day
@@ -236,13 +225,13 @@ def _read_path_lines(path: Path, config: WorldConfig) -> np.ndarray:
     first = {(a.id, day): day * ticks * n_agents + i for i, a in enumerate(config.agents) for day in range(config.days)}
     next_tick = dict.fromkeys(first, 0)
     flat = [0] * (config.days * ticks * n_agents)
-    with open(path, newline="\n") as fh:
+    with open(path, "rb") as fh:  # lines end at b"\n" only; each is decoded on its own
         lineno = 1
         try:
-            if fh.readline() != f"{PATHS_HEADER}\n":
+            if fh.readline() != f"{PATHS_HEADER}\n".encode():
                 raise ValueError(f"expected the header {PATHS_HEADER!r}")
             for lineno, line in enumerate(fh, 2):
-                fields = line.removesuffix("\n").split(",")
+                fields = line.decode().removesuffix("\n").split(",")
                 agent, day, tick, loc = values = [int(f) for f in fields]
                 if bad := [f for f, v in zip(fields, values) if str(v) != f]:
                     raise ValueError(f"{bad[0]!r} is not an integer in decimal form")

@@ -2,8 +2,8 @@
 
 Beliefs are per-agent categorical distributions over location bins. Events
 enter as one validated integer column table (sensors.EventColumns: observe
-emits it, and events read back or given as ObservationEvents pass through
-LikelihoodModel._columns, the one place events are converted and checked);
+emits it, the events reader's array path builds it with agent_columns, and
+ObservationEvents, the line reader's too, pass through _checked_columns);
 each day's reports become one (ticks, agents, locations) evidence block
 (LikelihoodModel.evidence: one stable sort of the columns groups the reports,
 their factors are computed per chunk of groups). track_run builds the
@@ -95,6 +95,44 @@ def _integers(values: Sequence, name: str) -> np.ndarray:
     return column.astype(np.int64)
 
 
+def agent_columns(
+    agent: np.ndarray, day: np.ndarray, tick: np.ndarray, loc: np.ndarray, agents: Sequence[int], days: int,
+    ticks: int, n: int
+) -> np.ndarray | None:
+    """Each row's agent column, the index of its ``agent`` in ``agents``, if every row names one of ``agents`` at
+    day 0..days-1, tick 0..ticks-1 and location 0..n-1; else None."""
+    ids = np.array(agents, dtype=np.int64)
+    if np.any(~np.isin(agent, ids) | (day < 0) | (day >= days) | (tick < 0) | (tick >= ticks) | (loc < 0) | (loc >= n)):
+        return None
+    by_id = np.argsort(ids)
+    return by_id[np.searchsorted(ids, agent, sorter=by_id)]
+
+
+def _checked_columns(
+    events: Iterable[ObservationEvent], sensors: Sequence[str], agents: Sequence[int], days: int, ticks: int, n: int
+) -> EventColumns:
+    """The events as integer columns, sensors and agents as their index in ``sensors`` and ``agents``; an event
+    naming a day, agent, tick, sensor or location outside the arguments raises ValidationError naming the first."""
+    names, *numbers = list(zip(*events)) or [()] * 5
+    day, tick, agent, loc = map(_integers, numbers, ("day", "tick", "reported_agent", "location"))
+    index = {s: i for i, s in enumerate(sensors)}
+    idx = np.array([index.get(s, -1) for s in names], dtype=np.int64)
+    col = agent_columns(agent, day, tick, loc, agents, days, ticks, n)
+    if col is not None and np.all(idx >= 0):
+        return EventColumns(idx, day, tick, col, loc)
+    bad = np.flatnonzero((day < 0) | (day >= days))
+    if bad.size:
+        raise ValidationError(f"events name day {day[bad[0]]}; the config has days 0..{days - 1}")
+    bad = np.flatnonzero(~np.isin(agent, agents) | (tick < 0) | (tick >= ticks))
+    if bad.size:
+        k = bad[0]
+        raise ValidationError(f"events name agent {agent[k]} at tick {tick[k]}; the config has {list(agents)}")
+    bad = np.flatnonzero(idx < 0)
+    if bad.size:
+        raise ValidationError(f"events name sensor {names[bad[0]]!r}, which the config does not define")
+    raise ValidationError(f"events name location {loc[(loc < 0) | (loc >= n)][0]}; the floor plan has 0..{n - 1}")
+
+
 class LikelihoodModel:
     """Evidence likelihoods over locations, one row per agent-tick.
 
@@ -110,7 +148,7 @@ class LikelihoodModel:
 
     def __init__(self, sensors: Sequence[SensorSpec], plan: FloorPlan, n_agents: int | None = None):
         self.plan = plan
-        self._index = {s.id: i for i, s in enumerate(sensors)}
+        self._sensor_ids = [s.id for s in sensors]
         n = plan.n
         mask = np.zeros((len(sensors), n))
         for i, s in enumerate(sensors):
@@ -130,30 +168,6 @@ class LikelihoodModel:
         self._miss = 1.0 - self._d  # (sensors, n)
         self._hit = self._d * (1.0 - q)[:, None]  # (sensors, n) true report at the agent's location
         self._clutter = self._fp_at / (1.0 - q[:, None])  # (sensors, n) clutter intensity
-
-    def _columns(self, fields: Sequence[Sequence], days: int, ticks: int, agents: Sequence[int]) -> EventColumns:
-        """The events' five fields (sensor ids, days, ticks, reported agents, locations) as integer columns;
-        an event naming a day, agent, tick, sensor or location outside the arguments, the model's sensors or its
-        plan raises ValidationError naming the first one."""
-        sensors, day, tick, agent, loc = fields
-        day, tick, loc = _integers(day, "day"), _integers(tick, "tick"), _integers(loc, "location")
-        column = {a: i for i, a in enumerate(agents)}
-        col = np.array([column.get(a, -1) for a in agent], dtype=np.int64)
-        idx = np.array([self._index.get(s, -1) for s in sensors], dtype=np.int64)
-        bad = np.flatnonzero((day < 0) | (day >= days))
-        if bad.size:
-            raise ValidationError(f"events name day {day[bad[0]]}; the config has days 0..{days - 1}")
-        bad = np.flatnonzero((col < 0) | (tick < 0) | (tick >= ticks))
-        if bad.size:
-            k = bad[0]
-            raise ValidationError(f"events name agent {agent[k]} at tick {tick[k]}; the config has {list(agents)}")
-        bad = np.flatnonzero(idx < 0)
-        if bad.size:
-            raise ValidationError(f"events name sensor {sensors[bad[0]]!r}, which the config does not define")
-        bad = np.flatnonzero((loc < 0) | (loc >= self.plan.n))
-        if bad.size:
-            raise ValidationError(f"events name location {loc[bad[0]]}; the floor plan has 0..{self.plan.n - 1}")
-        return EventColumns(idx, day, tick, col, loc)
 
     def _groups(self, columns: EventColumns, ticks: int, n_agents: int):
         """Reports grouped by (day, tick, agent, sensor) in one stable sort.
@@ -197,10 +211,10 @@ class LikelihoodModel:
     def evidence(self, columns: EventColumns, days: int, ticks: int, n_agents: int) -> Iterator[np.ndarray]:
         """One (ticks, agents, locations) likelihood block per day 0..days-1.
 
-        ``columns`` comes from ``_columns`` with the same days, ticks and
-        agents. Each report group's factor over silence multiplies its
-        agent-tick row, the sensors of a row in order of first appearance in
-        the events; an agent-tick no event names is silence.
+        ``columns`` comes from ``_checked_columns`` with the model's sensors,
+        days, ticks and agents. Each report group's factor over silence
+        multiplies its agent-tick row, the sensors of a row in order of first
+        appearance in the events; an agent-tick no event names is silence.
         """
         cell, sensor, loc, edges = self._groups(columns, ticks, n_agents)
         per_day = ticks * n_agents
@@ -223,7 +237,7 @@ class LikelihoodModel:
     def tick_likelihood(self, reports: dict[str, list[int]]) -> np.ndarray:
         """One agent-tick's likelihood; ``reports`` maps sensor id -> report locations ({} = silence)."""
         events = [ObservationEvent(s, 0, 0, 0, y) for s, locs in reports.items() for y in locs]
-        return next(self.evidence(self._columns(_fields(events), 1, 1, (0,)), 1, 1, 1))[0, 0]
+        return next(self.evidence(_checked_columns(events, self._sensor_ids, (0,), 1, 1, self.plan.n), 1, 1, 1))[0, 0]
 
 
 def likelihood_of_events(
@@ -240,24 +254,14 @@ def likelihood_of_events(
         raise ValidationError(f"events span several ticks: {sorted(ticks)}")
     mine = [ev._replace(day=0, tick=0) for ev in events if ev.reported_agent == agent]
     model = LikelihoodModel(sensors, plan, n_agents=n_agents)
-    return next(model.evidence(model._columns(_fields(mine), 1, 1, (agent,)), 1, 1, 1))[0, 0]
-
-
-def _fields(events: Iterable[ObservationEvent]) -> list[Sequence]:
-    """The events' five fields, each as one sequence."""
-    return list(zip(*events)) or [()] * 5
-
-
-def field_columns(fields: Sequence[Sequence], config: WorldConfig) -> EventColumns:
-    """Events given as their five fields (sensor ids, days, ticks, reported agents, locations) as the tracker's
-    column table, checked against ``config``'s sensors, plan, days, ticks and agents."""
-    model = LikelihoodModel(config.sensors, config.floor_plan, n_agents=len(config.agents))
-    return model._columns(fields, config.days, config.ticks_per_day, [a.id for a in config.agents])
+    return next(model.evidence(_checked_columns(mine, [s.id for s in sensors], (agent,), 1, 1, plan.n), 1, 1, 1))[0, 0]
 
 
 def event_columns(events: Iterable[ObservationEvent], config: WorldConfig) -> EventColumns:
-    """The events as the tracker's column table for ``config`` (field_columns)."""
-    return field_columns(_fields(events), config)
+    """The events as the tracker's column table for ``config``, checked against its sensors, plan, days, ticks
+    and agents (_checked_columns)."""
+    sensors, agents = [s.id for s in config.sensors], [a.id for a in config.agents]
+    return _checked_columns(events, sensors, agents, config.days, config.ticks_per_day, config.floor_plan.n)
 
 
 @dataclass(frozen=True)

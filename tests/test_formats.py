@@ -122,6 +122,11 @@ def test_events_reader_takes_what_json_loads_takes(tmp_path):
         path.write_text(f"{line}\n" + line.replace(f'"{key}": {value}', f'"{key}": {flag}') + "\n")
         with pytest.raises(ValidationError, match=f"line 2 is malformed: TypeError.*{key} must be an integer, got"):
             read_events_jsonl(path, config)
+    # nor is a float or a string, although 1.0 == 1 and the config has an agent 1
+    for value in ("1.0", '"1"'):
+        path.write_text(f"{line}\n" + line.replace('"reported_agent": 1', f'"reported_agent": {value}') + "\n")
+        with pytest.raises(ValidationError, match="events carry a reported_agent that is not an integer"):
+            read_events_jsonl(path, config)
 
 
 def test_paths_csv_round_trip(tmp_path):
@@ -299,6 +304,46 @@ def test_every_handoff_a_pipeline_writes_takes_the_array_path(tmp_path):
         got = [read_paths_csv(path, config) for path in tables] + [read_events_jsonl(events, config)]
     for read, want in zip(got, expected):
         _assert_same_outcome(read, want)
+
+
+def test_ids_that_need_escapes_or_more_than_one_word_take_the_array_path(tmp_path):
+    ids = ('say "hi"', "back\\slash", "caméra", "a_long_sensor_id")
+    config = _event_config(ids, (3, 0), 2, 5, 4)
+    events = [ObservationEvent(s, d, t, a, x) for s in ids for d, t, a, x in ((0, 4, 3, 0), (1, 0, 0, 3))]
+    path = tmp_path / "e.jsonl"
+    write_events_jsonl(_columns(events, config), path, config)
+    with mock.patch("officelab.formats._read_event_lines", _refuse):
+        _assert_same_columns(read_events_jsonl(path, config), _read_event_lines(path, config))
+    # an id that extends a configured one, by a letter, by a NUL byte or beyond the longest, matches none
+    text = path.read_bytes()
+    for sensor, extra in ((ids[2], b"s"), (ids[1], b"\0"), (ids[3], b"_2")):
+        head = b'{"sensor": "' + json.dumps(sensor)[1:-1].encode()
+        path.write_bytes(text.replace(head, head + extra, 1))
+        _assert_same_outcome(_outcome(read_events_jsonl, path, config), _outcome(_read_event_lines, path, config))
+    path.write_bytes(text)  # and no id matches in a config without sensors
+    bare = dataclasses.replace(config, sensors=())
+    _assert_same_outcome(_outcome(read_events_jsonl, path, bare), _outcome(_read_event_lines, path, bare))
+
+
+def test_a_byte_that_is_not_utf8_is_named_on_its_line(tmp_path):
+    config = _event_config(("cam0",), (0, 1), 1, 300, 3)
+    rows = [(0, 0, t, a, (t + a) % 3) for t in range(300) for a in range(2)]
+    events, table = tmp_path / "e.jsonl", tmp_path / "t.csv"
+    write_events_jsonl(EventColumns(*(np.array(c, dtype=np.int64) for c in zip(*rows))), events, config)
+    write_trajectories_csv(np.arange(900).reshape(1, 300, 3) % 3, [0, 1, 2], table)
+    for path, lineno, read, reference in (
+        (events, 501, read_events_jsonl, config),
+        (table, 701, read_paths_csv, _config((0, 1, 2), 1, 300, 3)),
+    ):
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[lineno - 1] = lines[lineno - 1].replace(b"0", b"\x80", 1)
+        path.write_bytes(b"".join(lines))
+        line = lines[lineno - 1] if read is read_paths_csv else lines[lineno - 1].rstrip(b"\n")  # as each splits it
+        at = line.index(b"\x80")
+        problem = UnicodeDecodeError("utf-8", line, at, at + 1, "invalid start byte")
+        with pytest.raises(ValidationError) as caught:
+            read(path, reference)
+        assert str(caught.value) == f"{path} line {lineno} is malformed: {problem!r}"
 
 
 def test_readers_give_the_line_readers_result_on_an_empty_log_an_unended_line_and_an_id_with_a_colon(tmp_path):

@@ -13,7 +13,7 @@ from officelab.errors import ValidationError
 from officelab.fusion import (
     BELIEF_FLOOR,
     LikelihoodModel,
-    _fields,
+    _checked_columns,
     event_columns,
     fuse_run,
     likelihood_of_events,
@@ -140,7 +140,7 @@ def test_unknown_sensor_or_agent_in_reports_is_named():
     ]
     for event, named in cases:
         with pytest.raises(ValidationError, match=named):
-            model._columns(_fields([ObservationEvent("cam", 0, 0, 0, 0), event]), days=5, ticks=1, agents=(0,))
+            _checked_columns([ObservationEvent("cam", 0, 0, 0, 0), event], ["cam"], (0,), 5, 1, plan.n)
 
 
 def _reference_day_evidence(sensors, n: int, events, day: int, ticks: int, agents) -> np.ndarray:
@@ -218,7 +218,7 @@ def test_evidence_equals_per_report_loop_bit_for_bit(seed, n_agents, certain):
             )
         )
     model = LikelihoodModel(sensors, plan, n_agents=n_agents)
-    columns = model._columns(_fields(events), days, ticks, agents)
+    columns = _checked_columns(events, [s.id for s in sensors], agents, days, ticks, plan.n)
     blocks = list(model.evidence(columns, days, ticks, n_agents))
     with mock.patch("officelab.fusion.EVIDENCE_CHUNK", 3):  # factors applied a few groups at a time
         chunked = list(model.evidence(columns, days, ticks, n_agents))
