@@ -102,10 +102,12 @@ def agent_columns(
     """Each row's agent column, the index of its ``agent`` in ``agents``, if every row names one of ``agents`` at
     day 0..days-1, tick 0..ticks-1 and location 0..n-1; else None."""
     ids = np.array(agents, dtype=np.int64)
-    if np.any(~np.isin(agent, ids) | (day < 0) | (day >= days) | (tick < 0) | (tick >= ticks) | (loc < 0) | (loc >= n)):
-        return None
+    if not ids.size:  # searchsorted needs an id to land on
+        return None if agent.size else agent
     by_id = np.argsort(ids)
-    return by_id[np.searchsorted(ids, agent, sorter=by_id)]
+    col = by_id[np.searchsorted(ids, agent, sorter=by_id).clip(max=ids.size - 1)]
+    off = (ids[col] != agent) | (day < 0) | (day >= days) | (tick < 0) | (tick >= ticks) | (loc < 0) | (loc >= n)
+    return None if np.any(off) else col
 
 
 def _checked_columns(

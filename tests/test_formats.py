@@ -320,9 +320,9 @@ def test_ids_that_need_escapes_or_more_than_one_word_take_the_array_path(tmp_pat
         head = b'{"sensor": "' + json.dumps(sensor)[1:-1].encode()
         path.write_bytes(text.replace(head, head + extra, 1))
         _assert_same_outcome(_outcome(read_events_jsonl, path, config), _outcome(_read_event_lines, path, config))
-    path.write_bytes(text)  # and no id matches in a config without sensors
-    bare = dataclasses.replace(config, sensors=())
-    _assert_same_outcome(_outcome(read_events_jsonl, path, bare), _outcome(_read_event_lines, path, bare))
+    path.write_bytes(text)  # and nothing matches in a config without sensors or without agents
+    for bare in (dataclasses.replace(config, sensors=()), dataclasses.replace(config, agents=())):
+        _assert_same_outcome(_outcome(read_events_jsonl, path, bare), _outcome(_read_event_lines, path, bare))
 
 
 def test_a_byte_that_is_not_utf8_is_named_on_its_line(tmp_path):
