@@ -19,7 +19,8 @@ absent. The runs go one at a time. The file also gives each side's
 ``src_lines``, the total line count of its ``src/**/*.py``, and under
 ``formats`` each side's reader and writer figures: scripts/bench_formats.py
 (this checkout's) run on that side's ``src/`` in 3 alternating rounds, each
-call's figures from its median round.
+call's figures from its median round, with every round's median under
+``rounds_s`` (in run order) to show how far the rounds spread.
 """
 
 from __future__ import annotations
@@ -145,7 +146,7 @@ def traced(dirs: dict[str, Path], workload: str, machine: dict) -> dict:
 
 def formats(dirs: dict[str, Path]) -> dict:
     """bench_formats.py on each side's src/ in FORMATS_ROUNDS alternating rounds; per side, workload and call the
-    figures of the round with the median median_s."""
+    figures of the round with the median median_s, and each round's median_s as rounds_s."""
     script = Path(__file__).with_name("bench_formats.py")
     records: dict[str, list[dict]] = {side: [] for side in SIDES}
     for i in range(FORMATS_ROUNDS):
@@ -155,13 +156,16 @@ def formats(dirs: dict[str, Path]) -> dict:
     out: dict = {"rounds": FORMATS_ROUNDS, "repeats": records["change"][0]["repeats"]}
     for side, runs in records.items():
         out[side] = {
-            workload: {
-                name: sorted((r["workloads"][workload][name] for r in runs), key=lambda f: f["median_s"])[len(runs) // 2]
-                for name in calls
-            }
+            workload: {name: _median_round([r["workloads"][workload][name] for r in runs]) for name in calls}
             for workload, calls in runs[0]["workloads"].items()
         }
     return out
+
+
+def _median_round(rounds: list[dict]) -> dict:
+    """The figures of the round with the median median_s, with every round's median_s in run order."""
+    median = sorted(rounds, key=lambda f: f["median_s"])[len(rounds) // 2]
+    return median | {"rounds_s": [f["median_s"] for f in rounds]}
 
 
 def commit(checkout: Path) -> str | None:

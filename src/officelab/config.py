@@ -3,15 +3,16 @@
 One JSON document holds the whole scenario. Required top-level keys:
 floor_plan, agents, ticks_per_day, days, rng_seed. Optional keys carry
 pipeline settings: fluctuation_rate, sensors, contact_rule, analytics.
-Ticks are abstract; configs may note a suggested mapping (1 tick ~ 5 s) but
-nothing depends on it.
+The dataclasses are the schema: an optional key left out takes its field's
+default, and dump_config walks their fields. Ticks are abstract; configs
+may note a suggested mapping (1 tick ~ 5 s) but nothing depends on it.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from numbers import Integral
 from pathlib import Path
 from typing import Any
@@ -173,7 +174,7 @@ def _parse_agent(doc: dict, plan: FloorPlan) -> AgentProfile:
             raise ValidationError(f"stay_prob of agent {agent_id} references unknown location {loc}")
         by_location[loc] = _prob(p, f"stay_prob.by_location[{loc}] of agent {agent_id}")
     stay = StayProbs(
-        default=_prob(sp.get("default", 0.5), f"stay_prob.default of agent {agent_id}"),
+        default=_prob(sp.get("default", StayProbs.default), f"stay_prob.default of agent {agent_id}"),
         by_tag=by_tag,
         by_location=by_location,
     )
@@ -207,7 +208,7 @@ def _parse_agent(doc: dict, plan: FloorPlan) -> AgentProfile:
                 window=window,
                 target=target,
                 probability=_prob(ev.get("probability", 1.0), f"schedule probability of agent {agent_id}"),
-                label=_text(ev.get("label", ""), f"schedule label of agent {agent_id}"),
+                label=_text(ev.get("label", ScheduleEvent.label), f"schedule label of agent {agent_id}"),
                 days=days,
             )
         )
@@ -217,9 +218,9 @@ def _parse_agent(doc: dict, plan: FloorPlan) -> AgentProfile:
         home=home,
         stay_prob=stay,
         destinations=destinations,
-        delta_p=_prob(doc.get("delta_p", 0.0), f"delta_p of agent {agent_id}"),
+        delta_p=_prob(doc.get("delta_p", AgentProfile.delta_p), f"delta_p of agent {agent_id}"),
         schedule=tuple(schedule),
-        department=_text(doc.get("department", "other"), f"department of agent {agent_id}"),
+        department=_text(doc.get("department", AgentProfile.department), f"department of agent {agent_id}"),
     )
     if profile.stay_at(home, plan) < stay.default:
         raise ValidationError(
@@ -250,9 +251,11 @@ def _parse_sensor(doc: dict, plan: FloorPlan) -> SensorSpec:
         id=sensor_id,
         kind=kind,
         coverage=tuple(coverage),
-        p_detect=_prob(doc.get("p_detect", 0.9), f"p_detect of sensor {sensor_id}"),
-        p_false_positive=_prob(doc.get("p_false_positive", 0.01), f"p_false_positive of sensor {sensor_id}"),
-        p_confuse=_prob(doc.get("p_confuse", 0.05), f"p_confuse of sensor {sensor_id}"),
+        p_detect=_prob(doc.get("p_detect", SensorSpec.p_detect), f"p_detect of sensor {sensor_id}"),
+        p_false_positive=_prob(
+            doc.get("p_false_positive", SensorSpec.p_false_positive), f"p_false_positive of sensor {sensor_id}"
+        ),
+        p_confuse=_prob(doc.get("p_confuse", SensorSpec.p_confuse), f"p_confuse of sensor {sensor_id}"),
     )
 
 
@@ -305,11 +308,13 @@ def _parse_document(doc: dict) -> WorldConfig:
         false_positive_share(s, len(agents))
 
     rule_doc = _section(doc.get("contact_rule", {}), "contact_rule")
-    tags = _strings(rule_doc.get("excluded_tags", ["printer"]), "contact_rule.excluded_tags")
+    tags = _strings(rule_doc.get("excluded_tags", sorted(ContactRule.excluded_tags)), "contact_rule.excluded_tags")
+    min_ticks = rule_doc.get("min_consecutive_ticks", ContactRule.min_consecutive_ticks)
+    exclusion = rule_doc.get("officemate_exclusion", ContactRule.officemate_exclusion)
     rule = ContactRule(
-        min_consecutive_ticks=_count(rule_doc.get("min_consecutive_ticks", 10), "contact_rule.min_consecutive_ticks", 1),
+        min_consecutive_ticks=_count(min_ticks, "contact_rule.min_consecutive_ticks", 1),
         excluded_tags=frozenset(tags),
-        officemate_exclusion=_flag(rule_doc.get("officemate_exclusion", True), "contact_rule.officemate_exclusion"),
+        officemate_exclusion=_flag(exclusion, "contact_rule.officemate_exclusion"),
     )
     for tag in rule.excluded_tags:
         if tag not in LOCATION_TAGS:
@@ -320,11 +325,11 @@ def _parse_document(doc: dict) -> WorldConfig:
 
     an = _section(doc.get("analytics", {}), "analytics")
     analytics = AnalyticsSettings(
-        baseline_alpha=_alpha(an.get("baseline_alpha", 1.0), "analytics.baseline_alpha"),
-        day_alpha=_alpha(an.get("day_alpha", 0.0), "analytics.day_alpha"),
-        min_support=_count(an.get("min_support", 3), "analytics.min_support", 1),
-        min_len=_count(an.get("min_len", 2), "analytics.min_len", 2),
-        max_len=_count(an.get("max_len", 5), "analytics.max_len", 2),
+        baseline_alpha=_alpha(an.get("baseline_alpha", AnalyticsSettings.baseline_alpha), "analytics.baseline_alpha"),
+        day_alpha=_alpha(an.get("day_alpha", AnalyticsSettings.day_alpha), "analytics.day_alpha"),
+        min_support=_count(an.get("min_support", AnalyticsSettings.min_support), "analytics.min_support", 1),
+        min_len=_count(an.get("min_len", AnalyticsSettings.min_len), "analytics.min_len", 2),
+        max_len=_count(an.get("max_len", AnalyticsSettings.max_len), "analytics.max_len", 2),
     )
     if not analytics.min_len <= analytics.max_len:
         raise ValidationError("analytics pattern lengths must satisfy 2 <= min_len <= max_len")
@@ -335,7 +340,7 @@ def _parse_document(doc: dict) -> WorldConfig:
         ticks_per_day=ticks_per_day,
         days=days,
         rng_seed=_count(doc["rng_seed"], "rng_seed", 0),
-        fluctuation_rate=_prob(doc.get("fluctuation_rate", 0.05), "fluctuation_rate"),
+        fluctuation_rate=_prob(doc.get("fluctuation_rate", WorldConfig.fluctuation_rate), "fluctuation_rate"),
         sensors=sensors,
         contact_rule=rule,
         analytics=analytics,
@@ -348,78 +353,32 @@ def with_seed(config: WorldConfig, seed: int) -> WorldConfig:
 
 
 def load_config(path: str | Path) -> WorldConfig:
-    """Load and validate a config file. ParseError on malformed JSON."""
+    """Load and validate a config file. ParseError on a file that is not UTF-8 JSON."""
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read config {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"malformed config {path}: {exc}") from exc
     return parse_config(doc)
 
 
 def dump_config(config: WorldConfig) -> dict:
-    """Config tree that parse_config maps back to an equal WorldConfig."""
-    plan = config.floor_plan
-    return {
-        "floor_plan": {
-            "locations": list(plan.locations),
-            "adjacency": sorted([u, v] for u, v in plan.adjacency),
-            "tags": {str(k): v for k, v in sorted(plan.tags.items())},
-            "home_of": {str(k): list(v) for k, v in sorted(plan.home_of.items())},
-        },
-        "agents": [
-            {
-                "id": a.id,
-                "home": a.home,
-                "department": a.department,
-                "stay_prob": {
-                    "default": a.stay_prob.default,
-                    "by_tag": dict(sorted(a.stay_prob.by_tag.items())),
-                    "by_location": {str(k): v for k, v in sorted(a.stay_prob.by_location.items())},
-                },
-                "destinations": {str(k): v for k, v in sorted(a.destinations.items())},
-                "delta_p": a.delta_p,
-                "schedule": [
-                    {
-                        "window": list(ev.window),
-                        "target": ev.target,
-                        "probability": ev.probability,
-                        "label": ev.label,
-                        "days": list(ev.days) if ev.days is not None else None,
-                    }
-                    for ev in a.schedule
-                ],
-            }
-            for a in config.agents
-        ],
-        "ticks_per_day": config.ticks_per_day,
-        "days": config.days,
-        "rng_seed": config.rng_seed,
-        "fluctuation_rate": config.fluctuation_rate,
-        "sensors": [
-            {
-                "id": s.id,
-                "kind": s.kind,
-                "coverage": list(s.coverage),
-                "p_detect": s.p_detect,
-                "p_false_positive": s.p_false_positive,
-                "p_confuse": s.p_confuse,
-            }
-            for s in config.sensors
-        ],
-        "contact_rule": {
-            "min_consecutive_ticks": config.contact_rule.min_consecutive_ticks,
-            "excluded_tags": sorted(config.contact_rule.excluded_tags),
-            "officemate_exclusion": config.contact_rule.officemate_exclusion,
-        },
-        "analytics": {
-            "baseline_alpha": config.analytics.baseline_alpha,
-            "day_alpha": config.analytics.day_alpha,
-            "min_support": config.analytics.min_support,
-            "min_len": config.analytics.min_len,
-            "max_len": config.analytics.max_len,
-        },
-    }
+    """Config tree that parse_config maps back to an equal WorldConfig, derived from the dataclass fields."""
+    return _tree(config)
+
+
+def _tree(value: Any) -> Any:
+    """``value`` as a JSON tree: a dataclass becomes the object of its fields, a dict an object sorted by key (each
+    key a string), a frozenset a sorted list and a tuple a list in its own order."""
+    if is_dataclass(value):
+        return {f.name: _tree(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return {str(k): _tree(v) for k, v in sorted(value.items())}
+    if isinstance(value, frozenset):
+        return [_tree(v) for v in sorted(value)]
+    if isinstance(value, tuple):
+        return [_tree(v) for v in value]
+    return value

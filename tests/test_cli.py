@@ -101,6 +101,17 @@ def test_a_config_section_of_the_wrong_json_type_exits_1_naming_the_key(tmp_path
     assert not out.exists()
 
 
+def test_a_config_that_is_not_utf8_exits_1_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"floor_plan": \xff}')
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"officelab: malformed config {path}: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_a_false_positive_naming_the_one_agent_every_tick_exits_1_naming_the_sensor(tmp_path, capsys):
     # with one agent, p_false_positive 1 makes q = 1, where the clutter odds q/(1 - q) are unbounded
     doc = _noiseless_doc()

@@ -211,7 +211,7 @@ def test_paths_reader_reads_back_the_written_table_and_names_a_lost_or_repeated_
 
 
 # bytes a mutation inserts or substitutes: those the array paths treat specially, then any byte
-_MUTANT_BYTES = st.sampled_from(list(b'0123456789-,:" \n\r\t\\+_.e{}[]tf')) | st.integers(0, 255)
+_MUTANT_BYTES = st.sampled_from(list(b'0123456789-,:" \n\r\t\\+_.e{}[]tf\0')) | st.integers(0, 255)
 
 
 @st.composite
@@ -221,8 +221,13 @@ def _mutated(draw, text: bytes) -> bytes:
     if kind in ("substitute", "delete", "insert"):
         if not text:
             return bytes([draw(_MUTANT_BYTES)])
-        digits = [i for i, byte in enumerate(text) if chr(byte).isdigit()]  # at a digit half the time
-        i = draw(st.integers(0, len(text) - 1) | st.sampled_from(digits or [0]), label="at")
+        digits = [i for i, byte in enumerate(text) if chr(byte).isdigit()]
+        id_ends = [m.start() for m in re.finditer(rb'", "day": ', text)]  # each sensor id's closing quote
+        # anywhere, at a digit or at a sensor id's closing quote (an insertion there extends the id), each as often
+        places = [st.sampled_from(p) for p in (digits, id_ends) if p]
+        i = draw(st.one_of(st.integers(0, len(text) - 1), *places), label="at")
+        if kind == "insert" and i in id_ends:  # a NUL after an id pads to the same words as the id itself
+            return text[:i] + b"\0" + text[i:]
         byte = b"" if kind == "delete" else bytes([draw(_MUTANT_BYTES, label="byte")])
         return text[:i] + byte + text[i + (kind != "insert") :]
     lines = text.splitlines(keepends=True)

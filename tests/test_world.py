@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from officelab.config import dump_config, load_config, parse_config
 from officelab.errors import ParseError, ValidationError
+from officelab.sensors import SENSOR_KINDS
 from officelab.presets import demo_config, full_scale_config
 from officelab.world import (
     AgentProfile,
@@ -64,9 +65,10 @@ def test_full_scale_config_loads_with_50_locations():
 
 def test_malformed_json_is_a_parse_error(tmp_path):
     path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    with pytest.raises(ParseError):
-        load_config(path)
+    for data in (b"{not json", b'{"floor_plan": \xff}'):  # not JSON; not UTF-8
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match="malformed config"):
+            load_config(path)
 
 
 @pytest.mark.parametrize(
@@ -202,6 +204,30 @@ def test_accepted_config_reserializes_identically(tmp_path):
 
 
 @st.composite
+def _optional_keys(draw, **values) -> dict:
+    """An object holding each key of ``values`` or not, with a value drawn from its strategy."""
+    return {key: draw(value) for key, value in values.items() if draw(st.booleans())}
+
+
+@st.composite
+def sensor_docs(draw, n: int) -> dict:
+    """A sensor over some of locations 0..n-1, with an id that needs JSON escapes at times and any optional key
+    left out at times."""
+    doc = {
+        "id": draw(st.text(st.sampled_from('ab"\\é☃ :'), min_size=1, max_size=6)),
+        "coverage": draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True)),
+    }
+    return doc | draw(
+        _optional_keys(
+            kind=st.sampled_from(SENSOR_KINDS),
+            p_detect=st.floats(0.0, 1.0),
+            p_false_positive=st.floats(0.0, 0.5),
+            p_confuse=st.floats(0.0, 1.0),
+        )
+    )
+
+
+@st.composite
 def config_docs(draw):
     n = draw(st.integers(min_value=2, max_value=6))
     perm = draw(st.permutations(range(n)))
@@ -216,6 +242,12 @@ def config_docs(draw):
         weights = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
         total = sum(weights)
         default = draw(st.floats(0.1, 0.7))
+        if draw(st.booleans()):
+            stay_prob = default  # the number shorthand for {"default": default}
+        else:
+            by_tag = draw(st.dictionaries(st.sampled_from(tag_pool), st.floats(0.0, 1.0), max_size=3))
+            by_location = {str(home): draw(st.floats(default, 1.0))}
+            stay_prob = {"default": default, "by_tag": by_tag, "by_location": by_location}
         schedule = []
         if draw(st.booleans()):
             start = draw(st.integers(0, 5))
@@ -233,10 +265,7 @@ def config_docs(draw):
                 "id": aid,
                 "home": home,
                 "department": draw(st.sampled_from(["Research", "Development", "other"])),
-                "stay_prob": {
-                    "default": default,
-                    "by_location": {str(home): draw(st.floats(default, 1.0))},
-                },
+                "stay_prob": stay_prob,
                 "destinations": {str(x): w / total for x, w in enumerate(weights)},
                 "delta_p": draw(st.floats(0.0, 0.5)),
                 "schedule": schedule,
@@ -248,13 +277,34 @@ def config_docs(draw):
             "locations": list(range(n)),
             "adjacency": [list(e) for e in edges],
             "tags": tags,
-            "home_of": {str(loc): owners for loc, owners in homes.items()},
+            # a lone owner may be written bare, without its list
+            "home_of": {
+                str(loc): owners[0] if len(owners) == 1 and draw(st.booleans()) else owners
+                for loc, owners in homes.items()
+            },
         },
         "agents": agents,
         "ticks_per_day": draw(st.integers(1, 50)),
         "days": draw(st.integers(1, 4)),
         "rng_seed": draw(st.integers(0, 2**63 - 1)),
         "fluctuation_rate": draw(st.floats(0.0, 0.3)),
+        "sensors": draw(st.lists(sensor_docs(n), max_size=3, unique_by=lambda s: s["id"])),
+        "contact_rule": draw(
+            _optional_keys(
+                min_consecutive_ticks=st.integers(1, 20),
+                excluded_tags=st.lists(st.sampled_from(tag_pool), max_size=3),  # empty as well
+                officemate_exclusion=st.booleans(),
+            )
+        ),
+        "analytics": draw(
+            _optional_keys(
+                baseline_alpha=st.floats(0.0, 10.0),
+                day_alpha=st.floats(0.0, 10.0),
+                min_support=st.integers(1, 5),
+                min_len=st.integers(2, 5),  # at most the default max_len,
+                max_len=st.integers(5, 8),  # at least the default min_len and any drawn one
+            )
+        ),
     }
 
 
