@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from officelab.config import dump_config, load_config, parse_config
 from officelab.errors import ParseError, ValidationError
-from officelab.sensors import SENSOR_KINDS
 from officelab.presets import demo_config, full_scale_config
+from officelab.sensors import SENSOR_KINDS
 from officelab.world import (
     AgentProfile,
     FloorPlan,
