@@ -53,6 +53,8 @@ TRACED = (
     "formats.paths_read_s",
     "pipeline.fuse.self_s",
     "pipeline.decode.self_s",
+    "report_s",
+    "contacts.extract_s",
     "trace.untraced_total_s",
     "pipeline.manifest_saves",
     "trace.absent_entry_points",

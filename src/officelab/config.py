@@ -152,7 +152,7 @@ def _parse_floor_plan(doc: Any) -> FloorPlan:
     return plan
 
 
-def _parse_agent(doc: dict, plan: FloorPlan) -> AgentProfile:
+def _parse_agent(doc: dict, plan: FloorPlan, ticks_per_day: int, n_days: int) -> AgentProfile:
     agent_id = _integer(doc["id"], "agent id")
     home = _integer(doc["home"], f"home of agent {agent_id}")
     if home not in plan.neighbors:
@@ -197,12 +197,19 @@ def _parse_agent(doc: dict, plan: FloorPlan) -> AgentProfile:
             raise ValidationError(f"schedule window {window} of agent {agent_id} must satisfy start < end")
         if window[0] < 0:
             raise ValidationError(f"schedule window {window} of agent {agent_id} has negative start")
+        if window[0] >= ticks_per_day:
+            raise ValidationError(
+                f"schedule window {window} of agent {agent_id} starts outside the day's ticks 0..{ticks_per_day - 1}"
+            )
         target = _integer(ev["target"], f"schedule target of agent {agent_id}")
         if target not in plan.neighbors:
             raise ValidationError(f"schedule of agent {agent_id} targets unknown location {target}")
         days = ev.get("days")
         if days is not None:
             days = tuple(_integer(d, f"schedule days entry of agent {agent_id}") for d in days)
+            for day in days:
+                if not 0 <= day < n_days:
+                    raise ValidationError(f"schedule days entry {day} of agent {agent_id} is outside 0..{n_days - 1}")
         schedule.append(
             ScheduleEvent(
                 window=window,
@@ -275,8 +282,10 @@ def _parse_document(doc: dict) -> WorldConfig:
             raise ValidationError(f"config is missing required key {key!r}")
 
     plan = _parse_floor_plan(doc["floor_plan"])
+    ticks_per_day = _count(doc["ticks_per_day"], "ticks_per_day", 1)
+    days = _count(doc["days"], "days", 1)
 
-    agents = tuple(_parse_agent(a, plan) for a in doc["agents"])
+    agents = tuple(_parse_agent(a, plan, ticks_per_day, days) for a in doc["agents"])
     ids = [a.id for a in agents]
     if len(set(ids)) != len(ids):
         dup = next(i for i in ids if ids.count(i) > 1)
@@ -295,9 +304,6 @@ def _parse_document(doc: dict) -> WorldConfig:
                 raise ValidationError(
                     f"home_of[{loc}] names agent {owner} whose home is {by_id[owner].home}"
                 )
-
-    ticks_per_day = _count(doc["ticks_per_day"], "ticks_per_day", 1)
-    days = _count(doc["days"], "days", 1)
 
     sensors = tuple(_parse_sensor(s, plan) for s in doc.get("sensors", []))
     sensor_ids = [s.id for s in sensors]

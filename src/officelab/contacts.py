@@ -4,7 +4,9 @@ Two agents sharing a location bin for at least min_consecutive_ticks form a
 contact. Direction runs visitor -> host when the bin is someone's office;
 neutral ground credits both directions. Context exclusions drop bins where
 co-presence says nothing (printer queues, shared offices when the
-officemate_exclusion flag is set).
+officemate_exclusion flag is set). A pair's runs come from one split of its
+two columns of the ``locations[day, tick, a]`` array: a run starts each day
+and wherever the shared location (or apartness) changes.
 """
 
 from __future__ import annotations
@@ -46,26 +48,6 @@ class ContactGraph:
         return self.edges.get((src, dst), 0)
 
 
-def _colocation_intervals(seq_a, seq_b):
-    """Maximal runs where both sequences sit at the same location.
-
-    Yields (location, run_length). A change of shared location ends the run
-    even when the agents stay together.
-    """
-    run_loc = None
-    run_len = 0
-    for la, lb in zip(seq_a, seq_b):
-        here = la if la == lb else None
-        if here is not None and here == run_loc:
-            run_len += 1
-            continue
-        if run_loc is not None:
-            yield run_loc, run_len
-        run_loc, run_len = here, 1 if here is not None else 0
-    if run_loc is not None:
-        yield run_loc, run_len
-
-
 def extract_contacts(
     locations: np.ndarray,
     agents: Sequence[int],
@@ -78,30 +60,33 @@ def extract_contacts(
     Interval attribution: host's office gets visitor->host; a bin owned by
     both (shared office) or by neither credits both directions.
     """
-    columns = {agent: locations[:, :, a].tolist() for a, agent in enumerate(agents)}  # agent -> its days
+    columns = {agent: locations[:, :, a] for a, agent in enumerate(agents)}  # agent -> its (days, ticks)
     ids = sorted(columns)
     departments = departments or {}
     edges: Counter[tuple[int, int]] = Counter()
     for i, a in enumerate(ids):
         for b in ids[i + 1 :]:
-            for path_a, path_b in zip(columns[a], columns[b]):
-                for loc, length in _colocation_intervals(path_a, path_b):
-                    if length < rule.min_consecutive_ticks:
-                        continue
-                    if plan.tag(loc) in rule.excluded_tags:
-                        continue
-                    owners = plan.owners(loc)
-                    a_home = a in owners
-                    b_home = b in owners
-                    if rule.officemate_exclusion and a_home and b_home:
-                        continue
-                    if b_home and not a_home:
-                        edges[(a, b)] += length
-                    elif a_home and not b_home:
-                        edges[(b, a)] += length
-                    else:  # neutral ground or shared office: both directions
-                        edges[(a, b)] += length
-                        edges[(b, a)] += length
+            here = np.where(columns[a] == columns[b], columns[a], -1)  # shared location, -1 while apart
+            starts = np.ones(here.shape, dtype=bool)  # a run starts each day and at each change
+            starts[:, 1:] = here[:, 1:] != here[:, :-1]
+            first = np.flatnonzero(starts)
+            for loc, length in zip(here.ravel()[first].tolist(), np.diff(first, append=here.size).tolist()):
+                if loc < 0 or length < rule.min_consecutive_ticks:
+                    continue
+                if plan.tag(loc) in rule.excluded_tags:
+                    continue
+                owners = plan.owners(loc)
+                a_home = a in owners
+                b_home = b in owners
+                if rule.officemate_exclusion and a_home and b_home:
+                    continue
+                if b_home and not a_home:
+                    edges[(a, b)] += length
+                elif a_home and not b_home:
+                    edges[(b, a)] += length
+                else:  # neutral ground or shared office: both directions
+                    edges[(a, b)] += length
+                    edges[(b, a)] += length
 
     nodes = {a: departments.get(a, "other") for a in ids}
     return ContactGraph(nodes=nodes, edges=dict(edges))

@@ -310,6 +310,15 @@ def write_node_metrics_csv(metrics: GraphMetrics, path: Path) -> None:
     _write_csv(path, "agent,in_degree,out_degree,weighted_degree", rows)
 
 
+def _csv_text(text: str) -> str:
+    """Free text from the config as ``csv.writer``'s default dialect writes it: in quotes, inner quotes doubled,
+    when it holds a comma, a quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_department_matrix_csv(metrics: GraphMetrics, path: Path) -> None:
-    rows = (f"{src},{dst},{w}\n" for (src, dst), w in sorted(metrics.department_matrix.items()))
+    matrix = sorted(metrics.department_matrix.items())
+    rows = (f"{_csv_text(src)},{_csv_text(dst)},{w}\n" for (src, dst), w in matrix)
     _write_csv(path, "from_department,to_department,weight", rows)

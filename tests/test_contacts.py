@@ -99,6 +99,16 @@ def test_interval_splits_when_shared_location_changes():
     assert graph.weight(1, 0) == 0
 
 
+def test_a_run_does_not_carry_over_midnight():
+    # together on the corridor for the last 6 ticks of day 0 and the first 6 of day 1: two runs of 6, not one of 12
+    a = [[0] * 10 + [3] * 6, [3] * 6 + [0] * 10]
+    b = [[1] * 10 + [3] * 6, [3] * 6 + [1] * 10]
+    paths = np.stack([a, b], axis=-1)
+    assert extract_contacts(paths, PAIR, _plan(), RULE).edges == {}
+    graph = extract_contacts(paths, PAIR, _plan(), ContactRule(6, frozenset({"printer"}), True))
+    assert graph.weight(0, 1) == graph.weight(1, 0) == 12
+
+
 def _recount_oracle(locations, plan, rule):
     """Independent recount: per (pair, location), find consecutive tick runs; agent a stands in column a."""
     days, _, n_agents = locations.shape

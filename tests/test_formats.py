@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import re
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from officelab.config import WorldConfig, load_config
+from officelab.contacts import ContactGraph, graph_metrics
 from officelab.errors import NoPathError, ValidationError
 from officelab.formats import (
     BELIEF_WRITE_FLOOR,
@@ -21,6 +23,7 @@ from officelab.formats import (
     read_paths_csv,
     write_beliefs_csv,
     write_decode_scores_csv,
+    write_department_matrix_csv,
     write_events_jsonl,
     write_paths_csv,
     write_trajectories_csv,
@@ -421,6 +424,19 @@ def test_decode_scores_csv_orders_rows_by_agent_id_then_day(tmp_path):
     file = tmp_path / "s.csv"
     write_decode_scores_csv(scores, [7, 3], file)
     assert file.read_text() == "agent,day,log_score\n3,0,-2.0\n3,1,-4.0\n7,0,-1.5\n7,1,-3.25\n"
+
+
+def test_department_matrix_quotes_a_name_that_holds_a_comma_or_a_quote(tmp_path):
+    graph = ContactGraph({0: 'R&D, "Lab"', 1: "Ops", 2: 'R&D, "Lab"'}, {(0, 1): 5, (1, 0): 3, (0, 2): 2})
+    write_department_matrix_csv(graph_metrics(graph), tmp_path / "m.csv")
+    with open(tmp_path / "m.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [
+        ["from_department", "to_department", "weight"],
+        ["Ops", 'R&D, "Lab"', "3"],
+        ['R&D, "Lab"', "Ops", "5"],
+        ['R&D, "Lab"', 'R&D, "Lab"', "2"],
+    ]
 
 
 def test_next_hop_defends_against_unreachable_targets():

@@ -140,6 +140,15 @@ def test_malformed_json_is_a_parse_error(tmp_path):
             lambda d: d["agents"][0]["schedule"].append({"window": [5, 8], "target": 0, "days": [1.5]}),
             "schedule days entry of agent 0 must be an integer, got 1.5",
         ),
+        # a schedule event lies within the configured days and ticks (minimal_config_doc: 1 day of 10 ticks)
+        (
+            lambda d: d["agents"][0]["schedule"].append({"window": [5, 8], "target": 0, "days": [-4, 99]}),
+            r"schedule days entry -4 of agent 0 is outside 0\.\.0",
+        ),
+        (
+            lambda d: d["agents"][0]["schedule"].append({"window": [10, 12], "target": 0}),
+            r"schedule window \(10, 12\) of agent 0 starts outside the day's ticks 0\.\.9",
+        ),
         (
             lambda d: d["agents"][0]["schedule"].append({"window": [5, 8], "target": "1"}),
             "schedule target of agent 0 must be an integer, got '1'",
@@ -233,6 +242,7 @@ def config_docs(draw):
     perm = draw(st.permutations(range(n)))
     edges = sorted({tuple(sorted((a, b))) for a, b in zip(perm, perm[1:])})
     n_agents = draw(st.integers(min_value=1, max_value=3))
+    ticks_per_day = draw(st.integers(1, 50))  # drawn first: a schedule window starts within the day
     tag_pool = ["office", "meeting_room", "printer", "corridor", "lunch_area", "other"]
     tags = {str(x): tag_pool[draw(st.integers(0, 5))] for x in range(n) if draw(st.booleans())}
     agents = []
@@ -250,7 +260,7 @@ def config_docs(draw):
             stay_prob = {"default": default, "by_tag": by_tag, "by_location": by_location}
         schedule = []
         if draw(st.booleans()):
-            start = draw(st.integers(0, 5))
+            start = draw(st.integers(0, ticks_per_day - 1))
             schedule.append(
                 {
                     "window": [start, start + draw(st.integers(1, 5))],
@@ -284,7 +294,7 @@ def config_docs(draw):
             },
         },
         "agents": agents,
-        "ticks_per_day": draw(st.integers(1, 50)),
+        "ticks_per_day": ticks_per_day,
         "days": draw(st.integers(1, 4)),
         "rng_seed": draw(st.integers(0, 2**63 - 1)),
         "fluctuation_rate": draw(st.floats(0.0, 0.3)),
