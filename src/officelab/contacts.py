@@ -4,9 +4,8 @@ Two agents sharing a location bin for at least min_consecutive_ticks form a
 contact. Direction runs visitor -> host when the bin is someone's office;
 neutral ground credits both directions. Context exclusions drop bins where
 co-presence says nothing (printer queues, shared offices when the
-officemate_exclusion flag is set). A pair's runs come from one split of its
-two columns of the ``locations[day, tick, a]`` array: a run starts each day
-and wherever the shared location (or apartness) changes.
+officemate_exclusion flag is set). A pair's runs come from one numpy split of
+its two ``locations[day, tick, a]`` columns, which restarts at every day.
 """
 
 from __future__ import annotations
@@ -66,7 +65,8 @@ def extract_contacts(
     edges: Counter[tuple[int, int]] = Counter()
     for i, a in enumerate(ids):
         for b in ids[i + 1 :]:
-            here = np.where(columns[a] == columns[b], columns[a], -1)  # shared location, -1 while apart
+            # the shared location each tick, -1 while apart (every location a stage passes lies on 0..n-1)
+            here = np.where(columns[a] == columns[b], columns[a], -1)
             starts = np.ones(here.shape, dtype=bool)  # a run starts each day and at each change
             starts[:, 1:] = here[:, 1:] != here[:, :-1]
             first = np.flatnonzero(starts)
