@@ -7,11 +7,14 @@ For configs/demo.json and for full_scale_20 (full_scale_config with seed 17,
 20 agents and 5 days of 300 ticks, as bench/workloads.py builds it), one
 ``run_pipeline`` call writes every file into a temporary directory. Each
 writer then rewrites its file from the arrays read back, and each reader
-reads the file, REPEATS (7) times. A figure is the median of those wall
-times, also given as µs per row (a CSV row or a JSON line, headers not
+reads the file, REPEATS (7) times. For long_walk (bench/workloads.py's one
+agent without schedule or sensors over one day of 100,000 ticks, seed 17),
+``run_simulation`` gives the locations, and only the two trajectory writers
+and the read of trajectories.csv are timed. A figure is the median of those
+wall times, also given as µs per row (a CSV row or a JSON line, headers not
 counted) and MB/s of the file. Only the public names of
-``officelab.formats`` are used, so ``--src`` can point at any checkout's
-``src/`` and one script times both sides of a change.
+``officelab.formats`` and ``run_simulation`` are used, so ``--src`` can
+point at any checkout's ``src/`` and one script times both sides of a change.
 """
 
 from __future__ import annotations
@@ -40,7 +43,36 @@ def timed(call) -> float:
     return statistics.median(times)
 
 
-def figures(config, out: Path) -> dict:
+def long_walk_document(seed: int) -> dict:
+    """bench/workloads.py's long_walk config: full_scale's fourth agent alone, without schedule or sensors."""
+    from officelab.presets import full_scale_config
+
+    doc = full_scale_config(seed=seed, days=1, ticks_per_day=100_000, n_agents=4)
+    agent = dict(doc["agents"][3], schedule=[])
+    doc.update(agents=[agent], sensors=[])
+    doc["floor_plan"]["home_of"] = {str(agent["home"]): [agent["id"]]}
+    return doc
+
+
+def trajectory_calls(config, out: Path) -> dict:
+    """The two trajectory writers and the trajectories.csv read, on simulated locations."""
+    from officelab import formats
+    from officelab.simulate import run_simulation
+
+    locations, agents = run_simulation(config), [a.id for a in config.agents]
+    formats.write_trajectories_csv(locations, agents, out / "trajectories.csv")
+    return {  # name -> (the file it writes or reads, the call on a path)
+        "write_trajectories_jsonl": (
+            "trajectories.jsonl",
+            lambda p: formats.write_trajectories_jsonl(locations, agents, p),
+        ),
+        "write_trajectories_csv": ("trajectories.csv", lambda p: formats.write_trajectories_csv(locations, agents, p)),
+        "read_paths_csv trajectories.csv": ("trajectories.csv", lambda p: formats.read_paths_csv(p, config)),
+    }
+
+
+def pipeline_calls(config, out: Path) -> dict:
+    """Every writer and reader, on the files of one pipeline run."""
     from officelab import formats
     from officelab.fusion import track_run
     from officelab.pipeline import run_pipeline
@@ -51,9 +83,7 @@ def figures(config, out: Path) -> dict:
     decoded = formats.read_paths_csv(out / "decoded_paths.csv", config)
     events = formats.read_events_jsonl(out / "events.jsonl", config)
     beliefs = track_run(events, config, decode=False).beliefs
-    scratch = out / "rewrite"
-    scratch.mkdir()
-    calls = {  # name -> (the file it writes or reads, the call on a path)
+    return {  # name -> (the file it writes or reads, the call on a path)
         "write_trajectories_jsonl": (
             "trajectories.jsonl",
             lambda p: formats.write_trajectories_jsonl(locations, agents, p),
@@ -66,6 +96,13 @@ def figures(config, out: Path) -> dict:
         "read_paths_csv trajectories.csv": ("trajectories.csv", lambda p: formats.read_paths_csv(p, config)),
         "read_paths_csv decoded_paths.csv": ("decoded_paths.csv", lambda p: formats.read_paths_csv(p, config)),
     }
+
+
+def figures(make_calls, config, out: Path) -> dict:
+    out.mkdir()
+    calls = make_calls(config, out)
+    scratch = out / "rewrite"
+    scratch.mkdir()
     result = {}
     for name, (file, call) in calls.items():
         path = (scratch if name.startswith("write") else out) / file
@@ -93,9 +130,10 @@ def main(argv: list[str] | None = None) -> int:
     from officelab.config import load_config, parse_config
     from officelab.presets import full_scale_config
 
-    configs = {
-        "demo": load_config(REPO / "configs" / "demo.json"),
-        "full_scale_20": parse_config(full_scale_config(seed=17, n_agents=20, days=5)),
+    workloads = {  # name -> (what it times, its config)
+        "demo": (pipeline_calls, load_config(REPO / "configs" / "demo.json")),
+        "full_scale_20": (pipeline_calls, parse_config(full_scale_config(seed=17, n_agents=20, days=5))),
+        "long_walk": (trajectory_calls, parse_config(long_walk_document(seed=17))),
     }
     record: dict = {
         "repeats": REPEATS,
@@ -108,7 +146,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
-        record["workloads"] = {name: figures(config, out / name) for name, config in configs.items()}
+        record["workloads"] = {name: figures(calls, config, out / name) for name, (calls, config) in workloads.items()}
     print(json.dumps(record))
     return 0
 

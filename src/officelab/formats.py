@@ -7,8 +7,11 @@ from, and read back into, a ``locations[day, tick, a]`` array whose columns
 follow the agent ids given (the config's order). Every such table a stage
 reads (trajectories.csv and the *_paths.csv tables) goes through read_paths_csv,
 which checks it against the config; trajectories.jsonl is an export, not read.
-Both readers parse a file exactly as written in arrays, and any other line by
-line, each line decoded alone so that an error names its line.
+The integer writers (trajectories, events, paths and beliefs) render their
+rows in numpy from each format's literal table (PATHS_LITERALS,
+EVENT_LITERALS), the same tables the readers check. Both readers parse a file
+exactly as written in arrays, and any other line by line, each line decoded
+alone so that an error names its line.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import json
 from itertools import chain
 from pathlib import Path
 from sys import intern
-from typing import Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -30,7 +33,13 @@ from .fusion import agent_columns, event_columns
 from .sensors import EventColumns, ObservationEvent
 
 BELIEF_WRITE_FLOOR = 1e-6  # rows below this are omitted from the belief CSV
-PATHS_HEADER = "agent,day,tick,location"  # trajectories.csv and the *_paths.csv tables
+BLOCK_ROWS = 8192  # rows rendered at once; bounds the writers' temporaries to a few hundred KB
+# trajectories.csv and the *_paths.csv tables: the header line, then each row's literals, before each of its
+# agent, day, tick and location and after the last
+PATHS_HEADER = b"agent,day,tick,location\n"
+PATHS_LITERALS = (b"", b",", b",", b",", b"\n")
+TRAJECTORY_LITERALS = (b'{"agent": ', b', "day": ', b', "tick": ', b', "location": ', b"}\n")
+EVENT_LITERALS = (b'{"sensor": "', b'", "day": ', b', "tick": ', b', "reported_agent": ', b', "location": ', b"}\n")
 
 
 def _fmt(x: float) -> str:
@@ -50,41 +59,101 @@ def _malformed(path: Path, lineno: int, exc: Exception) -> ValidationError:
     return ValidationError(f"{path} line {lineno} is malformed: {exc!r}")
 
 
-def _tick_major(locations: np.ndarray, agents: Sequence[int], head: str, tail: str, end: str) -> Iterator[str]:
-    """``locations[day, tick, a]`` as text rows, day by day, tick by tick, columns in order: ``head`` formatted
-    with the column's agent id and the day, the tick, ``tail``, the location, ``end``."""
-    ticks, n_agents = locations.shape[1:]
-    tick = np.repeat(np.arange(ticks), n_agents).tolist()
-    for day, table in enumerate(locations):
-        heads = [head.format(agent, day) for agent in agents] * ticks
-        yield from (f"{h}{t}{tail}{x}{end}" for h, t, x in zip(heads, tick, table.ravel().tolist()))
+def _texts(values: Iterable[object]) -> np.ndarray:
+    """Each value's ``str`` as one entry of a bytes (S) column, to be gathered by index."""
+    return np.array([str(v) for v in values], dtype="S")
+
+
+def _width(column: np.ndarray) -> int:
+    """The bytes of ``column``'s widest entry: a bytes (S) column's item size, or an integer column's widest value
+    in decimal form."""
+    if column.dtype.kind == "S":
+        return column.dtype.itemsize
+    return max(len(str(int(column.min(initial=0)))), len(str(int(column.max(initial=0)))))
+
+
+def _fill(slot: np.ndarray, column: np.ndarray) -> None:
+    """Lay ``column`` out in ``slot``, a zeroed (rows, width) view: a bytes (S) column's bytes from the left, an
+    integer column in decimal form (a ``-`` when negative) from the right."""
+    if column.dtype.kind == "S":
+        slot[:] = column.view(np.uint8).reshape(slot.shape)
+        return
+    rest = np.abs(column).astype(np.uint64)  # |int64 min| wraps to 2**63, as it should
+    for k in range(slot.shape[1]):  # the digit worth 10**k, k places before the slot's end
+        quotient = rest // np.uint64(10)
+        digit = rest - quotient * np.uint64(10)
+        slot[:, -1 - k] = digit + np.uint64(ord("0")) * ((rest > 0) | (k == 0))  # places left of the first stay 0
+        rest = quotient
+    negative = np.flatnonzero(column < 0)
+    slot[negative, (slot[negative] != 0).argmax(axis=1) - 1] = ord("-")  # before the first digit
+
+
+def _render(literals: Sequence[bytes], columns: Sequence[np.ndarray]) -> bytes:
+    """Rows of ``literals[0]``, ``columns[0][r]``, ``literals[1]``, ..., ``literals[-1]`` as the bytes to write: laid
+    out as one (rows, width) uint8 array, each literal at a fixed column and each column's entries in a slot as wide
+    as its widest (see _fill), zero bytes padding the rest; then the zero bytes dropped."""
+    widths = [_width(c) for c in columns]
+    row = b"".join(lit + bytes(width) for lit, width in zip(literals, [*widths, 0]))
+    table = np.empty((columns[0].size, len(row)), dtype=np.uint8)
+    table[:] = np.frombuffer(row, dtype=np.uint8)
+    end = 0
+    for lit, column, width in zip(literals, columns, widths):
+        end += len(lit) + width
+        _fill(table[:, end - width : end], column)
+    return table.tobytes().replace(b"\0", b"")
+
+
+def _write_blocks(fh: BinaryIO, literals: Sequence[bytes], rows: int, columns: Callable[[slice], Sequence]) -> None:
+    """Rows 0..rows-1 rendered from ``literals`` and ``columns(block)``, the columns of a block of rows, BLOCK_ROWS
+    rows at a time."""
+    for lo in range(0, rows, BLOCK_ROWS):
+        fh.write(_render(literals, columns(slice(lo, min(lo + BLOCK_ROWS, rows)))))
+
+
+def _write_locations(
+    path: Path, header: bytes, literals: Sequence[bytes], locations: np.ndarray, agents: Sequence[int], walk: tuple
+) -> None:
+    """``header``, then a row of ``agents[a]``, day, tick and ``locations[day, tick, a]`` for each cell, cells in the
+    C order of the (day, tick, a) axes in the order ``walk`` lists them: (0, 1, 2) is tick-major, (2, 0, 1) is
+    agent-major."""
+    ids, shape = _texts(agents), [locations.shape[axis] for axis in walk]
+
+    def columns(block: slice) -> tuple:
+        index = dict(zip(walk, np.unravel_index(np.arange(block.start, block.stop), shape)))
+        day, tick, a = index[0], index[1], index[2]
+        return ids[a], day, tick, locations[day, tick, a]
+
+    with open(path, "wb") as fh:
+        fh.write(header)
+        _write_blocks(fh, literals, locations.size, columns)
 
 
 def write_trajectories_jsonl(locations: np.ndarray, agents: Sequence[int], path: Path) -> None:
     """One JSON object per line, as ``json.dumps`` renders it, for agent ``agents[a]`` of ``locations[day, tick, a]``:
     day by day, tick by tick, columns in order."""
-    with open(path, "w") as fh:
-        fh.writelines(_tick_major(locations, agents, '{{"agent": {}, "day": {}, "tick": ', ', "location": ', "}\n"))
+    _write_locations(path, b"", TRAJECTORY_LITERALS, locations, agents, (0, 1, 2))
 
 
 def write_trajectories_csv(locations: np.ndarray, agents: Sequence[int], path: Path) -> None:
     """The rows write_trajectories_jsonl writes, as a paths table."""
-    _write_csv(path, PATHS_HEADER, _tick_major(locations, agents, "{},{},", ",", "\n"))
+    _write_locations(path, PATHS_HEADER, PATHS_LITERALS, locations, agents, (0, 1, 2))
+
+
+def _json_ids(config: WorldConfig) -> list[bytes]:
+    """Each sensor id as ``json.dumps`` encodes it, without its quotes."""
+    return [json.dumps(s.id)[1:-1].encode() for s in config.sensors]
 
 
 def write_events_jsonl(columns: EventColumns, path: Path, config: WorldConfig) -> None:
-    """One JSON object per line, as ``json.dumps`` renders it, from ``config``'s column table, a day at a time;
-    each sensor id is encoded once per day."""
-    agents = [a.id for a in config.agents]
-    starts = np.flatnonzero(np.diff(columns.day, prepend=-1)).tolist()
-    with open(path, "w") as fh:
-        for lo, hi in zip(starts, starts[1:] + [len(columns.day)]):
-            head = [f'{{"sensor": {json.dumps(s.id)}, "day": {columns.day[lo]}, "tick": ' for s in config.sensors]
-            rows = zip(*(c[lo:hi].tolist() for c in (columns.sensor, columns.tick, columns.agent, columns.location)))
-            fh.writelines(f'{head[s]}{t}, "reported_agent": {agents[a]}, "location": {x}}}\n' for s, t, a, x in rows)
+    """One JSON object per line, as ``json.dumps`` renders it, from ``config``'s column table; each sensor id is
+    encoded once."""
+    ids, agents = np.array(_json_ids(config), dtype="S"), _texts(a.id for a in config.agents)
 
+    def fields(b: slice) -> tuple:
+        return ids[columns.sensor[b]], columns.day[b], columns.tick[b], agents[columns.agent[b]], columns.location[b]
 
-EVENT_LITERALS = (b'{"sensor": "', b'", "day": ', b', "tick": ', b', "reported_agent": ', b', "location": ', b"}\n")
+    with open(path, "wb") as fh:
+        _write_blocks(fh, EVENT_LITERALS, columns.day.size, fields)
 
 
 def _integer_spans(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
@@ -118,7 +187,7 @@ def read_events_jsonl(path: Path, config: WorldConfig) -> EventColumns:
     ):
         return _read_event_lines(path, config)
     # each id must be one of the config's as the writer encodes it, of the same width; both zero-padded to 8-byte words
-    known = [json.dumps(s.id)[1:-1].encode() for s in config.sensors]
+    known = _json_ids(config)
     size = np.array([len(k) for k in known])
     lo, width = at[0] + len(EVENT_LITERALS[0]), at[1] - at[0] - len(EVENT_LITERALS[0])
     w = -(-int(size.max(initial=1)) // 8) * 8
@@ -159,28 +228,25 @@ def _read_event_lines(path: Path, config: WorldConfig) -> EventColumns:
 
 def write_beliefs_csv(beliefs: np.ndarray, agents: Sequence[int], path: Path) -> None:
     """``beliefs[day, tick, a]`` one row per (day, tick, agent column, location), in that order, whose probability
-    is at least BELIEF_WRITE_FLOOR; ``agents[a]`` names column a."""
-
-    def rows() -> Iterator[str]:
+    is at least BELIEF_WRITE_FLOOR, the probability as ``repr`` renders it; ``agents[a]`` names column a."""
+    ids = _texts(agents)
+    with open(path, "wb") as fh:
+        fh.write(b"day,tick,agent,location,probability\n")
         for day, probs in enumerate(beliefs):
             tick, a, loc = np.nonzero(probs >= BELIEF_WRITE_FLOOR)
-            for t, i, x, p in zip(tick.tolist(), a.tolist(), loc.tolist(), probs[tick, a, loc].tolist()):
-                yield f"{day},{t},{agents[i]},{x},{_fmt(p)}\n"
+            p = probs[tick, a, loc]
 
-    _write_csv(path, "day,tick,agent,location,probability", rows())
+            def fields(b: slice) -> tuple:  # repr stays the one float renderer
+                return tick[b], ids[a[b]], loc[b], np.array(list(map(repr, p[b].tolist())), dtype="S")
+
+            _write_blocks(fh, (b"%d," % day, b",", b",", b",", b"\n"), tick.size, fields)
 
 
 def write_paths_csv(locations: np.ndarray, agents: Sequence[int], path: Path) -> None:
     """``locations[day, tick, a]`` one row per (agent, day, tick): agents by id (``agents[a]`` names column a),
     then days and ticks in order."""
-
-    def rows() -> Iterator[str]:
-        for a in np.argsort(agents, kind="stable").tolist():
-            for day, walk in enumerate(locations[:, :, a].tolist()):
-                head = f"{agents[a]},{day},"
-                yield from (f"{head}{t},{x}\n" for t, x in enumerate(walk))
-
-    _write_csv(path, PATHS_HEADER, rows())
+    order = np.argsort(agents, kind="stable").tolist()
+    _write_locations(path, PATHS_HEADER, PATHS_LITERALS, locations[:, :, order], [agents[a] for a in order], (2, 0, 1))
 
 
 def read_paths_csv(path: Path, config: WorldConfig) -> np.ndarray:
@@ -195,12 +261,13 @@ def read_paths_csv(path: Path, config: WorldConfig) -> np.ndarray:
     ValidationError naming it.
     """
     days, ticks, n_agents = config.days, config.ticks_per_day, len(config.agents)
-    rows, head, data = days * ticks * n_agents, f"{PATHS_HEADER}\n".encode(), Path(path).read_bytes()
-    if not data.startswith(head) or not data.endswith(b"\n"):
+    rows, data = days * ticks * n_agents, Path(path).read_bytes()
+    if not data.startswith(PATHS_HEADER) or not data.endswith(b"\n"):
         return _read_path_lines(path, config)
-    body = np.frombuffer(data, dtype=np.uint8, offset=len(head))
+    body = np.frombuffer(data, dtype=np.uint8, offset=len(PATHS_HEADER))
     sep = np.flatnonzero((body == ord(",")) | (body == ord("\n")))
-    if sep.size != 4 * rows or np.any(body[sep].reshape(rows, 4) != np.frombuffer(b",,,\n", dtype=np.uint8)):
+    after = np.frombuffer(b"".join(PATHS_LITERALS[1:]), dtype=np.uint8)  # the literal after each of a row's fields
+    if sep.size != 4 * rows or np.any(body[sep].reshape(rows, 4) != after):
         return _read_path_lines(path, config)
     values = _integer_spans(body, np.append(-1, sep)[:-1] + 1, sep)  # each field, from after the last separator
     if values is None:
@@ -228,8 +295,8 @@ def _read_path_lines(path: Path, config: WorldConfig) -> np.ndarray:
     with open(path, "rb") as fh:  # lines end at b"\n" only; each is decoded on its own
         lineno = 1
         try:
-            if fh.readline() != f"{PATHS_HEADER}\n".encode():
-                raise ValueError(f"expected the header {PATHS_HEADER!r}")
+            if fh.readline() != PATHS_HEADER:
+                raise ValueError(f"expected the header {PATHS_HEADER.decode().rstrip()!r}")
             for lineno, line in enumerate(fh, 2):
                 fields = line.decode().removesuffix("\n").split(",")
                 agent, day, tick, loc = values = [int(f) for f in fields]

@@ -15,9 +15,11 @@ from hypothesis import strategies as st
 from officelab.config import WorldConfig, load_config
 from officelab.contacts import ContactGraph, graph_metrics
 from officelab.errors import NoPathError, ValidationError
+from officelab import formats
 from officelab.formats import (
     BELIEF_WRITE_FLOOR,
     _read_event_lines,
+    _render,
     _read_path_lines,
     read_events_jsonl,
     read_paths_csv,
@@ -282,13 +284,16 @@ def test_paths_reader_equals_the_line_reader_on_written_tables_and_their_mutants
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_events_reader_equals_the_line_reader_on_written_logs_and_their_mutants(tmp_path_factory, data):
-    ids = data.draw(st.lists(st.text("ab0:\"\\\u00e9 ", max_size=3), min_size=1, max_size=3, unique=True), label="ids")
+    # an id holding ":" sends the whole log to the line reader, so only about one config in eight may have one
+    alphabet = "ab0:\"\\\u00e9 " if data.draw(st.integers(0, 7), label="colons") == 0 else "ab0\"\\\u00e9 "
+    ids = data.draw(st.lists(st.text(alphabet, max_size=3), min_size=1, max_size=3, unique=True), label="ids")
     agents = data.draw(st.lists(st.integers(0, 40), min_size=1, max_size=3, unique=True), label="agents")
     days, ticks, n = (data.draw(st.integers(1, k)) for k in (3, 12, 12))
     config = _event_config(ids, agents, days, ticks, n)
     event = st.tuples(*(st.integers(0, k - 1) for k in (len(ids), days, ticks, len(agents), n)))
-    rows = sorted(data.draw(st.lists(event, max_size=12), label="events"), key=lambda row: row[1])
-    columns = EventColumns(*(np.array(c, dtype=np.int64).reshape(-1) for c in (zip(*rows) if rows else [()] * 5)))
+    # at least one event: an empty log reaches the array path only as a mutant's one inserted byte
+    rows = sorted(data.draw(st.lists(event, min_size=1, max_size=12), label="events"), key=lambda row: row[1])
+    columns = EventColumns(*(np.array(c, dtype=np.int64) for c in zip(*rows)))
     path = tmp_path_factory.mktemp("events") / "e.jsonl"
     write_events_jsonl(columns, path, config)
     path.write_bytes(data.draw(_mutated(path.read_bytes())))
@@ -417,6 +422,107 @@ def test_belief_csv_equals_the_per_tick_writer(tmp_path_factory, seed, shape, id
     write_beliefs_csv(beliefs, agents, out / "array.csv")
     _beliefs_csv_per_tick(beliefs, agents, out / "per_tick.csv")
     assert (out / "array.csv").read_bytes() == (out / "per_tick.csv").read_bytes()
+
+
+# integers of every size the writers may meet: 0, small ids and locations, negatives, and 17-18 digit values
+_INTEGERS = st.one_of(
+    st.just(0),
+    st.integers(-50, 50),
+    st.integers(10**16, 10**18 - 1),
+    st.integers(-(10**18) + 1, -(10**16)),
+    st.integers(-(2**63), 2**63 - 1),
+)
+_LITERALS = st.binary(max_size=4).filter(lambda lit: b"\0" not in lit)  # a literal holds no NUL byte
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_render_equals_the_f_string_form_on_random_integer_columns(data):
+    width = data.draw(st.integers(1, 4), label="columns")
+    rows = data.draw(st.sampled_from([0, 1]) | st.integers(2, 40), label="rows")
+    columns = [data.draw(st.lists(_INTEGERS, min_size=rows, max_size=rows)) for _ in range(width)]
+    literals = data.draw(st.lists(_LITERALS, min_size=width + 1, max_size=width + 1), label="literals")
+    expected = "".join(
+        literals[0].decode("latin-1") + "".join(f"{v}{lit.decode('latin-1')}" for v, lit in zip(row, literals[1:]))
+        for row in zip(*columns)
+    ).encode("latin-1")
+    assert _render(literals, [np.array(c, dtype=np.int64) for c in columns]) == expected
+
+
+def _reference_tick_major(locations: np.ndarray, agents, head: str, tail: str, end: str):
+    """The trajectory writers' rows as f-strings: day by day, tick by tick, columns in order."""
+    ticks, n_agents = locations.shape[1:]
+    tick = np.repeat(np.arange(ticks), n_agents).tolist()
+    for day, table in enumerate(locations):
+        heads = [head.format(agent, day) for agent in agents] * ticks
+        yield from (f"{h}{t}{tail}{x}{end}" for h, t, x in zip(heads, tick, table.ravel().tolist()))
+
+
+def _reference_files(locations: np.ndarray, agents, columns: EventColumns, config: WorldConfig) -> dict[str, str]:
+    """Each integer writer's file as f-strings, row by row."""
+    header = "agent,day,tick,location\n"
+    paths = (
+        f"{agents[a]},{day},{t},{x}\n"
+        for a in np.argsort(agents, kind="stable").tolist()
+        for day, walk in enumerate(locations[:, :, a].tolist())
+        for t, x in enumerate(walk)
+    )
+    ids, ids_of_agents = [json.dumps(s.id) for s in config.sensors], [a.id for a in config.agents]
+    events = (
+        f'{{"sensor": {ids[s]}, "day": {d}, "tick": {t}, "reported_agent": {ids_of_agents[a]}, "location": {x}}}\n'
+        for s, d, t, a, x in zip(*(c.tolist() for c in columns))
+    )
+    jsonl = _reference_tick_major(locations, agents, '{{"agent": {}, "day": {}, "tick": ', ', "location": ', "}\n")
+    return {
+        "t.jsonl": "".join(jsonl),
+        "t.csv": header + "".join(_reference_tick_major(locations, agents, "{},{},", ",", "\n")),
+        "p.csv": header + "".join(paths),
+        "e.jsonl": "".join(events),
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_integer_writers_equal_their_f_string_forms_across_block_boundaries(tmp_path_factory, data):
+    ids = data.draw(st.lists(_INTEGERS | st.integers(-(10**20), 10**20), max_size=3, unique=True), label="agents")
+    days, ticks = data.draw(st.integers(1, 3), label="days"), data.draw(st.integers(1, 5), label="ticks")
+    size = days * ticks * len(ids)
+    cells = data.draw(st.lists(_INTEGERS, min_size=size, max_size=size), label="locations")
+    locations = np.array(cells, dtype=np.int64).reshape(days, ticks, len(ids))
+    config = _event_config(("cam0", 'say "hi"', "caméra"), (), days, ticks, 4)
+    config = dataclasses.replace(config, agents=tuple(uniform_agent(a, 0, 4) for a in ids))
+    if ids:
+        agent, day = st.integers(0, len(ids) - 1), st.integers(0, days - 1)
+        event = st.tuples(st.integers(0, 2), day, _INTEGERS, agent, _INTEGERS)
+        rows = sorted(data.draw(st.lists(event, max_size=size), label="events"), key=lambda row: row[1])
+    else:
+        rows = []
+    columns = EventColumns(*(np.array(c, dtype=np.int64).reshape(-1) for c in (zip(*rows) if rows else [()] * 5)))
+    beliefs = np.random.default_rng(size).uniform(0, 2 * BELIEF_WRITE_FLOOR, (days, ticks, len(ids), 4))
+    out = tmp_path_factory.mktemp("writers")
+    block = data.draw(st.integers(1, 7) | st.just(formats.BLOCK_ROWS), label="block rows")
+    with mock.patch.object(formats, "BLOCK_ROWS", block):  # the blocks' boundaries fall between any two rows
+        write_trajectories_jsonl(locations, ids, out / "t.jsonl")
+        write_trajectories_csv(locations, ids, out / "t.csv")
+        write_paths_csv(locations, ids, out / "p.csv")
+        write_events_jsonl(columns, out / "e.jsonl", config)
+        write_beliefs_csv(beliefs, ids, out / "b.csv")
+    for name, text in _reference_files(locations, ids, columns, config).items():
+        assert (out / name).read_bytes() == text.encode(), name
+    _beliefs_csv_per_tick(beliefs, ids, out / "per_tick.csv")
+    assert (out / "b.csv").read_bytes() == (out / "per_tick.csv").read_bytes()
+
+
+def test_writers_render_a_block_boundary_in_a_long_table(tmp_path):
+    # 3 agents x 2 days x 1,500 ticks: 9,000 rows, one block boundary at the default BLOCK_ROWS inside a day
+    locations = np.arange(9_000).reshape(2, 1_500, 3) % 50
+    agents = [-7, 12, 3]
+    write_trajectories_jsonl(locations, agents, tmp_path / "t.jsonl")
+    write_paths_csv(locations, agents, tmp_path / "p.csv")
+    config = _event_config((), (), 2, 1_500, 50)
+    expected = _reference_files(locations, agents, _columns([], config), config)
+    for name in ("t.jsonl", "p.csv"):
+        assert (tmp_path / name).read_bytes() == expected[name].encode(), name
 
 
 def test_decode_scores_csv_orders_rows_by_agent_id_then_day(tmp_path):

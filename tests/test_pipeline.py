@@ -68,6 +68,19 @@ def test_demo_truth_outputs_are_pinned(tmp_path, handoff):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
+# decode's paths come from Viterbi, which uses no BLAS (the file was the same under five
+# OPENBLAS_CORETYPE kernels, where beliefs.csv was not), so this digest pins the agent-major
+# rows of write_paths_csv, which no other digest covers
+DEMO_DECODED_PATHS_SHA256 = "5e540f245ee1723c0d6c508ba8544d4d6fda9c720309a3604664d3a5a87cd08c"
+
+
+def test_demo_decoded_paths_are_pinned(tmp_path):
+    config = load_config(CONFIGS / "demo.json")
+    run_pipeline(config, str(CONFIGS / "demo.json"), tmp_path, source="decoded")
+    digest = hashlib.sha256((tmp_path / "decoded_paths.csv").read_bytes()).hexdigest()
+    assert digest == DEMO_DECODED_PATHS_SHA256
+
+
 def test_report_files_do_not_depend_on_the_config_agent_order(tmp_path):
     config = load_config(CONFIGS / "demo.json")
     locations = run_simulation(config)
