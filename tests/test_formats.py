@@ -19,8 +19,8 @@ from officelab import formats
 from officelab.formats import (
     BELIEF_WRITE_FLOOR,
     _read_event_lines,
-    _render,
     _read_path_lines,
+    _render,
     read_events_jsonl,
     read_paths_csv,
     write_beliefs_csv,
