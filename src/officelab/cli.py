@@ -8,6 +8,7 @@ OFFICELAB_LOG={error,info,debug} controls verbosity.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -27,6 +28,7 @@ def _setup_logging() -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
+@functools.cache  # built once per process: in-process callers (tests, benchmarks) run many commands
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="officelab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

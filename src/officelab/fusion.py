@@ -1,20 +1,23 @@
-"""Bayesian location tracking: stacked predict/update over one evidence block per day.
+"""Bayesian location tracking: stacked predict/update over one run-wide evidence buffer.
 
 Beliefs are per-agent categorical distributions over location bins. Events
 enter as one validated integer column table (sensors.EventColumns: observe
 emits it, the events reader's array path builds it with agent_columns, and
 ObservationEvents, the line reader's too, pass through _checked_columns);
-each day's reports become one (ticks, agents, locations) evidence block
-(LikelihoodModel.evidence: one stable sort of the columns groups the reports,
-their factors are computed per chunk of groups). track_run builds the
-motion model and the agents' start (a point mass at home) once, then in one
-loop over the days builds each day's block once and feeds it to the forward
-filter, which advances all agents together, each through its own motion
-kernel (predict), reweighted by its row of the block (update), and to
-decoding.decode_agents. It returns arrays (Tracks): ``beliefs[day, tick, a]``
-and the decoded ``locations[day, tick, a]``, agent column a in config order.
-fuse_run is its filter half on a list of ObservationEvents, as BeliefMatrix views.
-Tick 0 is update-only, prediction applies from tick 1.
+the whole run's reports fill one (days, ticks, agents, locations) evidence
+buffer (LikelihoodModel.evidence_into: one stable sort of the columns groups
+the reports, their factors are computed per chunk of groups). track_run
+builds the motion model and the agents' start (a point mass at home) once
+and fills the buffer once. Every agent starts each day at home, so the days
+are independent and both halves step all of them at once, a row per (day,
+agent): decoding.decode_agents reads the evidence first, then the forward
+filter advances every row tick by tick, each through its agent's motion
+kernel (predict), reweighted by its evidence (update), and overwrites the
+tick's evidence with the beliefs in place. It returns arrays (Tracks):
+``beliefs[day, tick, a]`` and the decoded ``locations[day, tick, a]``, agent
+column a in config order. fuse_run is its filter half on a list of
+ObservationEvents, as BeliefMatrix views. Tick 0 is update-only, prediction
+applies from tick 1.
 
 The per-agent likelihood treats only reports naming the agent as evidence
 (beliefs are independent across agents): per sensor, at most one true
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -210,36 +213,34 @@ class LikelihoodModel:
         f /= self._silent[sensor]
         return f
 
-    def evidence(self, columns: EventColumns, days: int, ticks: int, n_agents: int) -> Iterator[np.ndarray]:
-        """One (ticks, agents, locations) likelihood block per day 0..days-1.
+    def evidence_into(self, columns: EventColumns, out: np.ndarray) -> np.ndarray:
+        """Fill ``out``, a C-contiguous (days, ticks, agents, locations) float array, with the run's likelihoods
+        and return it.
 
-        ``columns`` comes from ``_checked_columns`` with the model's sensors,
-        days, ticks and agents. Each report group's factor over silence
-        multiplies its agent-tick row, the sensors of a row in order of first
-        appearance in the events; an agent-tick no event names is silence.
+        ``columns`` comes from ``_checked_columns`` with the model's sensors
+        and ``out``'s days, ticks and agents. Each report group's factor over
+        silence multiplies its agent-tick row, the sensors of a row in order
+        of first appearance in the events; an agent-tick no event names is
+        silence.
         """
+        _, ticks, n_agents, n = out.shape
+        rows = np.reshape(out, (-1, n), copy=False)
+        rows[:] = self._silent_product
         cell, sensor, loc, edges = self._groups(columns, ticks, n_agents)
-        per_day = ticks * n_agents
-        bounds = np.searchsorted(cell, np.arange(days + 1) * per_day)
-        for d in range(days):
-            lo, hi = bounds[d], bounds[d + 1]
-            rows, reporter = cell[lo:hi] - d * per_day, sensor[lo:hi]
-            block = np.tile(self._silent_product, (per_day, 1))
-            for c in range(lo, hi, EVIDENCE_CHUNK):
-                e = min(c + EVIDENCE_CHUNK, hi)
-                at = loc[edges[c] : edges[e]]
-                np.multiply.at(block, rows[c - lo : e - lo], self._factors(sensor[c:e], edges[c:e] - edges[c], at))
-            if self._certain_ids.size:
-                reported = np.isin(reporter, self._certain_ids)
-                silent = np.ones((self._certain_ids.size, per_day))
-                silent[np.searchsorted(self._certain_ids, reporter[reported]), rows[reported]] = 0.0
-                block[(silent.T @ self._certain_at) > 0] = 0.0
-            yield block.reshape(ticks, n_agents, self.plan.n)
+        for c in range(0, cell.size, EVIDENCE_CHUNK):
+            e = min(c + EVIDENCE_CHUNK, cell.size)
+            np.multiply.at(rows, cell[c:e], self._factors(sensor[c:e], edges[c:e] - edges[c], loc[edges[c] : edges[e]]))
+        for i, certain in zip(self._certain_ids, self._certain_at):
+            silent = np.ones(len(rows), dtype=bool)
+            silent[cell[sensor == i]] = False
+            rows[np.ix_(silent, certain)] = 0.0
+        return out
 
     def tick_likelihood(self, reports: dict[str, list[int]]) -> np.ndarray:
         """One agent-tick's likelihood; ``reports`` maps sensor id -> report locations ({} = silence)."""
         events = [ObservationEvent(s, 0, 0, 0, y) for s, locs in reports.items() for y in locs]
-        return next(self.evidence(_checked_columns(events, self._sensor_ids, (0,), 1, 1, self.plan.n), 1, 1, 1))[0, 0]
+        columns = _checked_columns(events, self._sensor_ids, (0,), 1, 1, self.plan.n)
+        return self.evidence_into(columns, np.empty((1, 1, 1, self.plan.n)))[0, 0, 0]
 
 
 def likelihood_of_events(
@@ -256,7 +257,8 @@ def likelihood_of_events(
         raise ValidationError(f"events span several ticks: {sorted(ticks)}")
     mine = [ev._replace(day=0, tick=0) for ev in events if ev.reported_agent == agent]
     model = LikelihoodModel(sensors, plan, n_agents=n_agents)
-    return next(model.evidence(_checked_columns(mine, [s.id for s in sensors], (agent,), 1, 1, plan.n), 1, 1, 1))[0, 0]
+    columns = _checked_columns(mine, [s.id for s in sensors], (agent,), 1, 1, plan.n)
+    return model.evidence_into(columns, np.empty((1, 1, 1, plan.n)))[0, 0, 0]
 
 
 def event_columns(events: Iterable[ObservationEvent], config: WorldConfig) -> EventColumns:
@@ -288,28 +290,31 @@ class Tracks:
     retries: int  # agent-days that needed the Viterbi leak retry
 
 
-def _filter_day(
-    start: np.ndarray, motion: MotionModel, evidence: np.ndarray, probs: np.ndarray, predict_only: np.ndarray, day: int
-) -> None:
-    """Forward-filter one day's (ticks, agents, n) evidence from ``start`` into ``probs``, of the same shape.
+def _filter_in_place(start: np.ndarray, motion: MotionModel, buffer: np.ndarray) -> np.ndarray:
+    """Forward-filter every day of ``buffer``'s (days, ticks, agents, n) evidence at once, each day from ``start``,
+    overwriting each tick's evidence with its beliefs; returns predict_only (days, ticks).
 
     Degenerate evidence (all posterior products zero) falls back to the
-    predicted belief for that tick and is logged; ``predict_only[tick]``
-    counts the rows that did so.
+    predicted belief for that row and tick and is logged;
+    ``predict_only[day, tick]`` counts the rows that did so.
     """
-    rows = start
-    for tick in range(len(evidence)):
+    days, ticks = buffer.shape[:2]
+    predict_only = np.empty((days, ticks), dtype=np.int64)
+    rows = np.broadcast_to(start, buffer[:, 0].shape)
+    for tick in range(ticks):
         if tick > 0:
-            rows = (rows[:, None, :] @ motion.kernels)[:, 0]
-        post = rows * evidence[tick]
-        total = post.sum(axis=1)
-        stuck = np.flatnonzero(total <= 0.0)
-        for i in stuck:
+            rows = (rows[:, :, None, :] @ motion.kernels)[:, :, 0]
+        post = rows * buffer[:, tick]  # the tick's evidence, read before its beliefs overwrite it
+        total = post.sum(axis=2)
+        dead = total <= 0.0
+        stuck = np.nonzero(dead)
+        for day, i in zip(*stuck):
             log.debug("degenerate evidence for agent %d at day %d tick %d; predict-only", motion.agents[i], day, tick)
         post[stuck], total[stuck] = rows[stuck], 1.0
-        floored = np.maximum(post / total[:, None], BELIEF_FLOOR)
-        rows = np.divide(floored, floored.sum(axis=1, keepdims=True), out=probs[tick])
-        predict_only[tick] = len(stuck)
+        floored = np.maximum(post / total[:, :, None], BELIEF_FLOOR)
+        rows = np.divide(floored, floored.sum(axis=2, keepdims=True), out=buffer[:, tick])
+        predict_only[:, tick] = dead.sum(axis=1)
+    return predict_only
 
 
 def track_run(
@@ -321,12 +326,14 @@ def track_run(
 ) -> Tracks:
     """Filtered beliefs (``fuse``) and decoded paths (``decode``) for every configured day.
 
-    ``columns`` is event_columns' table for ``config``. Each day's evidence
-    block is built once and serves both; each half's arrays are allocated
-    once per run, and not at all when it is switched off. The motion model
-    is built from ``config`` unless given; rows follow the config's agent
-    order, which a given ``motion`` must share. Every agent starts each day
-    as a point mass at home.
+    ``columns`` is event_columns' table for ``config``. The run's evidence
+    fills one (days, ticks, agents, n) buffer once and serves both halves:
+    the decoder reads it first, then the filter overwrites it with the
+    beliefs, so a run allocates that buffer once whichever halves it runs,
+    and a half switched off allocates none of its own arrays. The motion
+    model is built from ``config`` unless given; rows follow the config's
+    agent order, which a given ``motion`` must share. Every agent starts
+    each day as a point mass at home.
     """
     motion = motion or motion_model_for(config)
     agents = tuple(a.id for a in config.agents)
@@ -336,19 +343,13 @@ def track_run(
     model = LikelihoodModel(config.sensors, config.floor_plan, n_agents=len(agents))
     start = np.zeros((len(agents), n))
     start[np.arange(len(agents)), [a.home for a in config.agents]] = 1.0
-    # np.empty leaves the pages untouched until a day writes them
-    beliefs = np.empty((days, ticks, len(agents), n)) if fuse else None
-    predict_only = np.empty((days, ticks), dtype=np.int64) if fuse else None
-    paths = np.empty((days, ticks, len(agents)), dtype=np.int64) if decode else None
-    scores = np.empty((days, len(agents))) if decode else None
+    buffer = model.evidence_into(columns, np.empty((days, ticks, len(agents), n)))
+    paths = scores = None
     retries = 0
-    for day, evidence in enumerate(model.evidence(columns, days, ticks, len(agents))):
-        if decode:  # first, so that Viterbi's temporaries are gone before the day's beliefs are written
-            paths[day], scores[day], leaked = decode_agents(start, motion.kernels, evidence, agents, day)
-            retries += leaked
-        if fuse:
-            _filter_day(start, motion, evidence, beliefs[day], predict_only[day], day)
-    return Tracks(beliefs, predict_only, paths, scores, retries)
+    if decode:  # first: the filter overwrites the evidence
+        paths, scores, retries = decode_agents(start, motion.kernels, buffer, agents)
+    predict_only = _filter_in_place(start, motion, buffer) if fuse else None
+    return Tracks(buffer if fuse else None, predict_only, paths, scores, retries)
 
 
 def fuse_run(

@@ -99,7 +99,8 @@ def full_scale_config(
 
     Locations 0..19 are offices (agents own the first ten), 20..23 meeting
     rooms, 24..25 printers, 26 the lunch area, 27..49 a corridor spine every
-    room hangs off.
+    room hangs off. The schedule windows are set for a 300-tick day and
+    scaled to ``ticks_per_day``, each kept at least one tick long.
     """
     offices = list(range(20))
     meeting_rooms = [20, 21, 22, 23]
@@ -117,6 +118,10 @@ def full_scale_config(
     rooms = offices + meeting_rooms + printers + [lunch]
     for i, room in enumerate(rooms):
         adjacency.append(sorted([room, corridors[i % len(corridors)]]))
+
+    def window(start: int, end: int) -> list[int]:
+        start = start * ticks_per_day // 300
+        return [start, max(end * ticks_per_day // 300, start + 1)]
 
     agents = []
     for a in range(n_agents):
@@ -137,8 +142,8 @@ def full_scale_config(
                 "destinations": destinations,
                 "delta_p": 0.02,
                 "schedule": [
-                    {"window": [60, 110], "target": meeting_rooms[a % 4], "probability": 0.9, "label": "meeting"},
-                    {"window": [150, 190], "target": lunch, "probability": 0.8, "label": "lunch"},
+                    {"window": window(60, 110), "target": meeting_rooms[a % 4], "probability": 0.9, "label": "meeting"},
+                    {"window": window(150, 190), "target": lunch, "probability": 0.8, "label": "lunch"},
                 ],
             }
         )

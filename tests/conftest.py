@@ -33,9 +33,9 @@ def simulated_events(config: WorldConfig) -> list[ObservationEvent]:
 def decode_day(initial, kernel, evidence, agent: int, day: int) -> DecodedPath:
     """One agent-day's (ticks, n) evidence through decode_agents, the leak retry included."""
     paths, scores, _ = decode_agents(
-        np.asarray(initial)[None], np.asarray(kernel)[None], np.asarray(evidence)[:, None], [agent], day
+        np.asarray(initial)[None], np.asarray(kernel)[None], np.asarray(evidence)[None, :, None], [agent]
     )
-    return DecodedPath(agent=agent, day=day, path=tuple(paths[:, 0].tolist()), log_score=float(scores[0]))
+    return DecodedPath(agent=agent, day=day, path=tuple(paths[0, :, 0].tolist()), log_score=float(scores[0, 0]))
 
 
 def minimal_config_doc() -> dict:

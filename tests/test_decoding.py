@@ -160,7 +160,8 @@ def test_batched_rows_each_equal_brute_force_and_only_failed_rows_leak(seed, row
     evidence = (rng.random((ticks, rows, n)) < 0.4).astype(float)
     agents = [100 + b for b in range(rows)]
 
-    paths, scores, retries = decode_agents(initial, kernels, evidence, agents, day=3)
+    paths, scores, retries = decode_agents(initial, kernels, evidence[None], agents)  # one day
+    paths, scores = paths[0], scores[0]
     assert paths.shape == (ticks, rows) and scores.shape == (rows,)
 
     failed = 0

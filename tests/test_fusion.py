@@ -23,7 +23,7 @@ from officelab.fusion import (
 from officelab.presets import full_scale_config
 from officelab.sensors import ObservationEvent, SensorSpec, generate_event_log
 from officelab.simulate import run_simulation
-from officelab.world import AgentProfile, StayProbs
+from officelab.world import AgentProfile, FloorPlan, StayProbs
 
 from conftest import decode_day, line_plan, minimal_config_doc, simulated_events, uniform_agent
 
@@ -219,9 +219,9 @@ def test_evidence_equals_per_report_loop_bit_for_bit(seed, n_agents, certain):
         )
     model = LikelihoodModel(sensors, plan, n_agents=n_agents)
     columns = _checked_columns(events, [s.id for s in sensors], agents, days, ticks, plan.n)
-    blocks = list(model.evidence(columns, days, ticks, n_agents))
+    blocks = model.evidence_into(columns, np.empty((days, ticks, n_agents, plan.n)))
     with mock.patch("officelab.fusion.EVIDENCE_CHUNK", 3):  # factors applied a few groups at a time
-        chunked = list(model.evidence(columns, days, ticks, n_agents))
+        chunked = model.evidence_into(columns, np.empty((days, ticks, n_agents, plan.n)))
     assert len(blocks) == len(chunked) == days
     for day, block in enumerate(blocks):
         ref = _reference_day_evidence(sensors, plan.n, events, day, ticks, agents)
@@ -455,7 +455,9 @@ def test_decoded_half_equals_decode_day_on_evidence_blocks_including_a_leaked_ro
     tracks = track_run(event_columns(events, cfg), cfg, fuse=False)
     assert tracks.retries == 1
     assert tracks.paths.shape == (2, 8, 2) and tracks.paths.dtype == np.int64 and tracks.scores.shape == (2, 2)
-    blocks = LikelihoodModel(sensors, plan, n_agents=2).evidence(event_columns(events, cfg), cfg.days, cfg.ticks_per_day, 2)
+    blocks = LikelihoodModel(sensors, plan, n_agents=2).evidence_into(
+        event_columns(events, cfg), np.empty((cfg.days, cfg.ticks_per_day, 2, plan.n))
+    )
     for day, block in enumerate(blocks):
         for i, profile in enumerate(agents):
             init = np.zeros(plan.n)
@@ -490,6 +492,103 @@ def test_one_tracking_pass_equals_fuse_run_and_the_decoded_half():
     assert decoded.beliefs is None and decoded.predict_only is None
     filtered = track_run(columns, cfg, decode=False)
     assert filtered.paths is None and filtered.scores is None and filtered.retries == 0
+
+
+def _reference_filter_day(start, kernels, evidence):
+    """One day's (ticks, agents, n) evidence filtered on its own, a BLAS predict per agent as in the batch."""
+    beliefs, predict_only, rows = np.empty_like(evidence), [], start
+    for tick in range(len(evidence)):
+        if tick > 0:
+            rows = (rows[:, None, :] @ kernels)[:, 0]
+        post = rows * evidence[tick]
+        total = post.sum(axis=1)
+        stuck = np.flatnonzero(total <= 0.0)
+        post[stuck], total[stuck] = rows[stuck], 1.0
+        floored = np.maximum(post / total[:, None], BELIEF_FLOOR)
+        rows = beliefs[tick] = floored / floored.sum(axis=1, keepdims=True)
+        predict_only.append(len(stuck))
+    return beliefs, predict_only
+
+
+def test_run_wide_tracker_equals_a_per_day_reference_bit_for_bit():
+    plan = line_plan(4)
+    agents = (uniform_agent(0, 0, 4, stay=0.5), uniform_agent(1, 3, 4, stay=0.7))
+    sensors = (
+        SensorSpec("cam", "camera", (0, 1, 2, 3), p_detect=0.8, p_false_positive=0.05, p_confuse=0.1),
+        SensorSpec("far", "tag_reader", (3,), p_detect=1.0, p_false_positive=0.0, p_confuse=0.0),
+    )
+    cfg = WorldConfig(
+        floor_plan=plan, agents=agents, ticks_per_day=8, days=3, rng_seed=6, fluctuation_rate=0.0, sensors=sensors
+    )
+    events = simulated_events(cfg)
+    # agent 0 starts day 1 at home 0; a certain report at 3 on that tick is a
+    # predict-only tick for the filter and a leaked row for the decoder, on the middle day alone
+    odd = events + [ObservationEvent("far", 1, 0, 0, 3)]
+    tracks = track_run(event_columns(odd, cfg), cfg)
+    assert tracks.retries == 1 and tracks.predict_only[1, 0] == 1
+    assert tracks.predict_only[[0, 2]].sum() == 0
+
+    motion = motion_model_for(cfg)
+    start = np.zeros((2, plan.n))
+    start[[0, 1], [0, 3]] = 1.0
+    for day in range(cfg.days):
+        evidence = _reference_day_evidence(sensors, plan.n, odd, day, cfg.ticks_per_day, (0, 1))
+        beliefs, predict_only = _reference_filter_day(start, motion.kernels, evidence)
+        assert np.array_equal(tracks.beliefs[day], beliefs)
+        assert tracks.predict_only[day].tolist() == predict_only
+        for i, profile in enumerate(agents):
+            expected = decode_day(start[i], motion.kernel(profile.id), evidence[:, i], agent=profile.id, day=day)
+            assert tuple(tracks.paths[day, :, i].tolist()) == expected.path
+            assert tracks.scores[day, i] == expected.log_score
+
+    # the other days are untouched by the middle day's contradiction
+    plain = track_run(event_columns(events, cfg), cfg)
+    assert plain.retries == 0 and plain.predict_only.sum() == 0
+    for name in ("beliefs", "paths", "scores"):
+        assert np.array_equal(getattr(tracks, name)[[0, 2]], getattr(plain, name)[[0, 2]]), name
+    assert tracks.scores[1, 0] < plain.scores[1, 0]  # the leaked row's score carries the leak
+
+
+def test_decoded_path_crosses_a_hub_whose_support_is_wider_than_255():
+    # a hub with 299 spokes: from the hub the kernel reaches 300 locations, so a
+    # back-pointer into that support needs offsets up to 299
+    n = 300
+    plan = FloorPlan(tuple(range(n)), frozenset((0, k) for k in range(1, n)), {}, {})
+    sensors = (SensorSpec("far", "tag_reader", (n - 1,), p_detect=1.0, p_false_positive=0.0, p_confuse=0.0),)
+    cfg = WorldConfig(
+        floor_plan=plan, agents=(uniform_agent(0, 1, n, stay=0.5),), ticks_per_day=4, days=2, rng_seed=0,
+        fluctuation_rate=0.0, sensors=sensors,
+    )
+    events = [ObservationEvent("far", 1, 2, 0, n - 1)]  # day 1: home, hub, the last spoke, back to the hub
+    tracks = track_run(event_columns(events, cfg), cfg, fuse=False)
+    assert tracks.paths[1, :, 0].tolist() == [1, 0, n - 1, 0]
+    kernel = motion_model_for(cfg).kernel(0)
+    assert np.count_nonzero(kernel[0]) == n
+    evidence = LikelihoodModel(sensors, plan, n_agents=1).evidence_into(
+        event_columns(events, cfg), np.empty((2, 4, 1, n))
+    )
+    start = np.zeros(n)
+    start[1] = 1.0
+    for day in range(2):
+        path, score = _dense_viterbi(start, kernel, evidence[day, :, 0])
+        assert tuple(tracks.paths[day, :, 0].tolist()) == path
+        assert tracks.scores[day, 0] == score
+
+
+def _dense_viterbi(initial, kernel, evidence):
+    """Log-space Viterbi with each max over every location, not the kernel's support; lowest id on ties."""
+    with np.errstate(divide="ignore"):
+        log_k, log_ev = np.log(kernel), np.log(evidence)
+        suffix, pointers = log_ev[-1], []
+        for t in range(len(evidence) - 2, -1, -1):
+            step = log_k + suffix  # step[i, j]: from i at tick t to j at tick t + 1
+            pointers.append(step.argmax(axis=1))
+            suffix = log_ev[t] + step.max(axis=1)
+        head = np.log(initial) + suffix
+    path = [int(head.argmax())]
+    for best in reversed(pointers):
+        path.append(int(best[path[-1]]))
+    return tuple(path), float(head.max())
 
 
 def test_kernels_stack_in_config_agent_order():

@@ -73,12 +73,17 @@ def test_demo_truth_outputs_are_pinned(tmp_path, handoff):
 # rows of write_paths_csv, which no other digest covers
 DEMO_DECODED_PATHS_SHA256 = "5e540f245ee1723c0d6c508ba8544d4d6fda9c720309a3604664d3a5a87cd08c"
 
+# the decoded paths' log scores, the same under the default, Haswell and Prescott kernels:
+# this digest pins the Viterbi recursion's arithmetic, all days batched, and the scores writer
+DEMO_DECODE_SCORES_SHA256 = "6d3215b52db0b752b24871dda910b2e348a9c6b30601d7a3efba12d48f21dbc1"
+
 
 def test_demo_decoded_paths_are_pinned(tmp_path):
     config = load_config(CONFIGS / "demo.json")
     run_pipeline(config, str(CONFIGS / "demo.json"), tmp_path, source="decoded")
     digest = hashlib.sha256((tmp_path / "decoded_paths.csv").read_bytes()).hexdigest()
     assert digest == DEMO_DECODED_PATHS_SHA256
+    assert hashlib.sha256((tmp_path / "decode_scores.csv").read_bytes()).hexdigest() == DEMO_DECODE_SCORES_SHA256
 
 
 def test_report_files_do_not_depend_on_the_config_agent_order(tmp_path):
@@ -175,12 +180,12 @@ def test_config_without_agents_fuses_and_decodes_to_empty_outputs(tmp_path):
 @pytest.mark.parametrize("source", ["truth", "decoded"])
 def test_pipeline_reads_none_of_its_handoffs_and_builds_evidence_once(tmp_path, source):
     config = load_config(CONFIGS / "demo.json")
-    evidence = LikelihoodModel.evidence
+    evidence_into = LikelihoodModel.evidence_into
     calls = []
 
-    def counted(self, *args, **kwargs):
-        calls.append(args[1:])
-        return evidence(self, *args, **kwargs)
+    def counted(self, columns, out):
+        calls.append(out.shape)
+        return evidence_into(self, columns, out)
 
     def unread(path, *args):
         raise AssertionError(f"the pipeline read back {path}")
@@ -188,10 +193,10 @@ def test_pipeline_reads_none_of_its_handoffs_and_builds_evidence_once(tmp_path, 
     with (
         mock.patch("officelab.pipeline.read_events_jsonl", unread),
         mock.patch("officelab.pipeline.read_paths_csv", unread),
-        mock.patch.object(LikelihoodModel, "evidence", counted),
+        mock.patch.object(LikelihoodModel, "evidence_into", counted),
     ):
         run_pipeline(config, str(CONFIGS / "demo.json"), tmp_path, source=source)
-    assert calls == [(config.days, config.ticks_per_day, len(config.agents))]
+    assert calls == [(config.days, config.ticks_per_day, len(config.agents), config.floor_plan.n)]
     assert len([p for p in tmp_path.iterdir() if p.name != "manifest.json"]) == 15
 
 

@@ -63,6 +63,18 @@ def test_full_scale_config_loads_with_50_locations():
     assert sum(1 for s in cfg.sensors if s.kind == "tag_reader") == 90
 
 
+@pytest.mark.parametrize("ticks", [1, 2, 50, 150, 151, 300, 1000])
+def test_full_scale_preset_loads_at_any_day_length(ticks):
+    # the schedule windows, set for 300 ticks, scale to the day: each starts
+    # inside it and stays at least one tick long
+    cfg = parse_config(full_scale_config(seed=3, days=2, ticks_per_day=ticks))
+    windows = [event.window for agent in cfg.agents for event in agent.schedule]
+    assert len(windows) == 2 * len(cfg.agents)
+    assert all(0 <= start < ticks and start < end for start, end in windows)
+    if ticks == 300:
+        assert set(windows) == {(60, 110), (150, 190)}
+
+
 def test_malformed_json_is_a_parse_error(tmp_path):
     path = tmp_path / "broken.json"
     for data in (b"{not json", b'{"floor_plan": \xff}'):  # not JSON; not UTF-8
