@@ -58,6 +58,7 @@ TRACED = (
     "pipeline.decode.self_s",
     "report_s",
     "contacts.extract_s",
+    "cli.self_s",
     "trace.untraced_total_s",
     "pipeline.manifest_saves",
     "trace.absent_entry_points",

@@ -1,22 +1,18 @@
 """Most-likely path extraction from per-tick evidence.
 
 Joint decoding via log-space dynamic programming (Rabiner 1989, "A Tutorial
-on HMMs", §III), batched: every row (one agent-day) has its own initial
-distribution, motion kernel and evidence, and one pass decodes every day of
-every agent, a row per (day, agent). The days share the agents' kernels and
-start rows, so the support tables are built once per agent and tiled over
-the days. Zero-probability transitions are hard constraints, so decoded
-paths stay on the motion kernel's support; each max runs over that support
-only, through a padded neighbour table read off the kernels' nonzero pattern
-(a dense kernel makes it the full max). The recursion reads the evidence one
-tick at a time, keeps two rows of suffix scores, and stores each back-pointer
-as an offset into the support width in the narrowest unsigned dtype that
-holds it, so its memory grows with the days by one byte per (row, location,
-tick). decode_agents returns the paths as one (days, ticks, agents) array
-and their scores as one (days, agents) array; viterbi_decode is the one-row
-case, as a DecodedPath. brute_force_decode enumerates every location
-sequence and exists as the independent check on the DP; both break score
-ties toward the lexicographically smallest path.
+on HMMs", §III), batched: one pass decodes every day of every agent, a row
+per (day, agent) with its agent's initial distribution and motion kernel.
+Zero-probability transitions are hard constraints, so decoded paths stay on
+the motion kernel's support; each max runs over that support only, through
+a padded neighbour table read off the kernels' nonzero pattern (a dense
+kernel makes it the full max). The recursion reads the evidence a tick at a
+time, keeps two rows of suffix scores and stores each back-pointer as a
+narrow offset into that table. decode_agents returns the paths as one
+(days, ticks, agents) array and their scores as one (days, agents) array;
+viterbi_decode is the one-row case, as a DecodedPath. brute_force_decode
+enumerates every location sequence and exists as the independent check on
+the DP; both break score ties toward the lexicographically smallest path.
 
 A row whose evidence no feasible path can explain is re-decoded with a tiny
 uniform leak (decode_agents); only such rows are rerun.

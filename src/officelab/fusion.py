@@ -344,10 +344,8 @@ def track_run(
     start = np.zeros((len(agents), n))
     start[np.arange(len(agents)), [a.home for a in config.agents]] = 1.0
     buffer = model.evidence_into(columns, np.empty((days, ticks, len(agents), n)))
-    paths = scores = None
-    retries = 0
-    if decode:  # first: the filter overwrites the evidence
-        paths, scores, retries = decode_agents(start, motion.kernels, buffer, agents)
+    # the decoder goes first: the filter overwrites the evidence
+    paths, scores, retries = decode_agents(start, motion.kernels, buffer, agents) if decode else (None, None, 0)
     predict_only = _filter_in_place(start, motion, buffer) if fuse else None
     return Tracks(buffer if fuse else None, predict_only, paths, scores, retries)
 
