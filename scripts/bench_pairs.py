@@ -16,14 +16,12 @@ won, and its relative change of the medians. Then 3 alternating pairs of
 traced runs (``--trace 1``) of every workload on seed 17, each after its
 warm-up run, give the per-layer figures, with the metrics each side reported
 absent. The runs go one at a time. The file also gives each side's
-``src_lines``, the total line count of its ``src/**/*.py``; under
-``formats`` each side's reader and writer figures, from scripts/bench_formats.py;
-and under ``tracker`` each side's in-process tracker figures (``track_run``
-with both halves, fuse only and decode only), from scripts/bench_tracker.py.
-Each of the two scripts (this checkout's) runs on each side's ``src/`` in 3
-alternating rounds; each call's figures come from its median round, with
-every round's median under ``rounds_s`` (in run order) to show how far the
-rounds spread.
+``src_lines``, the total line count of its ``src/**/*.py``, and under
+``formats`` and ``tracker`` each side's in-process reader, writer and
+tracker figures from scripts/bench_layers.py. That script (this
+checkout's) runs on each side's ``src/`` in 3 alternating rounds; each
+call's figures come from its median round, with every round's median under
+``rounds_s`` (in run order) to show how far the rounds spread.
 """
 
 from __future__ import annotations
@@ -150,22 +148,25 @@ def traced(dirs: dict[str, Path], workload: str, machine: dict) -> dict:
     return out
 
 
-def in_process(script: str, dirs: dict[str, Path]) -> dict:
-    """``script`` (bench_formats.py or bench_tracker.py) on each side's src/ in IN_PROCESS_ROUNDS alternating
-    rounds; per side, workload and call the figures of the round with the median median_s, and each round's
+def in_process(dirs: dict[str, Path]) -> dict:
+    """scripts/bench_layers.py on each side's src/ in IN_PROCESS_ROUNDS alternating rounds; per section (formats,
+    tracker), side, workload and call the figures of the round with the median median_s, and each round's
     median_s as rounds_s."""
-    path = Path(__file__).with_name(script)
+    path = Path(__file__).with_name("bench_layers.py")
     records: dict[str, list[dict]] = {side: [] for side in SIDES}
     for i in range(IN_PROCESS_ROUNDS):
         for side in order(i):
             cmd = [sys.executable, str(path), "--src", str(dirs[side] / "src")]
             records[side].append(json.loads(subprocess.run(cmd, capture_output=True, text=True, check=True).stdout))
-    out: dict = {"rounds": IN_PROCESS_ROUNDS, "repeats": records["change"][0]["repeats"]}
-    for side, runs in records.items():
-        out[side] = {
-            workload: {name: _median_round([r["workloads"][workload][name] for r in runs]) for name in calls}
-            for workload, calls in runs[0]["workloads"].items()
-        }
+    out: dict = {}
+    for section in ("formats", "tracker"):
+        out[section] = {"rounds": IN_PROCESS_ROUNDS, "repeats": records["change"][0][section]["repeats"]}
+        for side, runs in records.items():
+            rounds = [r[section]["workloads"] for r in runs]
+            out[section][side] = {
+                workload: {name: _median_round([r[workload][name] for r in rounds]) for name in calls}
+                for workload, calls in rounds[0].items()
+            }
     return out
 
 
@@ -207,9 +208,7 @@ def main(argv: list[str] | None = None) -> int:
         "src_lines": {side: src_lines(dirs[side]) for side in SIDES},
         "workloads": {w: compare(dirs, w, machine) for w in WORKLOADS},
         "traced": {w: traced(dirs, w, machine) for w in WORKLOADS},
-        "formats": in_process("bench_formats.py", dirs),
-        "tracker": in_process("bench_tracker.py", dirs),
-    }
+    } | in_process(dirs)
     report["machine"] = machine
     out = Path(f"BENCH_{args.pr}.json")
     out.write_text(json.dumps(report, indent=1) + "\n")

@@ -3,22 +3,21 @@
 
     python3 scripts/check_identity.py --src A/src --src B/src
 
-For configs/demo.json and for full_scale_20 (full_scale_config with seed 17,
-20 agents and 5 days, as bench/workloads.py builds it), each ``--src`` (a
-checkout's ``src/`` directory, as scripts/bench_formats.py takes it) runs
+For configs/demo.json and for full_scale_20 (bench/workloads.py's document
+for seed 17: 20 agents, 5 days), each ``--src`` (a checkout's ``src/``
+directory, as scripts/bench_layers.py takes it) runs
 every stage in order, one ``python3 -m officelab.cli`` call each, once with
 ``--analytics-source truth`` and once with ``decoded``. Every file a run
 writes except ``manifest.json`` (which records wall times) is compared by
 sha256 between the two sides: 15 files a run, 60 a side. The config
-documents are written once, from this checkout's presets, so both sides read
-the same input.
+documents are written once, from this checkout's bench/ and src/, so both
+sides read the same input.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import subprocess
 import sys
@@ -54,13 +53,13 @@ def main(argv: list[str] | None = None) -> int:
     if len(args.src) != 2:
         ap.error("give --src exactly twice")
     sides = [src.resolve() for src in args.src]
-    sys.path.insert(0, str(REPO / "src"))
-    from officelab.presets import full_scale_config
+    sys.path[:0] = [str(REPO / "src"), str(REPO / "bench")]
+    from workloads import WORKLOADS
 
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        configs = {"demo": REPO / "configs" / "demo.json", "full_scale_20": work / "full_scale_20.json"}
-        configs["full_scale_20"].write_text(json.dumps(full_scale_config(seed=17, n_agents=20, days=5)))
+        full_scale_20 = WORKLOADS["full_scale_20"](REPO, work, 17).prepare()  # writes its document
+        configs = {"demo": REPO / "configs" / "demo.json", "full_scale_20": full_scale_20}
         compared, differ = 0, []
         for name, config in configs.items():
             for source in SOURCES:

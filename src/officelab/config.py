@@ -154,6 +154,8 @@ def _parse_floor_plan(doc: Any) -> FloorPlan:
 
 def _parse_agent(doc: dict, plan: FloorPlan, ticks_per_day: int, n_days: int) -> AgentProfile:
     agent_id = _integer(doc["id"], "agent id")
+    if not -(2**63) <= agent_id < 2**63:  # the event and path tables hold agent ids as int64
+        raise ValidationError(f"agent id {agent_id} is outside the 64-bit range -2**63..2**63-1")
     home = _integer(doc["home"], f"home of agent {agent_id}")
     if home not in plan.neighbors:
         raise ValidationError(f"home {home} of agent {agent_id} is not a known location")

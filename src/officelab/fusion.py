@@ -244,10 +244,7 @@ class LikelihoodModel:
 
 
 def likelihood_of_events(
-    events: Iterable[ObservationEvent],
-    agent: int,
-    sensors: Sequence[SensorSpec],
-    plan: FloorPlan,
+    events: Iterable[ObservationEvent], agent: int, sensors: Sequence[SensorSpec], plan: FloorPlan,
     n_agents: int | None = None,
 ) -> np.ndarray:
     """Per-location evidence weights for one agent from one tick's events."""
@@ -255,10 +252,11 @@ def likelihood_of_events(
     ticks = {(ev.day, ev.tick) for ev in events}
     if len(ticks) > 1:
         raise ValidationError(f"events span several ticks: {sorted(ticks)}")
-    mine = [ev._replace(day=0, tick=0) for ev in events if ev.reported_agent == agent]
-    model = LikelihoodModel(sensors, plan, n_agents=n_agents)
-    columns = _checked_columns(mine, [s.id for s in sensors], (agent,), 1, 1, plan.n)
-    return model.evidence_into(columns, np.empty((1, 1, 1, plan.n)))[0, 0, 0]
+    reports: dict[str, list[int]] = {}  # sensors in order of first appearance, as evidence_into multiplies them
+    for ev in events:
+        if ev.reported_agent == agent:
+            reports.setdefault(ev.sensor, []).append(ev.location)
+    return LikelihoodModel(sensors, plan, n_agents).tick_likelihood(reports)
 
 
 def event_columns(events: Iterable[ObservationEvent], config: WorldConfig) -> EventColumns:

@@ -164,6 +164,36 @@ def test_negative_seed_override_exits_1_naming_rng_seed(config_path, tmp_path, c
     assert not out.exists()
 
 
+def _demo_with_agent_id(agent_id: int) -> dict:
+    """configs/demo.json with its first agent renamed to ``agent_id``."""
+    doc = json.loads((CONFIGS / "demo.json").read_text())
+    old, doc["agents"][0]["id"] = doc["agents"][0]["id"], agent_id
+    home_of = doc["floor_plan"]["home_of"]
+    doc["floor_plan"]["home_of"] = {loc: [agent_id if a == old else a for a in ids] for loc, ids in home_of.items()}
+    return doc
+
+
+@pytest.mark.parametrize("agent_id", [2**63 - 1, -(2**63)], ids=("int64_max", "int64_min"))
+def test_agent_ids_at_the_int64_bounds_run_stage_by_stage(tmp_path, agent_id):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_demo_with_agent_id(agent_id)))
+    out = tmp_path / "run"
+    for stage in ("simulate", "observe", "fuse", "decode", "analyze", "graph"):
+        extra = ["--analytics-source", "decoded"] if stage in ("analyze", "graph") else []
+        assert main([stage, "--config", str(config), "--out", str(out), *extra]) == 0
+    assert f"\n{agent_id},0,0," in (out / "decoded_paths.csv").read_text()
+
+
+@pytest.mark.parametrize("agent_id", [2**63, -(2**63) - 1], ids=("above_int64", "below_int64"))
+def test_an_agent_id_outside_int64_exits_1_naming_it(tmp_path, capsys, agent_id):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_demo_with_agent_id(agent_id)))
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 1
+    assert f"agent id {agent_id} is outside the 64-bit range" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "text",
     [
