@@ -5,19 +5,19 @@ enter as one validated integer column table (sensors.EventColumns: observe
 emits it, the events reader's array path builds it with agent_columns, and
 ObservationEvents, the line reader's too, pass through _checked_columns);
 the whole run's reports fill one (days, ticks, agents, locations) evidence
-buffer (LikelihoodModel.evidence_into: one stable sort of the columns groups
-the reports, their factors are computed per chunk of groups). track_run
-builds the motion model and the agents' start (a point mass at home) once
-and fills the buffer once. Every agent starts each day at home, so the days
-are independent and both halves step all of them at once, a row per (day,
-agent): decoding.decode_agents reads the evidence first, then the forward
-filter advances every row tick by tick, each through its agent's motion
-kernel (predict), reweighted by its evidence (update), and overwrites the
-tick's evidence with the beliefs in place. It returns arrays (Tracks):
-``beliefs[day, tick, a]`` and the decoded ``locations[day, tick, a]``, agent
-column a in config order. fuse_run is its filter half on a list of
-ObservationEvents, as BeliefMatrix views. Tick 0 is update-only, prediction
-applies from tick 1.
+buffer (LikelihoodModel.evidence_into: one sort keyed by the multiplication
+order groups the reports, their factors are computed per chunk of groups).
+track_run builds the motion model and the agents' start (a point mass at
+home) once and fills the buffer once. Every agent starts each day at home,
+so the days are independent and both halves step all of them at once, a row
+per (day, agent): decoding.decode_agents reads the evidence first, then the
+forward filter advances every row tick by tick, each through its agent's
+motion kernel (predict), reweighted by its evidence (update), and
+overwrites the tick's evidence with the beliefs in place. It returns arrays
+(Tracks): ``beliefs[day, tick, a]`` and the decoded
+``locations[day, tick, a]``, agent column a in config order. fuse_run is its
+filter half on a list of ObservationEvents, as BeliefMatrix views. Tick 0 is
+update-only, prediction applies from tick 1.
 
 The per-agent likelihood treats only reports naming the agent as evidence
 (beliefs are independent across agents): per sensor, at most one true
@@ -151,7 +151,7 @@ class LikelihoodModel:
     stays out of that product and applies only where it was silent.
     """
 
-    def __init__(self, sensors: Sequence[SensorSpec], plan: FloorPlan, n_agents: int | None = None):
+    def __init__(self, sensors: Sequence[SensorSpec], plan: FloorPlan, n_agents: int):
         self.plan = plan
         self._sensor_ids = [s.id for s in sensors]
         n = plan.n
@@ -175,27 +175,22 @@ class LikelihoodModel:
         self._clutter = self._fp_at / (1.0 - q[:, None])  # (sensors, n) clutter intensity
 
     def _groups(self, columns: EventColumns, ticks: int, n_agents: int):
-        """Reports grouped by (day, tick, agent, sensor) in one stable sort.
+        """Reports grouped by (day, tick, agent, sensor) in one sort keyed by the multiplication order.
 
         Returns per group its flat (day, tick, agent) cell and its sensor, the
         groups ordered by cell and then by the position of their first event;
-        the report locations, group after group, each group's in event order;
-        and ``edges``: group g's reports are ``loc[edges[g]:edges[g + 1]]``.
+        the report locations, group after group, each group's in event order
+        (the sort is stable); and ``edges``: group g's reports are
+        ``loc[edges[g]:edges[g + 1]]``.
         """
         idx, day, tick, col, loc = columns
-        n_sensors = max(len(self._silent), 1)
         cell = (day * ticks + tick) * n_agents + col
-        key = cell * n_sensors + idx
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        start = np.flatnonzero(np.diff(key, prepend=-1))
-        size = np.diff(start, append=key.size)
-        by_row = np.lexsort((order[start], key[start] // n_sensors))
-        start, size = start[by_row], size[by_row]
-        edges = np.append(0, np.cumsum(size))
-        regrouped = order[np.repeat(start - edges[:-1], size) + np.arange(key.size)]
-        lead = order[start]
-        return cell[lead], idx[lead], loc[regrouped], edges
+        key = cell * len(self._silent) + idx  # one key per (cell, sensor)
+        _, first, group = np.unique(key, return_index=True, return_inverse=True)
+        order = np.lexsort((first[group], cell))
+        edges = np.append(np.flatnonzero(np.diff(group[order], prepend=-1)), order.size)
+        lead = order[edges[:-1]]
+        return cell[lead], idx[lead], loc[order], edges
 
     def _factors(self, sensor: np.ndarray, first: np.ndarray, loc: np.ndarray) -> np.ndarray:
         """(groups, n) factors over silence; group g holds loc[first[g]:first[g + 1]], the last group to the end:
@@ -244,14 +239,14 @@ class LikelihoodModel:
 
 
 def likelihood_of_events(
-    events: Iterable[ObservationEvent], agent: int, sensors: Sequence[SensorSpec], plan: FloorPlan,
-    n_agents: int | None = None,
+    events: Iterable[ObservationEvent], agent: int, sensors: Sequence[SensorSpec], plan: FloorPlan, n_agents: int
 ) -> np.ndarray:
     """Per-location evidence weights for one agent from one tick's events."""
     events = list(events)
     ticks = {(ev.day, ev.tick) for ev in events}
     if len(ticks) > 1:
         raise ValidationError(f"events span several ticks: {sorted(ticks)}")
+    _integers([ev.reported_agent for ev in events], "reported_agent")  # 1.0 would pass == agent below
     reports: dict[str, list[int]] = {}  # sensors in order of first appearance, as evidence_into multiplies them
     for ev in events:
         if ev.reported_agent == agent:

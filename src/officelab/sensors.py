@@ -49,8 +49,8 @@ class SensorSpec:
     p_confuse: float = 0.05  # report a uniformly random wrong identity
 
 
-def false_positive_share(spec: SensorSpec, n_agents: int | None) -> float:
-    """q, the chance per tick that ``spec``'s false positive names one given agent of ``n_agents`` (None or 0: any);
+def false_positive_share(spec: SensorSpec, n_agents: int) -> float:
+    """q, the chance per tick that ``spec``'s false positive names one given agent of ``n_agents`` (0: any);
     ValidationError naming the sensor at q = 1, where the tracker's clutter odds q/(1 - q) are unbounded."""
     q = spec.p_false_positive / n_agents if n_agents else spec.p_false_positive
     if q >= 1.0:

@@ -110,8 +110,10 @@ def test_chain_combine_sums_bits():
 def test_chain_combine_rejects_mismatched_scores():
     a = SurpriseScore(agent=0, day=3, bits=0.5)
     b = SurpriseScore(agent=1, day=3, bits=0.25)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"cannot combine scores of \(agent 1, day 3\) with \(agent 0, day 3\)"):
         chain_combine([a, b])
+    with pytest.raises(ValidationError, match="chain_combine needs at least one score"):
+        chain_combine([])
 
 
 def test_product_distribution_surprise_equals_sum_of_marginals():
@@ -191,6 +193,12 @@ def test_planted_pattern_is_found_with_full_support():
     assert ((0, 3, 0), 5, 3) in report.patterns
     assert ((3, 0, 1), 5, 3) in report.patterns
 
+
+
+@pytest.mark.parametrize("min_len,max_len", [(1, 3), (4, 3)])
+def test_pattern_lengths_out_of_order_are_rejected(min_len, max_len):
+    with pytest.raises(ValidationError, match="pattern lengths must satisfy 2 <= min_len <= max_len"):
+        mine_frequent_patterns(0, np.array([[0, 1, 0, 1]]), min_support=1, min_len=min_len, max_len=max_len)
 
 def test_min_support_above_day_count_yields_nothing():
     day_paths = np.array([[0, 1, 0, 1]] * 3)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from officelab.decoding import LEAK, brute_force_decode, decode_agents, viterbi_decode
-from officelab.errors import AllPathsZeroError, InstanceTooLargeError
+from officelab.errors import AllPathsZeroError, InstanceTooLargeError, ValidationError
 
 from conftest import decode_day
 
@@ -93,6 +93,33 @@ def test_contradictory_evidence_raises_all_paths_zero():
         with pytest.raises(AllPathsZeroError):
             decode(init, K, ev)
 
+
+
+@pytest.mark.parametrize(
+    "initial,kernel,evidence,match",
+    [
+        ([1.0, 0.0], np.eye(2), [1.0, 0.5], r"evidence must be a nonempty \(ticks, locations\) array"),
+        ([1.0, 0.0], np.eye(2), np.ones((0, 2)), r"evidence must be a nonempty \(ticks, locations\) array"),
+        ([1.0, 0.0], np.eye(3), np.ones((2, 2)), "initial, kernel, and evidence dimensions disagree"),
+        ([1.0, 0.0], np.eye(2), np.ones((2, 3)), "initial, kernel, and evidence dimensions disagree"),
+    ],
+)
+def test_malformed_decoder_inputs_are_named(initial, kernel, evidence, match):
+    for decode in (viterbi_decode, brute_force_decode):
+        with pytest.raises(ValidationError, match=match):
+            decode(initial, kernel, evidence)
+
+
+def test_decode_agents_rejects_disagreeing_dimensions():
+    initial, kernels, evidence = np.ones((2, 3)) / 3, np.ones((2, 3, 3)) / 3, np.ones((1, 4, 2, 3))
+    for args in (
+        (initial, kernels, evidence, [7]),  # one agent name for two rows
+        (initial, kernels[:, :2, :2], evidence, [7, 8]),
+        (initial, kernels, evidence[0], [7, 8]),  # evidence without its day axis
+        (initial, kernels, evidence[:, :0], [7, 8]),  # no ticks
+    ):
+        with pytest.raises(ValidationError, match="initial, kernels, evidence, and agents dimensions disagree"):
+            decode_agents(*args)
 
 def test_decoders_agree_with_itertools_oracle_on_tiny_instances():
     rng = np.random.default_rng(123)

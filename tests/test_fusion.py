@@ -117,7 +117,7 @@ def test_a_sensor_whose_false_positive_always_names_the_agent_is_rejected():
     events = [ObservationEvent("cam", 0, 0, 0, y) for y in (0, 1)]
     for build in (
         lambda: LikelihoodModel([spec], plan, n_agents=1),
-        lambda: LikelihoodModel([spec], plan),
+        lambda: LikelihoodModel([spec], plan, n_agents=0),
         lambda: likelihood_of_events(events, 0, [spec], plan, n_agents=1),
     ):
         with pytest.raises(ValidationError, match="sensor cam's false positive names the one agent every tick"):
@@ -141,6 +141,23 @@ def test_unknown_sensor_or_agent_in_reports_is_named():
     for event, named in cases:
         with pytest.raises(ValidationError, match=named):
             _checked_columns([ObservationEvent("cam", 0, 0, 0, 0), event], ["cam"], (0,), 5, 1, plan.n)
+
+
+@pytest.mark.parametrize(
+    "events,match",
+    [
+        # 1.0 == 1, so the check comes before the agent's reports are picked; 2.0 names another agent
+        ([ObservationEvent("cam0", 0, 0, 1.0, 0)], "reported_agent that is not an integer"),
+        ([ObservationEvent("cam0", 0, 0, 2.0, 0)], "reported_agent that is not an integer"),
+        (
+            [ObservationEvent("cam0", 0, 0, 1, 0), ObservationEvent("cam0", 0, 1, 1, 0)],
+            r"events span several ticks: \[\(0, 0\), \(0, 1\)\]",
+        ),
+    ],
+)
+def test_likelihood_of_events_rejects_malformed_events(events, match):
+    with pytest.raises(ValidationError, match=match):
+        likelihood_of_events(events, 1, [SensorSpec("cam0", "camera", (0, 1))], line_plan(2), n_agents=2)
 
 
 def _reference_day_evidence(sensors, n: int, events, day: int, ticks: int, agents) -> np.ndarray:

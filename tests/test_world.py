@@ -195,6 +195,51 @@ def test_malformed_json_is_a_parse_error(tmp_path):
             lambda d: d["floor_plan"]["adjacency"].append([1]),
             r"floor_plan.adjacency entry must be a pair of locations, got \[1\]",
         ),
+        # every reference to a location, tag, kind or agent names one the config defines
+        (lambda d: d["floor_plan"].update(locations=[]), "floor_plan.locations must be a nonempty list"),
+        (lambda d: d["floor_plan"]["tags"].update({"5": "office"}), "tags references unknown location 5"),
+        (lambda d: d["floor_plan"]["home_of"].update({"5": [0]}), "home_of references unknown location 5"),
+        (lambda d: d["agents"][0].update(home=5), "home 5 of agent 0 is not a known location"),
+        (
+            lambda d: d["agents"][0]["stay_prob"].update(by_tag={"ballroom": 0.5}),
+            "stay_prob of agent 0 names unknown tag 'ballroom'",
+        ),
+        (
+            lambda d: d["agents"][0]["stay_prob"].update(by_location={"5": 0.9}),
+            "stay_prob of agent 0 references unknown location 5",
+        ),
+        (
+            lambda d: d["agents"][0].update(destinations={"0": 0.5, "5": 0.5}),
+            "destinations of agent 0 reference unknown location 5",
+        ),
+        (
+            lambda d: d["agents"][0]["schedule"].append({"window": [-1, 3], "target": 0}),
+            r"schedule window \(-1, 3\) of agent 0 has negative start",
+        ),
+        (
+            lambda d: d["agents"][0]["schedule"].append({"window": [1, 3], "target": 5}),
+            "schedule of agent 0 targets unknown location 5",
+        ),
+        (
+            lambda d: d.update(sensors=[{"id": "cam", "kind": "radar", "coverage": [0]}]),
+            "sensor cam has unknown kind 'radar'",
+        ),
+        (lambda d: d.update(sensors=[{"id": "cam", "coverage": []}]), "sensor cam has empty coverage"),
+        (lambda d: d.update(sensors=[{"id": "cam", "coverage": [0, 5]}]), "sensor cam covers unknown location 5"),
+        (lambda d: d.pop("days"), "config is missing required key 'days'"),
+        (lambda d: d["floor_plan"].update(home_of={"1": [0]}), r"home_of\[1\] names agent 0 whose home is 0"),
+        (
+            lambda d: d.update(sensors=[{"id": "cam", "coverage": [0]}, {"id": "cam", "coverage": [1]}]),
+            "duplicate sensor id 'cam'",
+        ),
+        (
+            lambda d: d.update(contact_rule={"excluded_tags": ["ballroom"]}),
+            "contact_rule excludes unknown tag 'ballroom'",
+        ),
+        (
+            lambda d: d.update(analytics={"min_len": 4, "max_len": 3}),
+            "analytics pattern lengths must satisfy 2 <= min_len <= max_len",
+        ),
     ],
 )
 def test_invariant_violations_are_named(mutate, match):
@@ -202,6 +247,11 @@ def test_invariant_violations_are_named(mutate, match):
     mutate(doc)
     with pytest.raises(ValidationError, match=match):
         parse_config(doc)
+
+
+def test_a_config_document_that_is_not_an_object_is_named():
+    with pytest.raises(ValidationError, match="config document must be a JSON object"):
+        parse_config([minimal_config_doc()])
 
 
 def test_disconnected_plan_rejected():
