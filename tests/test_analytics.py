@@ -194,11 +194,11 @@ def test_planted_pattern_is_found_with_full_support():
     assert ((3, 0, 1), 5, 3) in report.patterns
 
 
-
 @pytest.mark.parametrize("min_len,max_len", [(1, 3), (4, 3)])
 def test_pattern_lengths_out_of_order_are_rejected(min_len, max_len):
     with pytest.raises(ValidationError, match="pattern lengths must satisfy 2 <= min_len <= max_len"):
         mine_frequent_patterns(0, np.array([[0, 1, 0, 1]]), min_support=1, min_len=min_len, max_len=max_len)
+
 
 def test_min_support_above_day_count_yields_nothing():
     day_paths = np.array([[0, 1, 0, 1]] * 3)

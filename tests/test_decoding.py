@@ -94,7 +94,6 @@ def test_contradictory_evidence_raises_all_paths_zero():
             decode(init, K, ev)
 
 
-
 @pytest.mark.parametrize(
     "initial,kernel,evidence,match",
     [
@@ -120,6 +119,7 @@ def test_decode_agents_rejects_disagreeing_dimensions():
     ):
         with pytest.raises(ValidationError, match="initial, kernels, evidence, and agents dimensions disagree"):
             decode_agents(*args)
+
 
 def test_decoders_agree_with_itertools_oracle_on_tiny_instances():
     rng = np.random.default_rng(123)

@@ -111,10 +111,10 @@ def test_demo_data_files_do_not_depend_on_the_blas_kernel(tmp_path):
     # order, so beliefs.csv is the one known exception (ROADMAP item 8); it read cd4b6e0d...
     # under Haswell and 947793fe... under Prescott
     src = str(Path(officelab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     written = []
     for kernel in ("Haswell", "Prescott"):
         out = tmp_path / kernel
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         argv = ["pipeline", "--config", str(CONFIGS / "demo.json"), "--out", str(out), "--analytics-source", "decoded"]
         proc = subprocess.run(
             [sys.executable, "-m", "officelab.cli", *argv],
@@ -124,7 +124,8 @@ def test_demo_data_files_do_not_depend_on_the_blas_kernel(tmp_path):
             timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        written.append({p.name: p.read_bytes() for p in out.iterdir() if p.name not in ("manifest.json", "beliefs.csv")})
+        files = [f for f in out.iterdir() if f.name not in ("manifest.json", "beliefs.csv")]
+        written.append({f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in files})
     assert len(written[0]) == 14
     assert written[0] == written[1]
 
