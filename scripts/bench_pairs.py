@@ -17,11 +17,12 @@ traced runs (``--trace 1``) of every workload on seed 17, each after its
 warm-up run, give the per-layer figures, with the metrics each side reported
 absent. The runs go one at a time. The file also gives each side's
 ``src_lines``, the total line count of its ``src/**/*.py``, and under
-``formats`` and ``tracker`` each side's in-process reader, writer and
-tracker figures from scripts/bench_layers.py. That script (this
-checkout's) runs on each side's ``src/`` in 3 alternating rounds; each
-call's figures come from its median round, with every round's median under
-``rounds_s`` (in run order) to show how far the rounds spread.
+``formats`` and ``tracker`` the in-process reader, writer and tracker
+figures of scripts/bench_layers.py (this checkout's), which times both
+sides' ``src/`` in one process, repeat by repeat in ABBA order: side ``a``
+is the parent and ``b`` the change, so ``b_over_a`` is the median
+per-repeat ratio of the change to the parent and ``b_lower`` the repeats
+in which the change took less time.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ TRACED_PAIRS = 3
 SECONDS = 36.0  # BENCHMARK.json's run_seconds
 WARM_UP_SECONDS = 5.0
 FIRST_SEED = 17
-IN_PROCESS_ROUNDS = 3
 
 
 def run(checkout: Path, workload: str, seed: int, trace: int, seconds: float = SECONDS) -> tuple[dict, dict]:
@@ -149,31 +149,11 @@ def traced(dirs: dict[str, Path], workload: str, machine: dict) -> dict:
 
 
 def in_process(dirs: dict[str, Path]) -> dict:
-    """scripts/bench_layers.py on each side's src/ in IN_PROCESS_ROUNDS alternating rounds; per section (formats,
-    tracker), side, workload and call the figures of the round with the median median_s, and each round's
-    median_s as rounds_s."""
+    """scripts/bench_layers.py on the parent's src/ (side a) and the change's (side b), in one process."""
     path = Path(__file__).with_name("bench_layers.py")
-    records: dict[str, list[dict]] = {side: [] for side in SIDES}
-    for i in range(IN_PROCESS_ROUNDS):
-        for side in order(i):
-            cmd = [sys.executable, str(path), "--src", str(dirs[side] / "src")]
-            records[side].append(json.loads(subprocess.run(cmd, capture_output=True, text=True, check=True).stdout))
-    out: dict = {}
-    for section in ("formats", "tracker"):
-        out[section] = {"rounds": IN_PROCESS_ROUNDS, "repeats": records["change"][0][section]["repeats"]}
-        for side, runs in records.items():
-            rounds = [r[section]["workloads"] for r in runs]
-            out[section][side] = {
-                workload: {name: _median_round([r[workload][name] for r in rounds]) for name in calls}
-                for workload, calls in rounds[0].items()
-            }
-    return out
-
-
-def _median_round(rounds: list[dict]) -> dict:
-    """The figures of the round with the median median_s, with every round's median_s in run order."""
-    median = sorted(rounds, key=lambda f: f["median_s"])[len(rounds) // 2]
-    return median | {"rounds_s": [f["median_s"] for f in rounds]}
+    cmd = [sys.executable, str(path), "--src", str(dirs["parent"] / "src"), "--src", str(dirs["change"] / "src")]
+    record = json.loads(subprocess.run(cmd, capture_output=True, text=True, check=True).stdout)
+    return {"formats": record["formats"], "tracker": record["tracker"]}
 
 
 def commit(checkout: Path) -> str | None:

@@ -228,16 +228,20 @@ def _read_event_lines(path: Path, config: WorldConfig) -> EventColumns:
 
 def write_beliefs_csv(beliefs: np.ndarray, agents: Sequence[int], path: Path) -> None:
     """``beliefs[day, tick, a]`` one row per (day, tick, agent column, location), in that order, whose probability
-    is at least BELIEF_WRITE_FLOOR, the probability as ``repr`` renders it; ``agents[a]`` names column a."""
+    is at least BELIEF_WRITE_FLOOR, the probability as ``repr`` renders it (once per distinct value of a day);
+    ``agents[a]`` names column a."""
     ids = _texts(agents)
     with open(path, "wb") as fh:
         fh.write(b"day,tick,agent,location,probability\n")
         for day, probs in enumerate(beliefs):
             tick, a, loc = np.nonzero(probs >= BELIEF_WRITE_FLOOR)
-            p = probs[tick, a, loc]
+            # values at or above the floor are equal only when their bits are (no -0.0, no NaN): each distinct
+            # value is rendered once, and each row gets its own value's text
+            values, which = np.unique(probs[tick, a, loc], return_inverse=True)
+            texts = np.array(list(map(repr, values.tolist())), dtype="S")
 
-            def fields(b: slice) -> tuple:  # repr stays the one float renderer
-                return tick[b], ids[a[b]], loc[b], np.array(list(map(repr, p[b].tolist())), dtype="S")
+            def fields(b: slice) -> tuple:
+                return tick[b], ids[a[b]], loc[b], texts[which[b]]
 
             _write_blocks(fh, (b"%d," % day, b",", b",", b",", b"\n"), tick.size, fields)
 

@@ -6,7 +6,8 @@ emits it, the events reader's array path builds it with agent_columns, and
 ObservationEvents, the line reader's too, pass through _checked_columns);
 the whole run's reports fill one (days, ticks, agents, locations) evidence
 buffer (LikelihoodModel.evidence_into: one sort keyed by the multiplication
-order groups the reports, their factors are computed per chunk of groups).
+order groups the reports, their factors are computed per chunk of groups and
+multiplied in, one pass per rank of a group within its agent-tick).
 track_run builds the motion model and the agents' start (a point mass at
 home) once and fills the buffer once. Every agent starts each day at home,
 so the days are independent and both halves step all of them at once, a row
@@ -43,7 +44,7 @@ from .world import FloorPlan
 log = logging.getLogger("officelab.fusion")
 
 BELIEF_FLOOR = 1e-12
-EVIDENCE_CHUNK = 4096  # report groups per multiply.at call; bounds the gathered (groups, n) factor rows
+EVIDENCE_CHUNK = 2048  # report groups per chunk; bounds the gathered (groups, n) factor rows of its passes
 # Minimum weight of the uniform self+neighbors component in the default
 # kernel: keeps every physically possible move (planning-tick stays, detours,
 # walks to schedule targets) at positive probability even when the config has
@@ -216,7 +217,10 @@ class LikelihoodModel:
         and ``out``'s days, ticks and agents. Each report group's factor over
         silence multiplies its agent-tick row, the sensors of a row in order
         of first appearance in the events; an agent-tick no event names is
-        silence.
+        silence. The groups come sorted by row, EVIDENCE_CHUNK at a time;
+        pass r of a chunk multiplies in the r-th group of each of its rows
+        with one fancy-indexed product (no row twice), so the chunks and
+        passes in order give every row its factors in that order.
         """
         _, ticks, n_agents, n = out.shape
         rows = np.reshape(out, (-1, n), copy=False)
@@ -224,7 +228,11 @@ class LikelihoodModel:
         cell, sensor, loc, edges = self._groups(columns, ticks, n_agents)
         for c in range(0, cell.size, EVIDENCE_CHUNK):
             e = min(c + EVIDENCE_CHUNK, cell.size)
-            np.multiply.at(rows, cell[c:e], self._factors(sensor[c:e], edges[c:e] - edges[c], loc[edges[c] : edges[e]]))
+            at, f = cell[c:e], self._factors(sensor[c:e], edges[c:e] - edges[c], loc[edges[c] : edges[e]])
+            rank = np.arange(at.size) - np.searchsorted(at, at)  # each group's place among its cell's in the chunk
+            for r in range(int(rank.max()) + 1):
+                g = rank == r  # no cell twice, so one fancy-indexed multiply applies them all
+                rows[at[g]] *= f[g]
         for i, certain in zip(self._certain_ids, self._certain_at):
             silent = np.ones(len(rows), dtype=bool)
             silent[cell[sensor == i]] = False
@@ -241,17 +249,24 @@ class LikelihoodModel:
 def likelihood_of_events(
     events: Iterable[ObservationEvent], agent: int, sensors: Sequence[SensorSpec], plan: FloorPlan, n_agents: int
 ) -> np.ndarray:
-    """Per-location evidence weights for one agent from one tick's events."""
+    """Per-location evidence weights for one agent from one tick's events.
+
+    Every event is checked (_checked_columns) at its own day and tick, which
+    must be integers from 0, against the sensors and the plan; any agent id
+    may report.
+    """
     events = list(events)
     ticks = {(ev.day, ev.tick) for ev in events}
     if len(ticks) > 1:
         raise ValidationError(f"events span several ticks: {sorted(ticks)}")
-    _integers([ev.reported_agent for ev in events], "reported_agent")  # 1.0 would pass == agent below
-    reports: dict[str, list[int]] = {}  # sensors in order of first appearance, as evidence_into multiplies them
-    for ev in events:
-        if ev.reported_agent == agent:
-            reports.setdefault(ev.sensor, []).append(ev.location)
-    return LikelihoodModel(sensors, plan, n_agents).tick_likelihood(reports)
+    agents = sorted({*_integers([ev.reported_agent for ev in events], "reported_agent").tolist(), agent})
+    # the bounds admit the events' own (day, tick) last; _checked_columns names one that is not an integer
+    bounds = [x + 1 if isinstance(x, (int, np.integer)) else 1 for x in next(iter(ticks), (0, 0))]
+    columns = _checked_columns(events, [s.id for s in sensors], agents, *bounds, plan.n)
+    zero = np.zeros_like(columns.day)  # the one tick, as evidence_into's only (day, tick)
+    rows = np.empty((1, 1, len(agents), plan.n))
+    model = LikelihoodModel(sensors, plan, n_agents)
+    return model.evidence_into(columns._replace(day=zero, tick=zero), rows)[0, 0, agents.index(agent)]
 
 
 def event_columns(events: Iterable[ObservationEvent], config: WorldConfig) -> EventColumns:

@@ -115,11 +115,6 @@ class ScheduleEvent:
     label: str = ""
     days: tuple[int, ...] | None = None
 
-    def active(self, tick: int, day: int) -> bool:
-        if self.days is not None and day not in self.days:
-            return False
-        return self.window[0] <= tick < self.window[1]
-
 
 @dataclass(frozen=True)
 class AgentProfile:

@@ -424,6 +424,32 @@ def test_belief_csv_equals_the_per_tick_writer(tmp_path_factory, seed, shape, id
     assert (out / "array.csv").read_bytes() == (out / "per_tick.csv").read_bytes()
 
 
+# repeated probabilities whose repr differ in width, and two below the write floor
+_BELIEF_POOL = np.array([1.0, 0.5, 1e-06, 0.30000000000000004, 0.1234567890123456, 1e-07, 0.0])
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 4)),
+    st.integers(1, 7),
+)
+@settings(max_examples=60, deadline=None)
+def test_belief_csv_renders_each_distinct_value_of_a_day_once_across_block_boundaries(tmp_path_factory, seed, shape, block):
+    days, ticks, n = shape
+    agents = [7, 3]
+    beliefs = np.random.default_rng(seed).choice(_BELIEF_POOL, (days, ticks, len(agents), n))
+    out = tmp_path_factory.mktemp("beliefs")
+    rendered = []
+    with (
+        mock.patch.object(formats, "BLOCK_ROWS", block),  # the blocks' boundaries fall inside the days
+        mock.patch.object(formats, "repr", lambda x: rendered.append(x) or repr(x), create=True),
+    ):
+        write_beliefs_csv(beliefs, agents, out / "array.csv")
+    _beliefs_csv_per_tick(beliefs, agents, out / "per_tick.csv")
+    assert (out / "array.csv").read_bytes() == (out / "per_tick.csv").read_bytes()
+    assert len(rendered) == sum(len(np.unique(d[d >= BELIEF_WRITE_FLOOR])) for d in beliefs)
+
+
 # integers of every size the writers may meet: 0, small ids and locations, negatives, and 17-18 digit values
 _INTEGERS = st.one_of(
     st.just(0),

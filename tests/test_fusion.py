@@ -160,6 +160,20 @@ def test_likelihood_of_events_rejects_malformed_events(events, match):
         likelihood_of_events(events, 1, [SensorSpec("cam0", "camera", (0, 1))], line_plan(2), n_agents=2)
 
 
+@pytest.mark.parametrize(
+    "events,named",
+    [
+        ([ObservationEvent("cam0", 0.5, 0, 1, 0)], "day that is not an integer"),
+        ([ObservationEvent("cam0", -3, 70, 1, 0)], "day -3"),
+        # another agent's event is checked too, though only agent 1's reports are evidence
+        ([ObservationEvent("cam0", 0, 0, 1, 0), ObservationEvent("tag9", 0, 0, 2, 5)], "sensor 'tag9'"),
+    ],
+)
+def test_likelihood_of_events_checks_every_event_at_its_own_day_and_tick(events, named):
+    with pytest.raises(ValidationError, match=named):
+        likelihood_of_events(events, 1, [SensorSpec("cam0", "camera", (0, 1))], line_plan(2), n_agents=2)
+
+
 def _reference_day_evidence(sensors, n: int, events, day: int, ticks: int, agents) -> np.ndarray:
     """The per-report loop: group by (tick, agent) then sensor, multiply each
     report factor over its silence term in order of first appearance, then
@@ -245,6 +259,34 @@ def test_evidence_equals_per_report_loop_bit_for_bit(seed, n_agents, certain):
         assert block.shape == ref.shape
         assert np.array_equal(block, ref)
         assert np.array_equal(chunked[day], ref)
+
+
+@pytest.mark.parametrize("chunk", [2, 3, 4])
+def test_rank_passes_apply_every_group_of_an_agent_tick_that_a_chunk_boundary_splits(chunk):
+    # groups in multiplication order: (tick 0, agent 10); four at (tick 2, agent 11), one per sensor; (tick 3,
+    # agent 10). A chunk of 2, 3 or 4 groups ends inside the four, so they span two chunks and two rank passes.
+    plan = line_plan(5)
+    sensors = [
+        SensorSpec("z_cam", "camera", (0, 1, 3), p_detect=0.8, p_false_positive=0.3, p_confuse=0.2),
+        SensorSpec("a_tag", "tag_reader", (2,), p_detect=0.7, p_false_positive=0.2, p_confuse=0.0),
+        SensorSpec("m_cam", "camera", (1, 2, 3, 4), p_detect=0.9, p_false_positive=0.1, p_confuse=0.1),
+        SensorSpec("door", "tag_reader", (4,), p_detect=1.0, p_false_positive=0.0, p_confuse=0.0),
+    ]
+    agents, ticks = (10, 11), 4
+    events = [
+        ObservationEvent("z_cam", 0, 0, 10, 1),
+        ObservationEvent("m_cam", 0, 2, 11, 2),
+        ObservationEvent("door", 0, 2, 11, 4),
+        ObservationEvent("z_cam", 0, 2, 11, 3),
+        ObservationEvent("m_cam", 0, 2, 11, 3),
+        ObservationEvent("a_tag", 0, 2, 11, 2),
+        ObservationEvent("a_tag", 0, 3, 10, 2),
+    ]
+    model = LikelihoodModel(sensors, plan, n_agents=len(agents))
+    columns = _checked_columns(events, [s.id for s in sensors], agents, 1, ticks, plan.n)
+    with mock.patch("officelab.fusion.EVIDENCE_CHUNK", chunk):
+        block = model.evidence_into(columns, np.empty((1, ticks, len(agents), plan.n)))[0]
+    assert np.array_equal(block, _reference_day_evidence(sensors, plan.n, events, 0, ticks, agents))
 
 
 def test_three_reports_from_one_sensor_peak_where_two_agree():

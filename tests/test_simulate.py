@@ -22,6 +22,11 @@ from conftest import line_plan, uniform_agent
 # draw order the simulate docstring states, written as plainly as possible.
 
 
+def _active(ev: ScheduleEvent, tick: int, day: int) -> bool:
+    """Whether ``ev`` is active at ``tick`` of ``day``: on one of its days (None = every day), inside its window."""
+    return (ev.days is None or day in ev.days) and ev.window[0] <= tick < ev.window[1]
+
+
 def _pick_destination(profile: AgentProfile, tick: int, day: int, rng: np.random.Generator) -> int:
     """Destination for an agent that has decided to move at this tick.
 
@@ -30,7 +35,7 @@ def _pick_destination(profile: AgentProfile, tick: int, day: int, rng: np.random
     distribution, drawing what rng.choice(k, p=p) over destination_arrays
     would, from the profile's cached cdf.
     """
-    active = [ev for ev in profile.schedule if ev.active(tick, day)]
+    active = [ev for ev in profile.schedule if _active(ev, tick, day)]
     if active:
         active.sort(key=lambda ev: (ev.window[0], ev.target))
         ev = active[0]
