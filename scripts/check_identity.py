@@ -6,8 +6,9 @@
 For configs/demo.json and for full_scale_20 (bench/workloads.py's document
 for seed 17: 20 agents, 5 days), each ``--src`` (a checkout's ``src/``
 directory, as scripts/bench_layers.py takes it) runs
-every stage in order, one ``python3 -m officelab.cli`` call each, once with
-``--analytics-source truth`` and once with ``decoded``. Every file a run
+every stage in order, one ``python3 -m officelab.cli`` call each, once under
+each analytics source. The stages and the sources are this checkout's
+``officelab.pipeline.STAGES`` and ``SOURCES``. Every file a run
 writes except ``manifest.json`` (which records wall times) is compared by
 sha256 between the two sides: 15 files a run, 60 a side. The config
 documents are written once, from this checkout's bench/ and src/, so both
@@ -25,14 +26,12 @@ import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-STAGES = ("simulate", "observe", "fuse", "decode", "analyze", "graph")
-SOURCES = ("truth", "decoded")
 
 
-def run_stages(src: Path, config: Path, out: Path, source: str) -> dict[str, str]:
-    """Each data file's sha256 after every stage ran on ``config`` through the CLI of the officelab in ``src``."""
+def run_stages(src: Path, stages: list[str], config: Path, out: Path, source: str) -> dict[str, str]:
+    """Each data file's sha256 after ``stages`` ran on ``config`` through the CLI of the officelab in ``src``."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    for stage in STAGES:
+    for stage in stages:
         argv = [sys.executable, "-m", "officelab.cli", stage, "--config", str(config), "--out", str(out)]
         if stage in ("analyze", "graph"):
             argv += ["--analytics-source", source]
@@ -54,6 +53,7 @@ def main(argv: list[str] | None = None) -> int:
         ap.error("give --src exactly twice")
     sides = [src.resolve() for src in args.src]
     sys.path[:0] = [str(REPO / "src"), str(REPO / "bench")]
+    from officelab.pipeline import SOURCES, STAGES
     from workloads import WORKLOADS
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -63,7 +63,10 @@ def main(argv: list[str] | None = None) -> int:
         compared, differ = 0, []
         for name, config in configs.items():
             for source in SOURCES:
-                a, b = (run_stages(src, config, work / f"{side}-{name}-{source}", source) for side, src in enumerate(sides))
+                a, b = (
+                    run_stages(src, list(STAGES), config, work / f"{side}-{name}-{source}", source)
+                    for side, src in enumerate(sides)
+                )
                 for file in sorted(a.keys() | b.keys()):
                     compared += 1
                     if a.get(file) != b.get(file):

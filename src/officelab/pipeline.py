@@ -2,20 +2,20 @@
 
 Every stage writes its files into one output directory and records them in a
 manifest, so every stage can be rerun in isolation with identical results.
-A stage is ``stage(run) -> (files, summary)``: it gets its inputs only through
-``run.take(name)`` and passes its products on through ``run.give(name, value)``.
-Within one run_pipeline call the Run holds the products in memory (simulate's
-locations go to observe, observe's event column table to fuse, which filters
-and decodes in one pass over the evidence, and the analytics source's
-locations to analyze and graph), so nothing is read back. A stage run on its
-own has no products, and ``take`` reads each input back through
-``_read_back``, the one place a stage input is read from disk: the file the
-manifest names, parsed and checked against the config by its formats reader
-(observe reads trajectories.csv; trajectories.jsonl is an export, read by no stage).
-run_stage records each stage's files in the manifest and saves it. Every
-agent-tick table, simulated, read back or decoded, is one
-``locations[day, tick, a]`` array, agent column a in config agent order. All
-randomness flows from the config seed through named substreams.
+A stage is ``stage(run) -> summary``. It names each file where it writes it,
+through ``run.output(name, file)``, gets its inputs only through
+``run.take(product)`` and passes its products on through
+``run.give(product, value)``: simulate's ``locations``, observe's ``events``
+(the event column table), fuse's ``decoded`` (within a pipeline fuse also
+decodes, in the same pass over the evidence) and decode's ``decoded_paths``.
+Analyze and graph take the product that SOURCES names for the analytics source.
+Within one run_pipeline call the Run holds the products in memory, so nothing
+is read back. A stage run on its own has no products, and ``take`` reads each
+input back through ``_read_back``, the one place a stage input is read from
+disk: the file the manifest names, checked against the config by its formats
+reader (trajectories.jsonl is an export, read by no stage). Every agent-tick
+table is one ``locations[day, tick, a]`` array, agent column a in config agent
+order. All randomness flows from the config seed through named substreams.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -81,7 +81,7 @@ class RunManifest:
             raise StageError(f"manifest lists no {name!r} output for stage {stage!r}; run it first") from None
 
     def save(self, out_dir: Path) -> None:
-        (out_dir / MANIFEST_NAME).write_text(json.dumps(asdict(self), indent=2) + "\n")
+        (out_dir / MANIFEST_NAME).write_text(json.dumps(vars(self), indent=2) + "\n")
 
     @staticmethod
     def load(out_dir: Path) -> RunManifest:
@@ -107,16 +107,24 @@ class RunManifest:
         return RunManifest(**doc)
 
 
-# the analytics source -> the (stage, output) whose agent-tick table analyze and graph read
-SOURCES = {"truth": ("simulate", "trajectories_csv"), "decoded": ("decode", "decoded_paths")}
+# the analytics source -> the product (an agent-tick table) that analyze and graph take
+SOURCES = {"truth": "locations", "decoded": "decoded_paths"}
+
+# each product held in a file -> the (stage, output) the manifest lists it under
+HANDOFFS = {
+    "locations": ("simulate", "trajectories_csv"),
+    "events": ("observe", "events"),
+    "decoded_paths": ("decode", "decoded_paths"),
+}
 
 
 @dataclass
 class Run:
     """What a stage works on: the config, the output directory and its manifest, and the analytics source.
 
-    ``products`` is what the earlier stages of one run_pipeline call passed on in memory, and None for a
-    stage run on its own, which reads its inputs back from the files the manifest names instead.
+    ``products`` is what the earlier stages of one run_pipeline call passed on in memory, by product name,
+    and None for a stage run on its own, which reads its inputs back from the files the manifest names
+    instead. ``written`` maps each output the running stage named through ``output`` to its file.
     """
 
     config: WorldConfig
@@ -124,6 +132,7 @@ class Run:
     manifest: RunManifest
     source: str = "truth"
     products: dict[str, object] | None = None
+    written: dict[str, str] = field(default_factory=dict, init=False)
 
     def __post_init__(self) -> None:
         if self.source not in SOURCES:
@@ -133,27 +142,30 @@ class Run:
         """The input ``name``: handed on by an earlier stage, or read back from its file."""
         if self.products is None:
             return _read_back(self, name)
-        # analyze and graph share the paths; every other product has one consumer, so nothing is held past it
-        return self.products[name] if name == "paths" else self.products.pop(name)
+        # analyze and graph share the analytics source's table; every other product has one consumer
+        return self.products[name] if name == SOURCES[self.source] else self.products.pop(name)
 
     def give(self, name: str, value: object) -> None:
         """Hand ``value`` on to a later stage of the same run_pipeline call."""
         if self.products is not None:
             self.products[name] = value
 
+    def output(self, name: str, file: str) -> Path:
+        """The path to write ``file`` at, recorded as the running stage's output ``name``."""
+        self.written[name] = file
+        return self.out_dir / file
+
 
 def _read_back(run: Run, name: str):
-    """Input ``name`` read from the file the manifest names for it, checked against the config.
+    """Product ``name`` read from the file the manifest names for it, checked against the config.
 
-    ``locations`` (observe's) are the simulated trajectories, ``paths`` (analyze's and graph's) the
-    analytics source's table, ``events`` (fuse's) the event log, and ``decoded`` (decode's) the
-    decoding half of the tracker run on that log.
+    ``decoded`` is held in no file: it is the decoding half of the tracker run on the events.
     """
-    if name in ("locations", "paths"):
-        stage, output = SOURCES["truth" if name == "locations" else run.source]
-        return read_paths_csv(run.manifest.path_of(stage, output, run.out_dir), run.config)
-    events = read_events_jsonl(run.manifest.path_of("observe", "events", run.out_dir), run.config)
-    return events if name == "events" else track_run(events, run.config, fuse=False)
+    if name == "decoded":
+        return track_run(_read_back(run, "events"), run.config, fuse=False)
+    path = run.manifest.path_of(*HANDOFFS[name], run.out_dir)
+    # the readers are looked up at each call, so a wrapper set on this module's names sees every read
+    return read_events_jsonl(path, run.config) if name == "events" else read_paths_csv(path, run.config)
 
 
 def _now() -> str:
@@ -174,27 +186,24 @@ def open_manifest(config: WorldConfig, config_path: str, out_dir: Path) -> RunMa
     return RunManifest(config_path=config_path, seed=config.rng_seed, created_at=_now())
 
 
-def stage_simulate(run: Run) -> tuple[dict[str, str], str]:
+def stage_simulate(run: Run) -> str:
     locations = run_simulation(run.config)
     agents = [a.id for a in run.config.agents]
-    write_trajectories_jsonl(locations, agents, run.out_dir / "trajectories.jsonl")
-    write_trajectories_csv(locations, agents, run.out_dir / "trajectories.csv")
+    write_trajectories_jsonl(locations, agents, run.output("trajectories", "trajectories.jsonl"))
+    write_trajectories_csv(locations, agents, run.output("trajectories_csv", "trajectories.csv"))
     run.give("locations", locations)
-    if run.source == "truth":
-        run.give("paths", locations)
-    files = {"trajectories": "trajectories.jsonl", "trajectories_csv": "trajectories.csv"}
-    return files, f"{locations.size} agent-ticks"
+    return f"{locations.size} agent-ticks"
 
 
-def stage_observe(run: Run) -> tuple[dict[str, str], str]:
+def stage_observe(run: Run) -> str:
     config = run.config
     events = observe(run.take("locations"), [a.id for a in config.agents], config.sensors, config.rng_seed)
-    write_events_jsonl(events, run.out_dir / "events.jsonl", config)
+    write_events_jsonl(events, run.output("events", "events.jsonl"), config)
     run.give("events", events)
-    return {"events": "events.jsonl"}, f"{len(events.sensor)} events from {len(config.sensors)} sensors"
+    return f"{len(events.sensor)} events from {len(config.sensors)} sensors"
 
 
-def stage_fuse(run: Run) -> tuple[dict[str, str], str]:
+def stage_fuse(run: Run) -> str:
     # within a pipeline the tracker also decodes in the same pass over the evidence, for stage_decode
     in_pipeline = run.products is not None
     tracks = track_run(run.take("events"), run.config, decode=in_pipeline)
@@ -203,26 +212,23 @@ def stage_fuse(run: Run) -> tuple[dict[str, str], str]:
         run.give("decoded", replace(tracks, beliefs=None, predict_only=None))
         also = f" and {tracks.scores.size} decoded agent-days"
     agents = [a.id for a in run.config.agents]
-    write_beliefs_csv(tracks.beliefs, agents, run.out_dir / "beliefs.csv")
-    write_paths_csv(tracks.beliefs.argmax(axis=3), agents, run.out_dir / "argmax_paths.csv")
-    summary = f"{tracks.predict_only.size} ticks of beliefs{also}, {tracks.predict_only.sum()} predict-only agent-ticks"
-    return {"beliefs": "beliefs.csv", "argmax_paths": "argmax_paths.csv"}, summary
+    write_beliefs_csv(tracks.beliefs, agents, run.output("beliefs", "beliefs.csv"))
+    write_paths_csv(tracks.beliefs.argmax(axis=3), agents, run.output("argmax_paths", "argmax_paths.csv"))
+    return f"{tracks.predict_only.size} ticks of beliefs{also}, {tracks.predict_only.sum()} predict-only agent-ticks"
 
 
-def stage_decode(run: Run) -> tuple[dict[str, str], str]:
+def stage_decode(run: Run) -> str:
     tracks = run.take("decoded")
     agents = [a.id for a in run.config.agents]
-    write_paths_csv(tracks.paths, agents, run.out_dir / "decoded_paths.csv")
-    write_decode_scores_csv(tracks.scores, agents, run.out_dir / "decode_scores.csv")
-    if run.source == "decoded":
-        run.give("paths", tracks.paths)
-    files = {"decoded_paths": "decoded_paths.csv", "decode_scores": "decode_scores.csv"}
-    return files, f"{tracks.scores.size} agent-days, {tracks.retries} leak retries"
+    write_paths_csv(tracks.paths, agents, run.output("decoded_paths", "decoded_paths.csv"))
+    write_decode_scores_csv(tracks.scores, agents, run.output("decode_scores", "decode_scores.csv"))
+    run.give("decoded_paths", tracks.paths)
+    return f"{tracks.scores.size} agent-days, {tracks.retries} leak retries"
 
 
-def stage_analyze(run: Run) -> tuple[dict[str, str], str]:
-    config, out_dir, source = run.config, run.out_dir, run.source
-    paths = run.take("paths")
+def stage_analyze(run: Run) -> str:
+    config, source = run.config, run.source
+    paths = run.take(SOURCES[source])
     settings, plan = config.analytics, config.floor_plan
     by_id = sorted((profile.id, a) for a, profile in enumerate(config.agents))  # the row order of every file
     results = [
@@ -232,36 +238,24 @@ def stage_analyze(run: Run) -> tuple[dict[str, str], str]:
         mine_frequent_patterns(agent, paths[:, :, a], settings.min_support, settings.min_len, settings.max_len)
         for agent, a in by_id
     ]
-    write_occupancy_csv(results, out_dir / "occupancy.csv", source)
-    write_surprise_csv(results, out_dir / "surprise.csv", source)
-    write_patterns_csv(reports, out_dir / "patterns.csv", source)
-    write_fig_panels_csv(results, out_dir / "fig_panels.csv", source)
-    files = {
-        "occupancy": "occupancy.csv",
-        "surprise": "surprise.csv",
-        "patterns": "patterns.csv",
-        "fig_panels": "fig_panels.csv",
-    }
-    return files, f"{len(results)} agents from {source} paths"
+    write_occupancy_csv(results, run.output("occupancy", "occupancy.csv"), source)
+    write_surprise_csv(results, run.output("surprise", "surprise.csv"), source)
+    write_patterns_csv(reports, run.output("patterns", "patterns.csv"), source)
+    write_fig_panels_csv(results, run.output("fig_panels", "fig_panels.csv"), source)
+    return f"{len(results)} agents from {source} paths"
 
 
-def stage_graph(run: Run) -> tuple[dict[str, str], str]:
-    config, out_dir = run.config, run.out_dir
+def stage_graph(run: Run) -> str:
+    config = run.config
     agents = [a.id for a in config.agents]
     departments = {a.id: a.department for a in config.agents}
-    graph = extract_contacts(run.take("paths"), agents, config.floor_plan, config.contact_rule, departments)
-    (out_dir / "contacts.dot").write_text(export_graph(graph, "dot"))
-    (out_dir / "contact_edges.csv").write_text(export_graph(graph, "edge_csv"))
+    graph = extract_contacts(run.take(SOURCES[run.source]), agents, config.floor_plan, config.contact_rule, departments)
+    run.output("dot", "contacts.dot").write_text(export_graph(graph, "dot"))
+    run.output("edges", "contact_edges.csv").write_text(export_graph(graph, "edge_csv"))
     metrics = graph_metrics(graph)
-    write_node_metrics_csv(metrics, out_dir / "node_metrics.csv")
-    write_department_matrix_csv(metrics, out_dir / "department_matrix.csv")
-    files = {
-        "dot": "contacts.dot",
-        "edges": "contact_edges.csv",
-        "node_metrics": "node_metrics.csv",
-        "department_matrix": "department_matrix.csv",
-    }
-    return files, f"{len(graph.nodes)} nodes, {len(graph.edges)} edges"
+    write_node_metrics_csv(metrics, run.output("node_metrics", "node_metrics.csv"))
+    write_department_matrix_csv(metrics, run.output("department_matrix", "department_matrix.csv"))
+    return f"{len(graph.nodes)} nodes, {len(graph.edges)} edges"
 
 
 STAGES = {
@@ -275,11 +269,12 @@ STAGES = {
 
 
 def run_stage(name: str, run: Run) -> None:
-    """Run one stage and record the files it wrote in the manifest, which is saved once per stage."""
+    """Run one stage and record the files it named in the manifest, which is saved once per stage."""
     start = time.perf_counter()
+    run.written.clear()
     try:
-        files, summary = STAGES[name](run)
-        run.manifest.record(name, **files)
+        summary = STAGES[name](run)
+        run.manifest.record(name, **run.written)
         run.manifest.save(run.out_dir)
     except StageError:
         raise

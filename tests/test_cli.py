@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import re
 from pathlib import Path
 
@@ -112,6 +113,16 @@ def test_a_config_that_is_not_utf8_exits_1_naming_the_file(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_config_that_cannot_be_read_exits_1_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "missing.json"
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"officelab: cannot read config {path}: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_a_false_positive_naming_the_one_agent_every_tick_exits_1_naming_the_sensor(tmp_path, capsys):
     # with one agent, p_false_positive 1 makes q = 1, where the clutter odds q/(1 - q) are unbounded
     doc = _noiseless_doc()
@@ -155,6 +166,19 @@ def test_seed_override_is_recorded_in_manifest(config_path, tmp_path):
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(config_path), "--out", str(out), "--seed", "777"]) == 0
     assert RunManifest.load(out).seed == 777
+
+
+def test_a_stage_under_another_seed_starts_a_fresh_manifest(config_path, tmp_path, capsys, caplog):
+    # the simulate outputs of seed 1 are not observe's input under seed 2, so observe finds none
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(config_path), "--out", str(out), "--seed", "1"]) == 0
+    capsys.readouterr()
+    with caplog.at_level(logging.INFO, logger="officelab.pipeline"):
+        assert main(["observe", "--config", str(config_path), "--out", str(out), "--seed", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "manifest lists no 'trajectories_csv' output for stage 'simulate'; run it first" in err
+    assert "seed changed from 1 to 2; starting a fresh manifest" in caplog.messages
+    assert RunManifest.load(out).seed == 1  # the failed stage saved no manifest
 
 
 def test_negative_seed_override_exits_1_naming_rng_seed(config_path, tmp_path, capsys):
@@ -248,6 +272,26 @@ def test_stage_by_stage_rerun_matches_pipeline(tmp_path):
 
 DATA_FILES = 15  # every file a demo run writes except the manifest
 
+# the manifest's outputs of a demo run: stages in run order, each stage's files in write order
+DEMO_MANIFEST_OUTPUTS = {
+    "simulate": {"trajectories": "trajectories.jsonl", "trajectories_csv": "trajectories.csv"},
+    "observe": {"events": "events.jsonl"},
+    "fuse": {"beliefs": "beliefs.csv", "argmax_paths": "argmax_paths.csv"},
+    "decode": {"decoded_paths": "decoded_paths.csv", "decode_scores": "decode_scores.csv"},
+    "analyze": {
+        "occupancy": "occupancy.csv",
+        "surprise": "surprise.csv",
+        "patterns": "patterns.csv",
+        "fig_panels": "fig_panels.csv",
+    },
+    "graph": {
+        "dot": "contacts.dot",
+        "edges": "contact_edges.csv",
+        "node_metrics": "node_metrics.csv",
+        "department_matrix": "department_matrix.csv",
+    },
+}
+
 
 @pytest.mark.parametrize("source", ["truth", "decoded"])
 def test_stage_by_stage_rerun_matches_pipeline_on_demo(tmp_path, source):
@@ -264,6 +308,9 @@ def test_stage_by_stage_rerun_matches_pipeline_on_demo(tmp_path, source):
     assert names == sorted(p.name for p in staged.iterdir() if p.name != "manifest.json")
     for name in names:
         assert (full / name).read_bytes() == (staged / name).read_bytes(), name
+    for out in (full, staged):
+        # compared as JSON text, which keeps the order that dict equality ignores
+        assert json.dumps(RunManifest.load(out).outputs) == json.dumps(DEMO_MANIFEST_OUTPUTS)
 
 
 @pytest.mark.parametrize("stage", ["fuse", "decode"])

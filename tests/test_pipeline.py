@@ -137,7 +137,7 @@ def test_report_files_do_not_depend_on_the_config_agent_order(tmp_path):
     written = []
     for name, cfg, paths in (("listed", config, locations), ("reversed", reversed_config, locations[:, :, ::-1])):
         out = tmp_path / name
-        run = Run(cfg, out, open_manifest(cfg, str(CONFIGS / "demo.json"), out), products={"paths": paths})
+        run = Run(cfg, out, open_manifest(cfg, str(CONFIGS / "demo.json"), out), products={"locations": paths})
         for stage in ("analyze", "graph"):
             run_stage(stage, run)
         written.append({p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"})
